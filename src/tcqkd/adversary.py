@@ -41,6 +41,7 @@ from .qstate import (
     deterministic_peer_outcome,
     inner_product,
     make_eigenstate,
+    make_two_qubit,
     outcome_distribution,
     tensor,
 )
@@ -314,7 +315,7 @@ def _enumerate_leaves(protocol, attack):
         labels = pr.prepared_labels(protocol)
         bases = pr.party_bases(protocol)
         for label in labels:
-            base_reg = Register.from_state(pr.pair_state(label), ("a", "b"))
+            base_reg = Register.from_state(make_two_qubit(label), ("a", "b"))
             if isinstance(attack, InterceptResend):
                 pool = attack.basis_pool or pr.intercept_default_pool(protocol)
                 role = "a" if attack.target_party is Party.ALICE else "b"

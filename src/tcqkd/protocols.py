@@ -119,10 +119,6 @@ def prepared_labels(protocol: ProtocolId) -> tuple[TwoQubitLabel, ...]:
     raise ValueError(f"{protocol} does not prepare labeled pairs")
 
 
-def pair_state(label: TwoQubitLabel):
-    return make_two_qubit(label)
-
-
 def intercept_default_pool(protocol: ProtocolId) -> tuple[Basis, Basis]:
     """Eve's default basis pool mirrors the protocol's legitimate pool."""
     return party_bases(protocol)
@@ -369,8 +365,19 @@ def eavesdrop_check(protocol: ProtocolId, positions: list, check_fraction: float
     return CheckReport(k, errors, aborted)
 
 
-def _ghz_register() -> Register:
-    return Register.from_state(GHZ, ("c", "a", "b"))
+def _start_registers(protocol: ProtocolId, probe) -> dict:
+    """The register each position starts from, keyed by prepared label
+    (None for the GHZ triplet), with the ancilla probe attached when
+    `probe` is given.  Registers are immutable, so one per key serves
+    every position of a session."""
+    if protocol in _GHZ_PROTOCOLS:
+        starts = {None: Register.from_state(GHZ, ("c", "a", "b"))}
+    else:
+        starts = {label: Register.from_state(make_two_qubit(label), ("a", "b"))
+                  for label in prepared_labels(protocol)}
+    if probe is not None:
+        starts = {key: reg.attach_probe("a", "eve", *probe) for key, reg in starts.items()}
+    return starts
 
 
 def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = None) -> SessionTranscript:
@@ -403,6 +410,7 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     if is_intercept:
         pool = attack.basis_pool or intercept_default_pool(protocol)
     probe = probe_vectors(attack.coupling) if is_ancilla else None
+    starts = _start_registers(protocol, probe)
 
     # Per-position working state: None when lost, else a dict.
     work: list[dict | None] = [None] * n
@@ -425,10 +433,9 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
         if lost:
             continue
         if is_bell:
-            reg = Register.from_state(pair_state(labels[i]), ("a", "b"))
-            entry = {"reg": reg, "announcement": labels[i]}
+            entry = {"reg": starts[labels[i]], "announcement": labels[i]}
         elif is_cheating:
-            reg = _ghz_register()
+            reg = starts[None]
             o_c, reg = reg.measure("c", attack.basis, center_rng.random())
             o_a, reg = reg.measure("a", attack.basis, center_rng.random())
             o_b, reg = reg.measure("b", attack.basis, center_rng.random())
@@ -437,15 +444,13 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
             reg = reg.add_eigenstate("b", attack.basis, o_b)
             entry = {"reg": reg, "announcement": (attack.basis, o_c), "cheat_ab": (o_a, o_b)}
         else:
-            entry = {"reg": _ghz_register(), "announcement": None}
+            entry = {"reg": starts[None], "announcement": None}
         if is_intercept:
             role = "a" if attack.target_party is Party.ALICE else "b"
             eve_basis = pool[int(eve_rng.integers(len(pool)))]
             eve_out, reg = entry["reg"].measure(role, eve_basis, eve_rng.random())
             entry["reg"] = reg.add_eigenstate(role, eve_basis, eve_out)
             entry["eve"] = (eve_basis, eve_out)
-        elif is_ancilla:
-            entry["reg"] = entry["reg"].attach_probe("a", "eve", *probe)
         work[i] = entry
 
     # -- measurement and announcement order differs per protocol -------------
@@ -550,14 +555,10 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     if report.aborted:
         alice_raw = bob_raw = ""
     else:
-        alice_bits = []
-        bob_bits = []
-        for p in positions:
-            if p.kept and not p.used_for_check:
-                alice_bits.append(str(encode_bit(protocol, p, Party.ALICE)))
-                bob_bits.append(str(encode_bit(protocol, p, Party.BOB)))
-        alice_raw = "".join(alice_bits)
-        bob_raw = "".join(bob_bits)
+        key_positions = [p for p in positions if p.kept and not p.used_for_check]
+        alice_raw, bob_raw = (
+            postproc.bits_to_str([encode_bit(protocol, p, party) for p in key_positions])
+            for party in (Party.ALICE, Party.BOB))
 
     # -- post-processing ---------------------------------------------------------
     log.emit("all", "postprocess")

@@ -112,6 +112,7 @@ def states_close(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
     return bool(np.max(np.abs(a.amplitudes - b.amplitudes)) <= atol)
 
 
+@lru_cache(maxsize=None)
 def make_eigenstate(basis: Basis, sign: Outcome) -> StateVector:
     """Single-qubit eigenvector of the given measurement axis."""
     return StateVector(_EIGENVECTORS[(basis, sign)])

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from tcqkd.postproc import (
     format_key_hex,
     privacy_amplify,
     reconcile,
+    toeplitz_hash,
 )
 
 
@@ -191,3 +196,82 @@ class TestPrivacyAmplify:
         margin = math.ceil(2 * math.log2(1 / epsilon))
         expected = max(0, math.floor(n * (1 - binary_entropy(qber))) - leaked - margin)
         assert len(out) == expected
+
+
+def convolve_slice(diagonals, bits):
+    """Exact reference: T @ bits mod 2 as a slice of the full convolution."""
+    n = len(bits)
+    m = len(diagonals) - n + 1
+    return np.convolve(diagonals, bits)[n - 1:n - 1 + m] & 1
+
+
+def hash_inputs(seed, n, m):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, size=m + n - 1, dtype=np.int64), rng.integers(0, 2, size=n, dtype=np.int64)
+
+
+class TestToeplitzHash:
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 9), (9, 1), (7, 5), (13, 13), (1000, 333), (1025, 700)])
+    def test_fft_route_equals_convolution(self, n, m):
+        diagonals, bits = hash_inputs(n * 7919 + m, n, m)
+        out = toeplitz_hash(diagonals, bits)
+        assert out.shape == (m,)
+        assert np.array_equal(out, convolve_slice(diagonals, bits))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=300),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_fft_route_equals_convolution_any_shape(self, n, m, seed):
+        diagonals, bits = hash_inputs(seed, n, m)
+        assert np.array_equal(toeplitz_hash(diagonals, bits), convolve_slice(diagonals, bits))
+
+    @pytest.mark.parametrize("ones", [False, True])
+    def test_fft_route_exact_near_1e5_bits(self, ones):
+        # The full convolution at this size is quadratic, so the reference
+        # is its valid-mode form: the same slice (checked below at a small
+        # size), computed in O(m n).  All-ones inputs give every sum its
+        # largest value, n.
+        n, m = 100_003, 129
+        diagonals, bits = hash_inputs(5, n, m)
+        if ones:
+            diagonals[:] = 1
+            bits[:] = 1
+        small_d, small_b = hash_inputs(6, 50, 20)
+        assert np.array_equal(np.convolve(small_d, small_b, mode="valid") & 1,
+                              convolve_slice(small_d, small_b))
+        expected = np.convolve(diagonals, bits, mode="valid") & 1
+        assert np.array_equal(toeplitz_hash(diagonals, bits), expected)
+
+    def test_privacy_amplify_equals_convolution(self):
+        key = random_bits(np.random.default_rng(9), 3001)
+        m = final_key_length(3001, 0.02, 150, 2.0**-32)
+        diagonals = np.random.default_rng(23).integers(0, 2, size=m + 3001 - 1, dtype=np.int64)
+        bits = np.array([int(c) for c in key], dtype=np.int64)
+        expected = "".join("01"[v] for v in convolve_slice(diagonals, bits))
+        assert privacy_amplify(key, 150, 0.02, 2.0**-32, seed=23) == expected
+
+    def test_fft_route_skips_the_exact_convolution(self, monkeypatch):
+        calls = []
+        real = np.convolve
+        monkeypatch.setattr(np, "convolve", lambda *a, **k: calls.append(1) or real(*a, **k))
+        toeplitz_hash(*hash_inputs(3, 500, 200))
+        assert calls == []
+
+    def test_off_integer_fft_result_takes_exact_route(self, monkeypatch):
+        diagonals, bits = hash_inputs(4, 777, 311)
+        expected = toeplitz_hash(diagonals, bits)
+        calls = []
+        real_convolve, real_irfft = np.convolve, np.fft.irfft
+        monkeypatch.setattr(np, "convolve", lambda *a, **k: calls.append(1) or real_convolve(*a, **k))
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: real_irfft(*a, **k) + 0.4)
+        out = toeplitz_hash(diagonals, bits)
+        assert calls == [1]
+        assert np.array_equal(out, expected)
+        assert np.array_equal(out, convolve_slice(diagonals, bits))
+
+    def test_import_does_not_load_fft(self):
+        src = str(Path(__import__("tcqkd").__file__).resolve().parents[1])
+        code = "import sys, tcqkd; print('numpy.fft' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
