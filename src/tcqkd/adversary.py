@@ -250,11 +250,6 @@ def infer_bob_outcome(announcement, eve_basis: Basis, eve_outcome: Outcome,
     return deterministic_peer_outcome(announcement, eve_basis, eve_outcome, bob_basis)
 
 
-def probe_guess_to_alice_x(probe_outcome: Outcome) -> Outcome:
-    """Probe measured in X maps + to Alice x+ and - to Alice x-."""
-    return probe_outcome
-
-
 # --- exact enumeration oracles ----------------------------------------------
 
 
@@ -377,8 +372,8 @@ def _ghz_leaf(protocol, attack, w, ann, a_basis, a_out, b_basis, b_out, eve_ctx,
         yield w, ann, a_basis, a_out, b_basis, b_out, None
     elif eve_ctx == "probe":
         for pe, eo, _ in reg.branches("eve", Basis.X):
-            guess = probe_guess_to_alice_x(eo)
-            pred = deterministic_peer_outcome(ann, Basis.X, guess, b_basis)
+            # The probe's x outcome is Eve's guess of Alice's x outcome.
+            pred = deterministic_peer_outcome(ann, Basis.X, eo, b_basis)
             yield w * pe, ann, a_basis, a_out, b_basis, b_out, pred
     elif eve_ctx[0] == "center":
         _, oa, ob = eve_ctx

@@ -262,26 +262,53 @@ def scenario_to_json_dict(scenario: NetworkScenario) -> dict:
     }
 
 
+def _of_type(value, kind: type, path: str):
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ValueError(f"{path}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
+def _member(doc: dict, key: str, path: str):
+    if key not in doc:
+        raise ValueError(f"{path}: missing {key!r}")
+    return doc[key]
+
+
+def _session_config(doc, path: str) -> SessionConfig:
+    try:
+        return config_from_json_dict(_of_type(doc, dict, path))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing {exc}") from None
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def scenario_from_json_dict(doc: dict) -> NetworkScenario:
-    channels = {
-        uid: ChannelModel(
+    """Parse a scenario document.  A malformed document raises a
+    ValueError naming where it is malformed, e.g.
+    ``sessions[0]: missing 'responder'``."""
+    doc = _of_type(doc, dict, "scenario")
+    channels = {}
+    for uid, ch in _of_type(doc.get("channels", {}), dict, "channels").items():
+        ch = _of_type(ch, dict, f"channels.{uid}")
+        channels[uid] = ChannelModel(
             loss_probability=float(ch.get("loss_probability", 0.0)),
             latency_ticks=int(ch.get("latency_ticks", 0)),
         )
-        for uid, ch in doc.get("channels", {}).items()
-    }
-    sessions = tuple(
-        SessionSpec(
-            requester=s["requester"],
-            responder=s["responder"],
-            config=config_from_json_dict(s["config"]),
-        )
-        for s in doc.get("sessions", [])
-    )
+    sessions = []
+    for i, s in enumerate(_of_type(doc.get("sessions", []), list, "sessions")):
+        path = f"sessions[{i}]"
+        s = _of_type(s, dict, path)
+        sessions.append(SessionSpec(
+            requester=_member(s, "requester", path),
+            responder=_member(s, "responder", path),
+            config=_session_config(_member(s, "config", path), f"{path}.config"),
+        ))
     return NetworkScenario(
-        users=tuple(doc["users"]),
+        users=tuple(_of_type(_member(doc, "users", "scenario"), list, "users")),
         channels=channels,
-        sessions=sessions,
+        sessions=tuple(sessions),
         seed=int(doc.get("seed", 0)),
     )
 

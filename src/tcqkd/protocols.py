@@ -37,10 +37,29 @@ per-actor stream (center, alice, bob, eve, channel, postproc) derived
 from the session seed, so identical configs produce byte-identical
 transcripts.  Parties interact only through explicit announcement and
 basis messages, recorded in an ordered event log.
+
+A session runs as array operations over all positions at once.  Every
+position goes through the same fixed sequence of measurements
+(`_steps`): a cheating center's or an intercepting adversary's, then
+the center, Alice and Bob in protocol order, then the probe read-out.
+`_compile` walks that sequence once per (protocol, attack) pairing from
+the start registers with the exact Born-rule branches and stores
+integer tables: p_plus[node, basis], the probability a draw is compared
+against, and next[node, basis, outcome], plus the keep rule and the
+correlation-table predictions per announcement and bases.  A session
+then gathers p_plus for every position, compares, and advances the node
+ids; sifting, the check and the key bits are masks.  Compiled tables are
+built on first use and kept (up to 64 pairings).
+
+Each stream is drawn in bulk in exactly the order of one scalar call
+per position and step (`replay.replay_draws`), so transcripts are the
+same bytes as position-by-position sampling gives, and a stream left
+for a later phase (Bob's check sample, a coin) is in the same state.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -54,7 +73,6 @@ from .adversary import (
     AncillaEntangle,
     AttackModel,
     CheatingCenterMeasureAll,
-    EveRecord,
     InterceptResend,
     NoAttack,
     Party,
@@ -62,7 +80,6 @@ from .adversary import (
     infer_bob_outcome,
     predict_adversary_accuracy,
     predict_detection_rate,
-    probe_guess_to_alice_x,
     probe_vectors,
 )
 from .qstate import (
@@ -74,6 +91,7 @@ from .qstate import (
     deterministic_peer_outcome,
     make_two_qubit,
 )
+from .replay import replay_draws
 
 TIME_RESERVED_EPR_BASELINE = 0.125
 DEFAULT_EPSILON = 2.0**-32
@@ -176,11 +194,6 @@ def keep_rule(protocol: ProtocolId, center_announcement, alice_basis: Basis,
     raise ValueError(f"unknown protocol {protocol}")
 
 
-@lru_cache(maxsize=None)
-def _cached_peer_outcome(announcement, own_basis, own_outcome, peer_basis):
-    return deterministic_peer_outcome(announcement, own_basis, own_outcome, peer_basis)
-
-
 def consistency_map(protocol: ProtocolId, center_announcement, own_basis: Basis,
                     own_outcome: Outcome, peer_basis: Basis) -> Outcome:
     """The peer's outcome as uniquely fixed by the correlation tables.
@@ -190,7 +203,7 @@ def consistency_map(protocol: ProtocolId, center_announcement, own_basis: Basis,
     position it should not have, which is a logic error.
     """
     _require_announcement_type(protocol, center_announcement)
-    out = _cached_peer_outcome(center_announcement, own_basis, own_outcome, peer_basis)
+    out = deterministic_peer_outcome(center_announcement, own_basis, own_outcome, peer_basis)
     if out is None:
         raise LookupError(
             f"no deterministic correlation for {center_announcement!r}, "
@@ -342,27 +355,19 @@ class _EventLog:
         self.events.append({"seq": len(self.events), "actor": actor, "event": event})
 
 
-def eavesdrop_check(protocol: ProtocolId, positions: list, check_fraction: float,
-                    rng: np.random.Generator, qber_abort_threshold: float) -> CheckReport:
-    """Bob discloses a random subset of kept positions; Alice compares
-    each against the correlation table's prediction.  Marks the chosen
-    positions used_for_check; they are excluded from key material."""
-    kept = [p for p in positions if p.kept]
-    k = int(check_fraction * len(kept))
+def eavesdrop_check(mismatch: np.ndarray, check_fraction: float, rng: np.random.Generator,
+                    qber_abort_threshold: float) -> tuple[CheckReport, np.ndarray]:
+    """Bob discloses a random subset of the kept positions; Alice compares
+    each against the correlation table's prediction.  mismatch[i] says
+    whether Bob's outcome at the i-th kept position differs from that
+    prediction.  Returns the report and the indices, among the kept
+    positions, of those checked; they are excluded from key material."""
+    k = int(check_fraction * len(mismatch))
     if k == 0:
-        return CheckReport(0, 0, aborted=False, empty_check_warning=True)
-    chosen = rng.choice(len(kept), size=k, replace=False)
-    errors = 0
-    for i in sorted(int(c) for c in chosen):
-        pos = kept[i]
-        pos.used_for_check = True
-        expected = consistency_map(
-            protocol, pos.center_announcement, pos.alice_basis, pos.alice_outcome, pos.bob_basis
-        )
-        if pos.bob_outcome is not expected:
-            errors += 1
-    aborted = (errors / k) > qber_abort_threshold
-    return CheckReport(k, errors, aborted)
+        return CheckReport(0, 0, aborted=False, empty_check_warning=True), np.zeros(0, np.intp)
+    chosen = rng.choice(len(mismatch), size=k, replace=False)
+    errors = int(np.count_nonzero(mismatch[chosen]))
+    return CheckReport(k, errors, aborted=(errors / k) > qber_abort_threshold), chosen
 
 
 def _start_registers(protocol: ProtocolId, probe) -> dict:
@@ -378,6 +383,168 @@ def _start_registers(protocol: ProtocolId, probe) -> dict:
     if probe is not None:
         starts = {key: reg.attach_probe("a", "eve", *probe) for key, reg in starts.items()}
     return starts
+
+
+# The compiled session stores a basis as its index here and an outcome
+# as its key bit.
+_BASES = tuple(Basis)
+_OUTCOMES = (Outcome.PLUS, Outcome.MINUS)
+
+
+def _basis_indices(bases) -> np.ndarray:
+    return np.array([_BASES.index(b) for b in bases])
+
+
+def _intercept_pool(protocol: ProtocolId, attack: InterceptResend) -> tuple[Basis, ...]:
+    return attack.basis_pool or intercept_default_pool(protocol)
+
+
+def _steps(protocol: ProtocolId, attack: AttackModel) -> tuple:
+    """The measurements every position goes through, in order, as
+    (role, bases it may be measured in, resend).  With resend a fresh
+    eigenstate of the result replaces the measured particle."""
+    steps = []
+    cheating = isinstance(attack, CheatingCenterMeasureAll)
+    if cheating:
+        # The center measures the whole triplet and sends eigenstates.
+        basis = (attack.basis,)
+        steps += [("c", basis, False), ("a", basis, True), ("b", basis, True)]
+    elif isinstance(attack, InterceptResend):
+        role = "a" if attack.target_party is Party.ALICE else "b"
+        steps.append((role, _intercept_pool(protocol, attack), True))
+    if protocol is ProtocolId.GHZ1 and not cheating:
+        steps.append(("c", (Basis.X,), False))
+    if protocol is ProtocolId.GHZ2 and not cheating:
+        steps.append(("c", (Basis.X, Basis.Y), False))
+    bases = party_bases(protocol)
+    steps += [("a", bases, False), ("b", bases, False)]
+    if protocol is ProtocolId.GHZ3:
+        steps.append(("c", (Basis.X, Basis.Y), False))
+    if isinstance(attack, AncillaEntangle):
+        steps.append(("eve", (Basis.X,), False))
+    return tuple(steps)
+
+
+@dataclass(frozen=True)
+class _Table:
+    """One (protocol, attack) pairing's per-position process, compiled.
+
+    Nodes are the registers reachable along `_steps`, numbered level by
+    level from the start registers.  p_plus[node, basis] is the
+    probability a draw is compared against (outcome + iff draw <
+    p_plus), the same float `qstate.measure` uses; next[node, basis,
+    outcome] is the node that outcome leads to, -1 for a zero-probability
+    branch.  Announcements are numbered 2 * basis + outcome for the
+    triplet and by prepared label for pairs.  keep[ann, a_basis,
+    b_basis] is the keep rule; expect[ann, a_basis, a_outcome, b_basis]
+    is Bob's key bit as the correlation tables fix it from Alice's
+    record, -1 where they do not; eve_expect is the adversary's
+    prediction from her own record in Alice's place, -1 where she
+    tosses a coin.
+    """
+
+    p_plus: np.ndarray
+    next: np.ndarray
+    announcements: tuple
+    keep: np.ndarray
+    expect: np.ndarray
+    eve_expect: np.ndarray | None
+
+
+def _peer_table(announcements, own_bases, peer_bases, predict) -> np.ndarray:
+    """table[ann, own_basis, own_outcome, peer_basis]: the peer's bit as
+    `predict` fixes it, -1 where it returns None."""
+    table = np.full((len(announcements), len(_BASES), 2, len(_BASES)), -1, dtype=np.int8)
+    for i, ann in enumerate(announcements):
+        for own, outcome, peer in itertools.product(own_bases, _OUTCOMES, peer_bases):
+            out = predict(ann, own, outcome, peer)
+            if out is not None:
+                table[i, _BASES.index(own), outcome.bit, _BASES.index(peer)] = out.bit
+    return table
+
+
+@lru_cache(maxsize=64)
+def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
+    """Walk `_steps` from the start registers with the exact Born-rule
+    branches; built on first use of a pairing and kept."""
+    probe = probe_vectors(attack.coupling) if isinstance(attack, AncillaEntangle) else None
+    level = list(_start_registers(protocol, probe).values())
+    p_plus, nxt = [], []
+    for role, bases, resend in _steps(protocol, attack):
+        children = []
+        first_child = len(p_plus) + len(level)
+        for reg in level:
+            p_row = np.full(len(_BASES), np.nan)
+            next_row = np.full((len(_BASES), 2), -1)
+            for basis in bases:
+                b = _BASES.index(basis)
+                p_row[b] = reg.distribution(role, basis)[0]
+                for _, outcome, child in reg.branches(role, basis):
+                    next_row[b, outcome.bit] = first_child + len(children)
+                    children.append(child.add_eigenstate(role, basis, outcome) if resend else child)
+            p_plus.append(p_row)
+            nxt.append(next_row)
+        level = children
+    p_plus += [np.full(len(_BASES), np.nan)] * len(level)
+    nxt += [np.full((len(_BASES), 2), -1)] * len(level)
+
+    if protocol in _GHZ_PROTOCOLS:
+        center_bases = (Basis.X,) if protocol is ProtocolId.GHZ1 else (Basis.X, Basis.Y)
+        announcements = tuple((b, o) for b in center_bases for o in _OUTCOMES)
+    else:
+        announcements = prepared_labels(protocol)
+    bases = party_bases(protocol)
+    keep = np.zeros((len(announcements), len(_BASES), len(_BASES)), dtype=bool)
+    for i, ann in enumerate(announcements):
+        for a, b in itertools.product(bases, bases):
+            keep[i, _BASES.index(a), _BASES.index(b)] = keep_rule(protocol, ann, a, b)
+    expect = _peer_table(announcements, bases, bases, deterministic_peer_outcome)
+    eve_expect = None
+    if isinstance(attack, InterceptResend):
+        eve_expect = _peer_table(
+            announcements, _intercept_pool(protocol, attack), bases,
+            lambda ann, eb, eo, b: infer_bob_outcome(ann, eb, eo, attack.target_party, b))
+    elif isinstance(attack, AncillaEntangle):
+        eve_expect = _peer_table(announcements, (Basis.X,), bases, deterministic_peer_outcome)
+    arrays = [np.array(p_plus), np.array(nxt), keep, expect, eve_expect]
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return _Table(arrays[0], arrays[1], announcements, *arrays[2:])
+
+
+def _channel_losses(rng: np.random.Generator, n: int, loss_a: float, loss_b: float) -> np.ndarray:
+    """Per-position erasure.  Alice's leg draws first and Bob's leg draws
+    only when her particle arrived, so a position takes one or two draws:
+    draw 2n and walk them in that order."""
+    draws = rng.random(2 * n)
+    lost_a = (draws < loss_a).tolist()
+    lost_b = (draws < loss_b).tolist()
+    lost = [False] * n
+    j = 0
+    for i in range(n):
+        if lost_a[j]:
+            lost[i] = True
+            j += 1
+        else:
+            lost[i] = lost_b[j + 1]
+            j += 2
+    return np.array(lost, dtype=bool)
+
+
+def _basis_draws(rng: np.random.Generator, choices: int, m: int):
+    """m positions' (rng.integers(choices), rng.random()) pairs, drawn in
+    that order: (choice array, draw array)."""
+    draws = replay_draws(rng, np.tile([choices, 0], m)).reshape(m, 2)
+    return draws[:, 0].astype(np.intp), draws[:, 1]
+
+
+def _object_column(objects, index: np.ndarray) -> list:
+    """[objects[i] for i in index], through an object array."""
+    table = np.empty(len(objects), dtype=object)
+    for i, obj in enumerate(objects):
+        table[i] = obj
+    return table[index].tolist()
 
 
 def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = None) -> SessionTranscript:
@@ -401,164 +568,127 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     pa_seed, rec_seed = (int(x) for x in pp_seed_seq.generate_state(2, dtype=np.uint64))
 
     log = _EventLog()
-    bases = party_bases(protocol)
+    table = _compile(protocol, attack)
     is_bell = protocol in (ProtocolId.BELL4, ProtocolId.BELL5)
-    is_intercept = isinstance(attack, InterceptResend)
     is_cheating = isinstance(attack, CheatingCenterMeasureAll)
-    is_ancilla = isinstance(attack, AncillaEntangle)
-    pool = None
-    if is_intercept:
-        pool = attack.basis_pool or intercept_default_pool(protocol)
-    probe = probe_vectors(attack.coupling) if is_ancilla else None
-    starts = _start_registers(protocol, probe)
-
-    # Per-position working state: None when lost, else a dict.
-    work: list[dict | None] = [None] * n
-    eve_records: list[EveRecord] = []
-    center_guesses: dict[int, Outcome | None] = {}
 
     # -- prepare ------------------------------------------------------------
     log.emit("center", "prepare_states")
-    labels = None
     if is_bell:
-        labels = [prepared_labels(protocol)[int(center_rng.integers(4))] for _ in range(n)]
+        labels = center_rng.integers(len(table.announcements), size=n)
         log.emit("center", "announce_labels")
     if is_cheating:
         log.emit("center", "center_measure")  # cheating center measures before sending
 
     # -- transmit (loss, then in-flight attacks) -----------------------------
+    # Every array below has one entry per position that arrived.
     log.emit("channel", "transmit_particles")
-    for i in range(n):
-        lost = (channel_rng.random() < loss_a) or (channel_rng.random() < loss_b)
-        if lost:
-            continue
-        if is_bell:
-            entry = {"reg": starts[labels[i]], "announcement": labels[i]}
-        elif is_cheating:
-            reg = starts[None]
-            o_c, reg = reg.measure("c", attack.basis, center_rng.random())
-            o_a, reg = reg.measure("a", attack.basis, center_rng.random())
-            o_b, reg = reg.measure("b", attack.basis, center_rng.random())
-            reg = Register((), {})
-            reg = reg.add_eigenstate("a", attack.basis, o_a)
-            reg = reg.add_eigenstate("b", attack.basis, o_b)
-            entry = {"reg": reg, "announcement": (attack.basis, o_c), "cheat_ab": (o_a, o_b)}
-        else:
-            entry = {"reg": starts[None], "announcement": None}
-        if is_intercept:
-            role = "a" if attack.target_party is Party.ALICE else "b"
-            eve_basis = pool[int(eve_rng.integers(len(pool)))]
-            eve_out, reg = entry["reg"].measure(role, eve_basis, eve_rng.random())
-            entry["reg"] = reg.add_eigenstate(role, eve_basis, eve_out)
-            entry["eve"] = (eve_basis, eve_out)
-        work[i] = entry
+    present = np.flatnonzero(~_channel_losses(channel_rng, n, loss_a, loss_b))
+    m = len(present)
+    ann = labels[present] if is_bell else None
+    nodes = ann if is_bell else np.zeros(m, dtype=np.intp)
+
+    def measure(basis, draws):
+        """Measure the next particle of `_steps` in `basis` at every
+        position; the outcome bits."""
+        nonlocal nodes
+        minus = (draws >= table.p_plus[nodes, basis]).astype(np.intp)
+        nodes = table.next[nodes, basis, minus]
+        if np.any(nodes < 0):
+            raise AssertionError("selected a zero-probability branch")
+        return minus
+
+    if is_cheating:
+        cheat_basis = _BASES.index(attack.basis)
+        draws = center_rng.random(3 * m).reshape(m, 3)
+        center_out = measure(cheat_basis, draws[:, 0])
+        measure(cheat_basis, draws[:, 1])
+        cheat_bob_out = measure(cheat_basis, draws[:, 2])
+        ann = 2 * cheat_basis + center_out
+    elif isinstance(attack, InterceptResend):
+        pool = _basis_indices(_intercept_pool(protocol, attack))
+        choice, draws = _basis_draws(eve_rng, len(pool), m)
+        eve_basis = pool[choice]
+        eve_out = measure(eve_basis, draws)
 
     # -- measurement and announcement order differs per protocol -------------
     if protocol in (ProtocolId.GHZ1, ProtocolId.GHZ2):
         if not is_cheating:
             log.emit("center", "center_measure")
-            for entry in work:
-                if entry is None:
-                    continue
-                if protocol is ProtocolId.GHZ1:
-                    c_basis = Basis.X
-                else:
-                    c_basis = (Basis.X, Basis.Y)[int(center_rng.integers(2))]
-                c_out, entry["reg"] = entry["reg"].measure("c", c_basis, center_rng.random())
-                entry["announcement"] = (c_basis, c_out)
+            if protocol is ProtocolId.GHZ1:
+                c_basis, draws = _BASES.index(Basis.X), center_rng.random(m)
+            else:
+                choice, draws = _basis_draws(center_rng, 2, m)
+                c_basis = _basis_indices((Basis.X, Basis.Y))[choice]
+            ann = 2 * c_basis + measure(c_basis, draws)
         log.emit("center", "announce_results")
-        _measure_parties(work, bases, alice_rng, bob_rng, log)
-    elif protocol is ProtocolId.GHZ3:
-        _measure_parties(work, bases, alice_rng, bob_rng, log)
+    bases = party_bases(protocol)
+    log.emit("alice", "alice_measure")
+    a_choice, draws = _basis_draws(alice_rng, 2, m)
+    a_basis = _basis_indices(bases)[a_choice]
+    a_out = measure(a_basis, draws)
+    log.emit("bob", "bob_measure")
+    b_choice, draws = _basis_draws(bob_rng, 2, m)
+    b_basis = _basis_indices(bases)[b_choice]
+    b_out = measure(b_basis, draws)
+    if protocol is ProtocolId.GHZ3:
         log.emit("alice", "send_basis")
         log.emit("bob", "send_basis")
         log.emit("center", "center_measure")
-        for entry in work:
-            if entry is None:
-                continue
-            c_basis = center_basis_rule_p3(entry["a_basis"], entry["b_basis"])
-            c_out, entry["reg"] = entry["reg"].measure("c", c_basis, center_rng.random())
-            entry["announcement"] = (c_basis, c_out)
+        rule = np.array([[_BASES.index(center_basis_rule_p3(x, y)) for y in bases] for x in bases])
+        c_basis = rule[a_choice, b_choice]
+        ann = 2 * c_basis + measure(c_basis, center_rng.random(m))
         log.emit("center", "announce_results")
-    else:
-        _measure_parties(work, bases, alice_rng, bob_rng, log)
+
+    # -- adversary's own final measurements and inferences --------------------
+    # (what she records, her outcome bits, her inferred bits of Bob's key)
+    eve = None
+    if isinstance(attack, InterceptResend):
+        inferred = table.eve_expect[ann, eve_basis, eve_out, b_basis].astype(np.intp)
+        coin = inferred < 0
+        inferred[coin] = eve_rng.integers(2, size=int(np.count_nonzero(coin)))
+        eve = (_object_column([b.value for b in _BASES], eve_basis), eve_out, inferred)
+    elif isinstance(attack, AncillaEntangle):
+        x = _BASES.index(Basis.X)
+        coin = table.eve_expect[ann, x, 0, b_basis] < 0
+        # Per position: the probe read-out, then a coin where needed.
+        first = np.arange(m) + np.cumsum(coin) - coin
+        bounds = np.zeros(m + int(np.count_nonzero(coin)), dtype=np.int64)
+        bounds[first[coin] + 1] = 2
+        draws = replay_draws(eve_rng, bounds)
+        probe_out = measure(x, draws[first])
+        inferred = table.eve_expect[ann, x, probe_out, b_basis].astype(np.intp)
+        inferred[coin] = draws[first[coin] + 1]
+        eve = (["probe-X"] * m, probe_out, inferred)
+    elif is_cheating:
+        coin = b_basis != cheat_basis
+        inferred = cheat_bob_out.copy()
+        inferred[coin] = center_rng.integers(2, size=int(np.count_nonzero(coin)))
+        eve = ([attack.basis.value] * m, center_out, inferred)
 
     # -- sift -----------------------------------------------------------------
     log.emit("all", "compare_bases_and_sift")
-    positions = []
-    for i in range(n):
-        entry = work[i]
-        if entry is None:
-            ann = labels[i] if is_bell else None
-            positions.append(PositionRecord(i, True, ann, None, None, None, None, False, False))
-            continue
-        kept = keep_rule(protocol, entry["announcement"], entry["a_basis"], entry["b_basis"])
-        positions.append(
-            PositionRecord(
-                index=i,
-                lost=False,
-                center_announcement=entry["announcement"],
-                alice_basis=entry["a_basis"],
-                bob_basis=entry["b_basis"],
-                alice_outcome=entry["a_out"],
-                bob_outcome=entry["b_out"],
-                kept=kept,
-                used_for_check=False,
-            )
-        )
-    kept_count = sum(1 for p in positions if p.kept)
-
-    # -- adversary's own final measurements and inferences --------------------
-    if is_intercept:
-        for i in range(n):
-            entry = work[i]
-            if entry is None:
-                continue
-            eve_basis, eve_out = entry["eve"]
-            pred = infer_bob_outcome(entry["announcement"], eve_basis, eve_out,
-                                     attack.target_party, entry["b_basis"])
-            if pred is None:
-                pred = (Outcome.PLUS, Outcome.MINUS)[int(eve_rng.integers(2))]
-            eve_records.append(EveRecord(i, eve_basis.value, eve_out, pred.bit))
-    elif is_ancilla:
-        for i in range(n):
-            entry = work[i]
-            if entry is None:
-                continue
-            probe_out, entry["reg"] = entry["reg"].measure("eve", Basis.X, eve_rng.random())
-            guess = probe_guess_to_alice_x(probe_out)
-            pred = deterministic_peer_outcome(entry["announcement"], Basis.X, guess,
-                                              entry["b_basis"])
-            if pred is None:
-                pred = (Outcome.PLUS, Outcome.MINUS)[int(eve_rng.integers(2))]
-            eve_records.append(EveRecord(i, "probe-X", probe_out, pred.bit))
-    elif is_cheating:
-        for i in range(n):
-            entry = work[i]
-            if entry is None:
-                continue
-            o_a, o_b = entry["cheat_ab"]
-            if entry["b_basis"] is attack.basis:
-                guess = o_b
-            else:
-                guess = (Outcome.PLUS, Outcome.MINUS)[int(center_rng.integers(2))]
-            center_guesses[i] = guess
-            eve_records.append(EveRecord(i, attack.basis.value, entry["announcement"][1], guess.bit))
+    kept_at = np.flatnonzero(table.keep[ann, a_basis, b_basis])
+    kept_count = len(kept_at)
+    predicted = table.expect[ann, a_basis, a_out, b_basis]  # Alice's key bits where kept
+    if np.any(predicted[kept_at] < 0):
+        raise LookupError("the keep rule admitted a position with no deterministic correlation")
 
     # -- eavesdrop check -------------------------------------------------------
     log.emit("bob", "eavesdrop_check")
-    report = eavesdrop_check(protocol, positions, config.check_fraction, bob_rng,
-                             config.qber_abort_threshold)
+    report, checked = eavesdrop_check(predicted[kept_at] != b_out[kept_at], config.check_fraction,
+                                      bob_rng, config.qber_abort_threshold)
+    in_key = np.zeros(m, dtype=bool)
+    in_key[kept_at] = True
+    in_key[kept_at[checked]] = False
 
     # -- key material -----------------------------------------------------------
     log.emit("all", "encode_key_bits")
     if report.aborted:
         alice_raw = bob_raw = ""
     else:
-        key_positions = [p for p in positions if p.kept and not p.used_for_check]
-        alice_raw, bob_raw = (
-            postproc.bits_to_str([encode_bit(protocol, p, party) for p in key_positions])
-            for party in (Party.ALICE, Party.BOB))
+        alice_raw = postproc.bits_to_str(predicted[in_key])
+        bob_raw = postproc.bits_to_str(b_out[in_key])
 
     # -- post-processing ---------------------------------------------------------
     log.emit("all", "postprocess")
@@ -589,7 +719,39 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
         final_length=len(alice_final),
     )
 
-    adversary_section = _adversary_section(config, positions, eve_records, report)
+    adversary_section = None
+    if eve is not None:
+        basis_used, eve_bits, inferred = eve
+        total = int(np.count_nonzero(in_key))
+        hits = int(np.count_nonzero(inferred[in_key] == b_out[in_key]))
+        records = [
+            {"position": i, "basis_used": s, "outcome": o, "inferred_bit": bit}
+            for i, s, o, bit in zip(present.tolist(), basis_used,
+                                    _object_column([o.value for o in _OUTCOMES], eve_bits),
+                                    inferred.tolist())
+        ]
+        adversary_section = _adversary_section(config, report, records,
+                                                hits / total if total else None)
+
+    # -- transcript records, one per prepared state -------------------------------
+    def column(objects, values):
+        """objects[value] per position, None where the position was lost."""
+        index = np.full(n, len(objects))
+        index[present] = values
+        return _object_column(tuple(objects) + (None,), index)
+
+    lost = np.ones(n, dtype=bool)
+    lost[present] = False
+    kept = np.zeros(n, dtype=bool)
+    kept[present[kept_at]] = True
+    used_for_check = np.zeros(n, dtype=bool)
+    used_for_check[present[kept_at[checked]]] = True
+    positions = list(map(
+        PositionRecord, range(n), lost.tolist(),
+        _object_column(table.announcements, labels) if is_bell else column(table.announcements, ann),
+        column(_BASES, a_basis), column(_BASES, b_basis),
+        column(_OUTCOMES, a_out), column(_OUTCOMES, b_out),
+        kept.tolist(), used_for_check.tolist()))
 
     transcript = SessionTranscript(
         config=config,
@@ -609,45 +771,17 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     return transcript
 
 
-def _measure_parties(work, bases, alice_rng, bob_rng, log):
-    log.emit("alice", "alice_measure")
-    for entry in work:
-        if entry is None:
-            continue
-        entry["a_basis"] = bases[int(alice_rng.integers(2))]
-        entry["a_out"], entry["reg"] = entry["reg"].measure("a", entry["a_basis"],
-                                                            alice_rng.random())
-    log.emit("bob", "bob_measure")
-    for entry in work:
-        if entry is None:
-            continue
-        entry["b_basis"] = bases[int(bob_rng.integers(2))]
-        entry["b_out"], entry["reg"] = entry["reg"].measure("b", entry["b_basis"],
-                                                            bob_rng.random())
-
-
-def _adversary_section(config, positions, eve_records, report):
+def _adversary_section(config, report, records, observed_accuracy):
     attack = config.attack
-    if isinstance(attack, NoAttack):
-        return None
     try:
         predicted_rate = predict_detection_rate(config.protocol, attack)
         predicted_accuracy = predict_adversary_accuracy(config.protocol, attack)
     except UnsupportedAttackError:
         predicted_rate = None
         predicted_accuracy = None
-    by_position = {r.position: r for r in eve_records}
-    hits = 0
-    total = 0
-    for p in positions:
-        if p.kept and not p.used_for_check and p.index in by_position:
-            total += 1
-            if by_position[p.index].inferred_bit == p.bob_outcome.bit:
-                hits += 1
-    observed_accuracy = hits / total if total else None
     params: dict[str, object] = {}
     if isinstance(attack, InterceptResend):
-        pool = attack.basis_pool or intercept_default_pool(config.protocol)
+        pool = _intercept_pool(config.protocol, attack)
         params = {"target_party": attack.target_party.value,
                   "basis_pool": [b.value for b in pool]}
     elif isinstance(attack, CheatingCenterMeasureAll):
@@ -661,12 +795,7 @@ def _adversary_section(config, positions, eve_records, report):
         "observed_check_error_rate": report.qber,
         "predicted_accuracy": predicted_accuracy,
         "observed_accuracy": observed_accuracy,
-        "records": [
-            {"position": r.position, "basis_used": r.basis_used,
-             "outcome": None if r.outcome is None else r.outcome.value,
-             "inferred_bit": r.inferred_bit}
-            for r in eve_records
-        ],
+        "records": records,
     }
 
 

@@ -6,6 +6,7 @@ import pytest
 from tcqkd.cli import main
 from tcqkd.netsim import NetworkScenario, SessionSpec, scenario_to_json_dict
 from tcqkd.protocols import ProtocolId, SessionConfig
+from test_netsim import MALFORMED_SCENARIOS
 
 
 def sha(path):
@@ -147,6 +148,14 @@ class TestNetwork:
 
     def test_missing_file_usage_error(self, capsys):
         assert main(["network", "/nonexistent/scenario.json"]) == 1
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SCENARIOS))
+    def test_malformed_scenario_one_line_exit_1(self, name, tmp_path, capsys):
+        doc, message = MALFORMED_SCENARIOS[name]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["network", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestDeterminism:

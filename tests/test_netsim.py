@@ -22,6 +22,18 @@ from tcqkd.netsim import (
 from tcqkd.protocols import ProtocolId, SessionConfig, transcript_to_json
 
 
+# Malformed scenario documents and the error each must raise.
+MALFORMED_SCENARIOS = {
+    "no_users": ({"sessions": []}, "scenario: missing 'users'"),
+    "no_responder": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "config": {"protocol": "GHZ1", "num_states": 100}}]},
+        "sessions[0]: missing 'responder'"),
+    "channel_list": ({"users": ["a"], "channels": {"a": [0.1]}},
+                     "channels.a: expected an object, got list"),
+}
+
+
 def make_config(protocol=ProtocolId.GHZ1, n=1000, **kw):
     return SessionConfig(protocol=protocol, num_states=n, **kw)
 
@@ -184,6 +196,13 @@ class TestScenarioFiles:
         assert loaded.channels["a"].loss_probability == 0.2
         assert loaded.channels["a"].latency_ticks == 3
         assert loaded.sessions[0].config.protocol is ProtocolId.BELL5
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SCENARIOS))
+    def test_malformed_document_names_the_place(self, name):
+        doc, message = MALFORMED_SCENARIOS[name]
+        with pytest.raises(ValueError) as exc:
+            scenario_from_json_dict(doc)
+        assert str(exc.value) == message
 
     def test_report_csv_rows(self):
         result = run_network_scenario(three_user_scenario(n=400))
