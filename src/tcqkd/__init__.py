@@ -9,7 +9,6 @@ from .adversary import (
     AncillaEntangle,
     AttackModel,
     CheatingCenterMeasureAll,
-    EveRecord,
     InterceptResend,
     NoAttack,
     Party,
@@ -17,28 +16,17 @@ from .adversary import (
     ancilla_attack,
     ancilla_guess_probability,
     eve_projection,
-    predict_adversary_accuracy,
-    predict_detection_rate,
 )
 from .netsim import (
     ChannelModel,
     NetworkScenario,
     Registry,
     SessionSpec,
-    UserId,
     register_user,
     request_session,
     run_network_scenario,
 )
-from .postproc import (
-    KeyMaterial,
-    KeyStage,
-    estimate_qber,
-    final_key_length,
-    format_key_hex,
-    privacy_amplify,
-    reconcile,
-)
+from .postproc import final_key_length, privacy_amplify, reconcile
 from .protocols import (
     PositionRecord,
     ProtocolId,
@@ -48,9 +36,9 @@ from .protocols import (
     center_basis_rule_p3,
     consistency_map,
     efficiency_bound,
-    encode_bit,
     keep_rule,
-    measured_efficiency,
+    predict_adversary_accuracy,
+    predict_detection_rate,
     run_session,
     transcript_to_json,
 )

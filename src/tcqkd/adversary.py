@@ -12,20 +12,18 @@ Three executable attacks:
   legitimate state untouched).
 
 Attacks act only on in-flight states and public announcements; they
-never read party-internal records.
-
-`predict_detection_rate` and `predict_adversary_accuracy` are exact
-oracles: they enumerate every discrete random choice of a protocol run
-(preparation, Eve's choices, bases, outcomes) with its Born weight and
-compute per-checked-position error and guess probabilities in closed
-form, with no sampling.  Simulated frequencies are validated against
-them.
+never read party-internal records.  This module holds the attack
+models, the probe algebra and Eve's per-position inference; sessions
+apply the attacks as steps of the per-position process `protocols`
+compiles, and the exact detection and accuracy oracles
+(`protocols.predict_detection_rate`, `predict_adversary_accuracy`) are
+sums over that compiled tree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,15 +33,11 @@ from .qstate import (
     Basis,
     GHZ,
     Outcome,
-    Register,
     StateVector,
     collapse,
     deterministic_peer_outcome,
     inner_product,
     make_eigenstate,
-    make_two_qubit,
-    outcome_distribution,
-    tensor,
 )
 
 
@@ -99,35 +93,6 @@ class AncillaEntangle:
 
 
 AttackModel = NoAttack | InterceptResend | CheatingCenterMeasureAll | AncillaEntangle
-
-
-@dataclass
-class EveRecord:
-    position: int
-    basis_used: str
-    outcome: Outcome | None
-    inferred_bit: int | None = None
-
-
-def intercept_resend(in_flight: StateVector, target_qubit: int, basis_pool,
-                     rng: np.random.Generator, position: int = 0):
-    """Measure one in-flight qubit in a random pool basis and resend.
-
-    Returns (resent, remaining, record): the fresh eigenstate handed to
-    the target party, the rest of the system collapsed by Eve's
-    measurement (None when the target was the last qubit), and Eve's
-    bookkeeping.  The resent particle is a product state, disentangled
-    from everything else.
-    """
-    basis_pool = tuple(basis_pool)
-    if not basis_pool:
-        raise ValueError("basis_pool must be non-empty")
-    basis = basis_pool[int(rng.integers(len(basis_pool)))]
-    from .qstate import measure
-
-    outcome, remaining = measure(in_flight, target_qubit, basis, float(rng.random()))
-    resent = make_eigenstate(basis, outcome)
-    return resent, remaining, EveRecord(position, basis.value, outcome)
 
 
 # --- ancilla-probe algebra ------------------------------------------------
@@ -248,180 +213,3 @@ def infer_bob_outcome(announcement, eve_basis: Basis, eve_outcome: Outcome,
     if target is Party.BOB:
         return eve_outcome if bob_basis is eve_basis else None
     return deterministic_peer_outcome(announcement, eve_basis, eve_outcome, bob_basis)
-
-
-# --- exact enumeration oracles ----------------------------------------------
-
-
-def _ghz_attack_branches(protocol, attack):
-    """Initial branches [(weight, register, eve_ctx, fixed_announcement)].
-
-    eve_ctx is (basis, outcome) for intercept, 'probe' for the ancilla
-    attack, ('center', outcomes) for the cheating center, else None.
-    """
-    from . import protocols as pr
-
-    reg0 = Register.from_state(GHZ, ("c", "a", "b"))
-    if isinstance(attack, NoAttack):
-        return [(1.0, reg0, None, None)]
-    if isinstance(attack, InterceptResend):
-        pool = attack.basis_pool or pr.intercept_default_pool(protocol)
-        role = "a" if attack.target_party is Party.ALICE else "b"
-        out = []
-        for eb in pool:
-            for p, eo, reg1 in reg0.branches(role, eb):
-                reg2 = reg1.add_eigenstate(role, eb, eo)
-                out.append((p / len(pool), reg2, (eb, eo), None))
-        return out
-    if isinstance(attack, CheatingCenterMeasureAll):
-        if protocol not in (pr.ProtocolId.GHZ1, pr.ProtocolId.GHZ2):
-            raise UnsupportedAttackError("cheating center is modeled for GHZ1/GHZ2 only")
-        if protocol is pr.ProtocolId.GHZ1 and attack.basis is not Basis.X:
-            raise UnsupportedAttackError("GHZ1 announcements are x results; cheating basis must be X")
-        if attack.basis is Basis.Z:
-            raise UnsupportedAttackError("announcements use the x/y pool; cheating basis must be X or Y")
-        out = []
-        for pc, oc, reg1 in reg0.branches("c", attack.basis):
-            for pa, oa, reg2 in reg1.branches("a", attack.basis):
-                for pb, ob, _ in reg2.branches("b", attack.basis):
-                    reg3 = Register((), {})
-                    reg3 = reg3.add_eigenstate("a", attack.basis, oa)
-                    reg3 = reg3.add_eigenstate("b", attack.basis, ob)
-                    out.append((pc * pa * pb, reg3, ("center", oa, ob), (attack.basis, oc)))
-        return out
-    if isinstance(attack, AncillaEntangle):
-        u, v = probe_vectors(attack.coupling)
-        return [(1.0, reg0.attach_probe("a", "eve", u, v), "probe", None)]
-    raise UnsupportedAttackError(f"unknown attack {attack!r}")
-
-
-def _enumerate_leaves(protocol, attack):
-    """Yield (weight, announcement, a_basis, a_out, b_basis, b_out, adv_pred).
-
-    adv_pred is the adversary's deterministic prediction of Bob's
-    outcome for that leaf, or None when she can only guess a coin.
-    """
-    from . import protocols as pr
-
-    pid = pr.ProtocolId
-    if protocol in (pid.BELL4, pid.BELL5):
-        if not isinstance(attack, (NoAttack, InterceptResend)):
-            raise UnsupportedAttackError(f"{attack.kind} is not modeled for the pair protocols")
-        labels = pr.prepared_labels(protocol)
-        bases = pr.party_bases(protocol)
-        for label in labels:
-            base_reg = Register.from_state(make_two_qubit(label), ("a", "b"))
-            if isinstance(attack, InterceptResend):
-                pool = attack.basis_pool or pr.intercept_default_pool(protocol)
-                role = "a" if attack.target_party is Party.ALICE else "b"
-                starts = []
-                for eb in pool:
-                    for p, eo, reg1 in base_reg.branches(role, eb):
-                        starts.append((p / len(pool), reg1.add_eigenstate(role, eb, eo), (eb, eo)))
-            else:
-                starts = [(1.0, base_reg, None)]
-            for w0, reg, eve_ctx in starts:
-                w0 = w0 / len(labels)
-                for a_basis in bases:
-                    for pa, a_out, reg_a in reg.branches("a", a_basis):
-                        for b_basis in bases:
-                            for pb, b_out, _ in reg_a.branches("b", b_basis):
-                                w = w0 * 0.25 * pa * pb
-                                pred = None
-                                if eve_ctx is not None:
-                                    pred = infer_bob_outcome(label, eve_ctx[0], eve_ctx[1],
-                                                             attack.target_party, b_basis)
-                                yield w, label, a_basis, a_out, b_basis, b_out, pred
-        return
-
-    bases = pr.party_bases(protocol)
-    for w0, reg, eve_ctx, fixed_ann in _ghz_attack_branches(protocol, attack):
-        if protocol in (pid.GHZ1, pid.GHZ2):
-            if fixed_ann is not None:
-                ann_branches = [(1.0, fixed_ann, reg)]
-            elif protocol is pid.GHZ1:
-                ann_branches = [(p, (Basis.X, o), r) for p, o, r in reg.branches("c", Basis.X)]
-            else:
-                ann_branches = []
-                for cb in (Basis.X, Basis.Y):
-                    for p, o, r in reg.branches("c", cb):
-                        ann_branches.append((0.5 * p, (cb, o), r))
-            for wc, ann, reg_c in ann_branches:
-                for a_basis in bases:
-                    for pa, a_out, reg_a in reg_c.branches("a", a_basis):
-                        for b_basis in bases:
-                            for pb, b_out, reg_b in reg_a.branches("b", b_basis):
-                                w = w0 * wc * 0.25 * pa * pb
-                                yield from _ghz_leaf(protocol, attack, w, ann, a_basis, a_out,
-                                                     b_basis, b_out, eve_ctx, reg_b)
-        else:  # GHZ3: parties measure first, center follows the basis rule
-            for a_basis in bases:
-                for pa, a_out, reg_a in reg.branches("a", a_basis):
-                    for b_basis in bases:
-                        for pb, b_out, reg_b in reg_a.branches("b", b_basis):
-                            cb = pr.center_basis_rule_p3(a_basis, b_basis)
-                            for pc, c_out, reg_c in reg_b.branches("c", cb):
-                                w = w0 * 0.25 * pa * pb * pc
-                                yield from _ghz_leaf(protocol, attack, w, (cb, c_out), a_basis,
-                                                     a_out, b_basis, b_out, eve_ctx, reg_c)
-
-
-def _ghz_leaf(protocol, attack, w, ann, a_basis, a_out, b_basis, b_out, eve_ctx, reg):
-    """Expand the adversary's own final measurement, if any."""
-    if eve_ctx is None:
-        yield w, ann, a_basis, a_out, b_basis, b_out, None
-    elif eve_ctx == "probe":
-        for pe, eo, _ in reg.branches("eve", Basis.X):
-            # The probe's x outcome is Eve's guess of Alice's x outcome.
-            pred = deterministic_peer_outcome(ann, Basis.X, eo, b_basis)
-            yield w * pe, ann, a_basis, a_out, b_basis, b_out, pred
-    elif eve_ctx[0] == "center":
-        _, oa, ob = eve_ctx
-        pred = ob if b_basis is attack.basis else None
-        yield w, ann, a_basis, a_out, b_basis, b_out, pred
-    else:
-        eb, eo = eve_ctx
-        pred = infer_bob_outcome(ann, eb, eo, attack.target_party, b_basis)
-        yield w, ann, a_basis, a_out, b_basis, b_out, pred
-
-
-def predict_detection_rate(protocol, attack: AttackModel) -> float:
-    """Exact per-checked-position error probability under the attack."""
-    from . import protocols as pr
-
-    if isinstance(attack, NoAttack):
-        return 0.0
-    p_kept = 0.0
-    p_err = 0.0
-    for w, ann, a_basis, a_out, b_basis, b_out, _ in _enumerate_leaves(protocol, attack):
-        if not pr.keep_rule(protocol, ann, a_basis, b_basis):
-            continue
-        p_kept += w
-        expected = pr.consistency_map(protocol, ann, a_basis, a_out, b_basis)
-        if b_out is not expected:
-            p_err += w
-    if p_kept <= ATOL:
-        return 0.0
-    return p_err / p_kept
-
-
-def predict_adversary_accuracy(protocol, attack: AttackModel) -> float:
-    """Exact probability that the adversary's inferred bit matches
-    Bob's key bit on a kept position (coin guesses count 1/2)."""
-    from . import protocols as pr
-
-    if isinstance(attack, NoAttack):
-        raise UnsupportedAttackError("no adversary present")
-    p_kept = 0.0
-    p_correct = 0.0
-    for w, ann, a_basis, a_out, b_basis, b_out, pred in _enumerate_leaves(protocol, attack):
-        if not pr.keep_rule(protocol, ann, a_basis, b_basis):
-            continue
-        p_kept += w
-        if pred is None:
-            p_correct += 0.5 * w
-        elif pred is b_out:
-            p_correct += w
-    if p_kept <= ATOL:
-        raise UnsupportedAttackError("attack keeps no positions")
-    return p_correct / p_kept

@@ -109,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_net = sub.add_parser("network", help="execute a scenario file")
     p_net.add_argument("scenario", help="scenario JSON path")
-    p_net.add_argument("--parallel", action="store_true")
     p_net.add_argument("--report", help="aggregate report JSON path")
     p_net.add_argument("--csv", help="per-session summary CSV path")
     return parser
@@ -220,7 +219,7 @@ def cmd_bench(args) -> int:
 
 def cmd_network(args) -> int:
     scenario = netsim.load_scenario(args.scenario)
-    result = netsim.run_network_scenario(scenario, parallel=args.parallel)
+    result = netsim.run_network_scenario(scenario)
     if args.report:
         Path(args.report).write_text(
             json.dumps(result.report, separators=(",", ":")) + "\n", encoding="utf-8")

@@ -10,15 +10,13 @@ plugged in later.
 Scenario seeds split into per-session seeds via
 SeedSequence(scenario_seed, spawn_key=(session_index,)), so a scenario
 is reproducible as a whole while its sessions stay statistically
-independent, and sessions may run in parallel without changing any
-transcript.
+independent.  Sessions run one after another in declared order.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,11 +29,6 @@ from .protocols import (
     summary_csv_row,
     SUMMARY_CSV_HEADER,
 )
-
-
-@dataclass(frozen=True)
-class UserId:
-    id: str
 
 
 @dataclass(frozen=True)
@@ -70,11 +63,10 @@ class Registry:
 
 
 def register_user(registry: Registry, user_id: str,
-                  channel: ChannelModel | None = None) -> UserId:
+                  channel: ChannelModel | None = None) -> None:
     if user_id in registry:
         raise ValueError(f"user id {user_id!r} already registered")
     registry._channels[user_id] = channel or ChannelModel()
-    return UserId(user_id)
 
 
 def verify_identity(registry: Registry, user_id: str) -> bool:
@@ -138,42 +130,23 @@ class ScenarioResult:
     report: dict
 
 
-def run_network_scenario(scenario: NetworkScenario, parallel: bool = False) -> ScenarioResult:
-    """Execute all sessions (in declared order or concurrently).
+def run_network_scenario(scenario: NetworkScenario) -> ScenarioResult:
+    """Execute all sessions in declared order.
 
-    Sessions are isolated: per-session seeds are derived up front and
-    transcripts are identical whether or not parallel execution is
-    used.  A failing session is recorded and the scenario continues.
+    Session i runs its declared config with the seed
+    session_seed(scenario.seed, i).  A failing session is recorded and
+    the scenario continues.
     """
     registry = build_registry(scenario)
-    jobs = []
+    transcripts, errors = [], []
     for i, spec in enumerate(scenario.sessions):
-        cfg = SessionConfig(
-            protocol=spec.config.protocol,
-            num_states=spec.config.num_states,
-            check_fraction=spec.config.check_fraction,
-            qber_abort_threshold=spec.config.qber_abort_threshold,
-            loss_probability=spec.config.loss_probability,
-            rng_seed=session_seed(scenario.seed, i),
-            attack=spec.config.attack,
-        )
-        jobs.append((spec, cfg))
-
-    def run_one(job):
-        spec, cfg = job
+        cfg = replace(spec.config, rng_seed=session_seed(scenario.seed, i))
         try:
-            return request_session(registry, spec.requester, spec.responder, cfg), None
+            transcripts.append(request_session(registry, spec.requester, spec.responder, cfg))
+            errors.append(None)
         except ValueError as exc:
-            return None, str(exc)
-
-    if parallel and jobs:
-        with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-            outcomes = list(pool.map(run_one, jobs))
-    else:
-        outcomes = [run_one(job) for job in jobs]
-
-    transcripts = [t for t, _ in outcomes]
-    errors = [e for _, e in outcomes]
+            transcripts.append(None)
+            errors.append(str(exc))
     report = _aggregate_report(scenario, registry, transcripts, errors)
     return ScenarioResult(transcripts, errors, report)
 

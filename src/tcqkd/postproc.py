@@ -1,5 +1,5 @@
-"""Classical key distillation: QBER sampling, parity-exchange error
-correction and Toeplitz-hash privacy amplification.
+"""Classical key distillation: parity-exchange error correction and
+Toeplitz-hash privacy amplification.
 
 Keys are bit strings of '0'/'1'.  Leakage is counted in disclosed bits
 and only ever grows along the pipeline; the final key length follows
@@ -17,74 +17,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-
-class KeyStage(Enum):
-    RAW = "raw"
-    SIFTED = "sifted"
-    RECONCILED = "reconciled"
-    FINAL = "final"
-
-
-@dataclass(frozen=True)
-class KeyMaterial:
-    stage: KeyStage
-    bits: str
-    leaked_bits: int = 0
-
-    def __post_init__(self):
-        if self.leaked_bits < 0:
-            raise ValueError("leaked_bits must be non-negative")
-        if any(c not in "01" for c in self.bits):
-            raise ValueError("bits must be a string of 0/1")
-
-    def advanced(self, stage: KeyStage, bits: str, extra_leaked: int = 0) -> "KeyMaterial":
-        """Next pipeline stage; leakage is cumulative."""
-        return KeyMaterial(stage, bits, self.leaked_bits + extra_leaked)
-
-
-def format_key_hex(key: KeyMaterial) -> str:
-    """Lowercase hex export with a stage header line.
-
-    Bits are padded with zeros to a whole number of nibbles; the header
-    records the true bit length.
-    """
-    n = len(key.bits)
-    header = f"stage={key.stage.value} bits={n} leaked={key.leaked_bits}"
-    if n == 0:
-        return header + "\n"
-    padded = key.bits + "0" * (-n % 4)
-    hexstr = "".join(f"{int(padded[i:i + 4], 2):x}" for i in range(0, len(padded), 4))
-    return header + "\n" + hexstr + "\n"
 
 
 def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-
-
-def estimate_qber(alice: str, bob: str, sample_fraction: float, rng: np.random.Generator):
-    """Disclose a uniform random sample and compare it.
-
-    Returns (qber, alice_rest, bob_rest); the sampled positions are
-    removed from both keys and count as leaked on the caller's ledger.
-    """
-    if len(alice) != len(bob):
-        raise ValueError("keys must have equal length")
-    n = len(alice)
-    k = int(sample_fraction * n)
-    if k < 1:
-        raise ValueError("sample is empty; raise sample_fraction or key length")
-    picked = set(rng.choice(n, size=k, replace=False).tolist())
-    errors = sum(1 for i in picked if alice[i] != bob[i])
-    alice_rest = "".join(alice[i] for i in range(n) if i not in picked)
-    bob_rest = "".join(bob[i] for i in range(n) if i not in picked)
-    return errors / k, alice_rest, bob_rest
 
 
 def bits_to_str(bits) -> str:

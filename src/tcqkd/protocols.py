@@ -51,6 +51,12 @@ then gathers p_plus for every position, compares, and advances the node
 ids; sifting, the check and the key bits are masks.  Compiled tables are
 built on first use and kept (up to 64 pairings).
 
+The exact oracles `predict_detection_rate` and
+`predict_adversary_accuracy` read the same description: during its walk
+`_compile` weighs every leaf by its Born probability and basis choices
+and stores both rates on the table, so the sampler and the oracle
+cannot disagree on what a position does.
+
 Each stream is drawn in bulk in exactly the order of one scalar call
 per position and step (`replay.replay_draws`), so transcripts are the
 same bytes as position-by-position sampling gives, and a stream left
@@ -78,8 +84,6 @@ from .adversary import (
     Party,
     UnsupportedAttackError,
     infer_bob_outcome,
-    predict_adversary_accuracy,
-    predict_detection_rate,
     probe_vectors,
 )
 from .qstate import (
@@ -137,16 +141,6 @@ def prepared_labels(protocol: ProtocolId) -> tuple[TwoQubitLabel, ...]:
     raise ValueError(f"{protocol} does not prepare labeled pairs")
 
 
-def intercept_default_pool(protocol: ProtocolId) -> tuple[Basis, Basis]:
-    """Eve's default basis pool mirrors the protocol's legitimate pool."""
-    return party_bases(protocol)
-
-
-def sift_fraction_bound(protocol: ProtocolId) -> float:
-    """Expected kept fraction at zero loss."""
-    return 1.0 if protocol is ProtocolId.GHZ3 else 0.5
-
-
 def efficiency_bound(protocol: ProtocolId) -> float:
     """Final key bits per prepared state, upper bound."""
     return 1.0 if protocol is ProtocolId.GHZ3 else 0.5
@@ -198,9 +192,9 @@ def consistency_map(protocol: ProtocolId, center_announcement, own_basis: Basis,
                     own_outcome: Outcome, peer_basis: Basis) -> Outcome:
     """The peer's outcome as uniquely fixed by the correlation tables.
 
-    Both the check and Alice's bit encoding go through this; a
-    non-deterministic combination here means the keep rule admitted a
-    position it should not have, which is a logic error.
+    These are the values the compiled `expect` table holds for the check
+    and Alice's bit encoding.  A non-deterministic combination raises
+    LookupError: the keep rule admits only deterministic ones.
     """
     _require_announcement_type(protocol, center_announcement)
     out = deterministic_peer_outcome(center_announcement, own_basis, own_outcome, peer_basis)
@@ -239,7 +233,7 @@ class SessionConfig:
             # leave key material after the check.
             expected_unchecked = (
                 (1.0 - self.check_fraction) * self.num_states
-                * sift_fraction_bound(self.protocol) * (1.0 - self.loss_probability) ** 2
+                * efficiency_bound(self.protocol) * (1.0 - self.loss_probability) ** 2
             )
             if expected_unchecked < 1.0:
                 raise ValueError("configuration leaves no unchecked positions in expectation")
@@ -321,25 +315,6 @@ class SessionTranscript:
         return self.kept_count / self.config.num_states
 
 
-def measured_efficiency(transcript: SessionTranscript) -> float:
-    """Final key bits per prepared state."""
-    return len(transcript.alice_final_key) / transcript.config.num_states
-
-
-def encode_bit(protocol: ProtocolId, position: PositionRecord, party: Party) -> int:
-    """Key bit convention: Bob encodes his own outcome (+ -> 0, - -> 1);
-    Alice encodes the predicted Bob outcome, aligning the strings."""
-    if not position.kept or position.used_for_check:
-        raise ValueError("position does not contribute key material")
-    if party is Party.BOB:
-        return position.bob_outcome.bit
-    predicted = consistency_map(
-        protocol, position.center_announcement,
-        position.alice_basis, position.alice_outcome, position.bob_basis,
-    )
-    return predicted.bit
-
-
 def _stream(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
@@ -396,7 +371,7 @@ def _basis_indices(bases) -> np.ndarray:
 
 
 def _intercept_pool(protocol: ProtocolId, attack: InterceptResend) -> tuple[Basis, ...]:
-    return attack.basis_pool or intercept_default_pool(protocol)
+    return attack.basis_pool or party_bases(protocol)
 
 
 def _steps(protocol: ProtocolId, attack: AttackModel) -> tuple:
@@ -438,9 +413,18 @@ class _Table:
     triplet and by prepared label for pairs.  keep[ann, a_basis,
     b_basis] is the keep rule; expect[ann, a_basis, a_outcome, b_basis]
     is Bob's key bit as the correlation tables fix it from Alice's
-    record, -1 where they do not; eve_expect is the adversary's
-    prediction from her own record in Alice's place, -1 where she
-    tosses a coin.
+    record, -1 where they do not; eve_expect[ann, basis, outcome,
+    b_basis] is the adversary's prediction from her own last record, -1
+    where she tosses a coin.  That record is in Alice's place for an
+    intercepted Alice particle and for the probe's x read-out; for an
+    intercepted Bob particle and for a cheating center it is the
+    eigenstate sent to Bob.
+
+    detection_rate and adversary_accuracy are the exact oracles: sums
+    over the leaves of the same walk, weighted by their probability,
+    of the kept leaves where Bob's outcome differs from expect, resp.
+    matches eve_expect (a coin counts one half), each divided by the
+    kept weight.  adversary_accuracy is None without an adversary.
     """
 
     p_plus: np.ndarray
@@ -449,6 +433,8 @@ class _Table:
     keep: np.ndarray
     expect: np.ndarray
     eve_expect: np.ndarray | None
+    detection_rate: float
+    adversary_accuracy: float | None
 
 
 def _peer_table(announcements, own_bases, peer_bases, predict) -> np.ndarray:
@@ -466,22 +452,39 @@ def _peer_table(announcements, own_bases, peer_bases, predict) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
     """Walk `_steps` from the start registers with the exact Born-rule
-    branches; built on first use of a pairing and kept."""
+    branches; built on first use of a pairing and kept.
+
+    Each node also carries its weight, the probability of reaching it
+    when every step draws its basis uniformly and the GHZ3 center
+    follows its basis rule (None off that rule), and what its path
+    recorded: the start index, then (basis index, outcome bit) per role,
+    a resent particle's under "eve"."""
     probe = probe_vectors(attack.coupling) if isinstance(attack, AncillaEntangle) else None
-    level = list(_start_registers(protocol, probe).values())
+    starts = _start_registers(protocol, probe)
+    level = [(reg, 1 / len(starts), {"start": i}) for i, reg in enumerate(starts.values())]
     p_plus, nxt = [], []
     for role, bases, resend in _steps(protocol, attack):
         children = []
         first_child = len(p_plus) + len(level)
-        for reg in level:
+        for reg, weight, seen in level:
+            followed = bases
+            if protocol is ProtocolId.GHZ3 and role == "c":
+                followed = (center_basis_rule_p3(_BASES[seen["a"][0]], _BASES[seen["b"][0]]),)
             p_row = np.full(len(_BASES), np.nan)
             next_row = np.full((len(_BASES), 2), -1)
             for basis in bases:
                 b = _BASES.index(basis)
                 p_row[b] = reg.distribution(role, basis)[0]
-                for _, outcome, child in reg.branches(role, basis):
+                for p, outcome, child in reg.branches(role, basis):
                     next_row[b, outcome.bit] = first_child + len(children)
-                    children.append(child.add_eigenstate(role, basis, outcome) if resend else child)
+                    if resend:
+                        child = child.add_eigenstate(role, basis, outcome)
+                    if weight is not None and basis in followed:
+                        child_weight = weight * p / len(followed)
+                    else:
+                        child_weight = None
+                    record = {**seen, "eve" if resend else role: (b, outcome.bit)}
+                    children.append((child, child_weight, record))
             p_plus.append(p_row)
             nxt.append(next_row)
         level = children
@@ -504,13 +507,58 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
         eve_expect = _peer_table(
             announcements, _intercept_pool(protocol, attack), bases,
             lambda ann, eb, eo, b: infer_bob_outcome(ann, eb, eo, attack.target_party, b))
+    elif isinstance(attack, CheatingCenterMeasureAll):
+        eve_expect = _peer_table(
+            announcements, (attack.basis,), bases,
+            lambda ann, eb, eo, b: infer_bob_outcome(ann, eb, eo, Party.BOB, b))
     elif isinstance(attack, AncillaEntangle):
         eve_expect = _peer_table(announcements, (Basis.X,), bases, deterministic_peer_outcome)
+
+    # Sequential sums in leaf order; the oracle floats are pinned bit
+    # for bit, and a pairwise (np.sum) order would move their last bits.
+    kept = errors = correct = 0.0
+    for _, weight, seen in level:
+        if weight is None:
+            continue
+        ann = 2 * seen["c"][0] + seen["c"][1] if "c" in seen else seen["start"]
+        (a, a_out), (b, b_out) = seen["a"], seen["b"]
+        if not keep[ann, a, b]:
+            continue
+        kept += weight
+        if expect[ann, a, a_out, b] != b_out:
+            errors += weight
+        if eve_expect is not None:
+            eve_basis, eve_out = seen["eve"]
+            guess = eve_expect[ann, eve_basis, eve_out, b]
+            if guess < 0:
+                correct += 0.5 * weight
+            elif guess == b_out:
+                correct += weight
+    accuracy = correct / kept if eve_expect is not None else None
+
     arrays = [np.array(p_plus), np.array(nxt), keep, expect, eve_expect]
     for a in arrays:
         if a is not None:
             a.flags.writeable = False
-    return _Table(arrays[0], arrays[1], announcements, *arrays[2:])
+    return _Table(arrays[0], arrays[1], announcements, *arrays[2:], errors / kept, accuracy)
+
+
+def predict_detection_rate(protocol: ProtocolId, attack: AttackModel) -> float:
+    """Exact per-checked-position error probability under the attack,
+    summed over the compiled tree's leaves."""
+    _validate_attack(protocol, attack)
+    return _compile(protocol, attack).detection_rate
+
+
+def predict_adversary_accuracy(protocol: ProtocolId, attack: AttackModel) -> float:
+    """Exact probability that the adversary's inferred bit matches
+    Bob's key bit on a kept position (coin guesses count 1/2), summed
+    over the compiled tree's leaves."""
+    _validate_attack(protocol, attack)
+    accuracy = _compile(protocol, attack).adversary_accuracy
+    if accuracy is None:
+        raise UnsupportedAttackError("no adversary present")
+    return accuracy
 
 
 def _channel_losses(rng: np.random.Generator, n: int, loss_a: float, loss_b: float) -> np.ndarray:
@@ -661,8 +709,8 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
         inferred[coin] = draws[first[coin] + 1]
         eve = (["probe-X"] * m, probe_out, inferred)
     elif is_cheating:
-        coin = b_basis != cheat_basis
-        inferred = cheat_bob_out.copy()
+        inferred = table.eve_expect[ann, cheat_basis, cheat_bob_out, b_basis].astype(np.intp)
+        coin = inferred < 0
         inferred[coin] = center_rng.integers(2, size=int(np.count_nonzero(coin)))
         eve = ([attack.basis.value] * m, center_out, inferred)
 
@@ -773,12 +821,6 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
 
 def _adversary_section(config, report, records, observed_accuracy):
     attack = config.attack
-    try:
-        predicted_rate = predict_detection_rate(config.protocol, attack)
-        predicted_accuracy = predict_adversary_accuracy(config.protocol, attack)
-    except UnsupportedAttackError:
-        predicted_rate = None
-        predicted_accuracy = None
     params: dict[str, object] = {}
     if isinstance(attack, InterceptResend):
         pool = _intercept_pool(config.protocol, attack)
@@ -791,9 +833,9 @@ def _adversary_section(config, report, records, observed_accuracy):
     return {
         "kind": attack.kind,
         "params": params,
-        "predicted_detection_rate": predicted_rate,
+        "predicted_detection_rate": predict_detection_rate(config.protocol, attack),
         "observed_check_error_rate": report.qber,
-        "predicted_accuracy": predicted_accuracy,
+        "predicted_accuracy": predict_adversary_accuracy(config.protocol, attack),
         "observed_accuracy": observed_accuracy,
         "records": records,
     }

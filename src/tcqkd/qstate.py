@@ -192,27 +192,10 @@ def _components(state: StateVector, qubit_index: int, basis: Basis):
     return comp_plus.reshape(-1), comp_minus.reshape(-1)
 
 
-# Sessions touch a small closed set of states (the cat/pair states and
-# their collapses), so projection results are memoized by amplitude
-# bytes.  The caches are bounded and flushed wholesale when full.
-_CACHE_LIMIT = 8192
-_DIST_CACHE: dict = {}
-_COLLAPSE_CACHE: dict = {}
-
-
 def outcome_distribution(state: StateVector, qubit_index: int, basis: Basis):
     """Born probabilities (p_plus, p_minus) for one qubit in one basis."""
-    key = (state.amplitudes.tobytes(), qubit_index, basis)
-    hit = _DIST_CACHE.get(key)
-    if hit is not None:
-        return hit
     comp_plus, comp_minus = _components(state, qubit_index, basis)
-    p_plus = float(np.sum(np.abs(comp_plus) ** 2))
-    p_minus = float(np.sum(np.abs(comp_minus) ** 2))
-    if len(_DIST_CACHE) >= _CACHE_LIMIT:
-        _DIST_CACHE.clear()
-    _DIST_CACHE[key] = (p_plus, p_minus)
-    return p_plus, p_minus
+    return float(np.sum(np.abs(comp_plus) ** 2)), float(np.sum(np.abs(comp_minus) ** 2))
 
 
 def collapse(state: StateVector, qubit_index: int, basis: Basis, outcome: Outcome):
@@ -222,21 +205,12 @@ def collapse(state: StateVector, qubit_index: int, basis: Basis, outcome: Outcom
     measured qubit removed; collapsed is None for probability ~ 0 and
     for single-qubit states (the empty marker).
     """
-    key = (state.amplitudes.tobytes(), qubit_index, basis, outcome)
-    hit = _COLLAPSE_CACHE.get(key)
-    if hit is not None:
-        return hit
     comp_plus, comp_minus = _components(state, qubit_index, basis)
     comp = comp_plus if outcome is Outcome.PLUS else comp_minus
     prob = float(np.sum(np.abs(comp) ** 2))
     if prob <= ATOL or state.num_qubits == 1:
-        result = (prob, None)
-    else:
-        result = (prob, StateVector(comp / math.sqrt(prob)))
-    if len(_COLLAPSE_CACHE) >= _CACHE_LIMIT:
-        _COLLAPSE_CACHE.clear()
-    _COLLAPSE_CACHE[key] = result
-    return prob, result[1]
+        return prob, None
+    return prob, StateVector(comp / math.sqrt(prob))
 
 
 def measure(state: StateVector, qubit_index: int, basis: Basis, random_draw: float):

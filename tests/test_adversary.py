@@ -14,12 +14,15 @@ from tcqkd.adversary import (
     ancilla_guess_probability,
     eve_projection,
     infer_bob_outcome,
-    intercept_resend,
-    predict_adversary_accuracy,
-    predict_detection_rate,
     probe_vectors,
 )
-from tcqkd.protocols import ProtocolId, SessionConfig, run_session
+from tcqkd.protocols import (
+    ProtocolId,
+    SessionConfig,
+    predict_adversary_accuracy,
+    predict_detection_rate,
+    run_session,
+)
 from tcqkd.qstate import GHZ, Basis, Outcome, TwoQubitLabel
 
 import oracle
@@ -175,28 +178,13 @@ class TestAccuracyOracle:
             predict_adversary_accuracy(ProtocolId.GHZ1, NoAttack())
 
 
-class TestInterceptResendOp:
-    def test_resent_matches_record_and_system_collapses(self):
-        rng = np.random.default_rng(3)
-        resent, remaining, record = intercept_resend(GHZ, 1, (Basis.X, Basis.Y), rng, position=7)
-        assert record.position == 7
-        assert resent.num_qubits == 1
-        assert remaining.num_qubits == 2
-        # the resent particle is the recorded eigenstate
-        from tcqkd.qstate import make_eigenstate, states_close
-
-        assert states_close(resent, make_eigenstate(Basis(record.basis_used), record.outcome))
-
+class TestNoAttack:
     def test_no_attack_transcript_identical_to_baseline(self):
         a = run_session(SessionConfig(ProtocolId.BELL4, 500, rng_seed=44))
         b = run_session(SessionConfig(ProtocolId.BELL4, 500, rng_seed=44, attack=NoAttack()))
         from tcqkd.protocols import transcript_to_json
 
         assert transcript_to_json(a) == transcript_to_json(b)
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError):
-            intercept_resend(GHZ, 1, (), np.random.default_rng(0))
 
 
 class TestInference:

@@ -19,7 +19,7 @@ from tcqkd.netsim import (
     session_seed,
     verify_identity,
 )
-from tcqkd.protocols import ProtocolId, SessionConfig, transcript_to_json
+from tcqkd.protocols import ProtocolId, SessionConfig
 
 
 # Malformed scenario documents and the error each must raise.
@@ -41,8 +41,7 @@ def make_config(protocol=ProtocolId.GHZ1, n=1000, **kw):
 class TestRegistry:
     def test_register(self):
         reg = Registry()
-        uid = register_user(reg, "alice")
-        assert uid.id == "alice"
+        register_user(reg, "alice")
         assert "alice" in reg and len(reg) == 1
 
     def test_duplicate_rejected(self):
@@ -144,14 +143,6 @@ class TestScenarios:
         assert result.transcripts == []
         assert result.report["sessions"] == []
         assert report_csv(result).strip().count("\n") == 0
-
-    def test_parallel_equals_sequential(self):
-        scenario = three_user_scenario(n=500)
-        seq = run_network_scenario(scenario, parallel=False)
-        par = run_network_scenario(scenario, parallel=True)
-        for a, b in zip(seq.transcripts, par.transcripts):
-            assert transcript_to_json(a) == transcript_to_json(b)
-        assert seq.report == par.report
 
     def test_failing_session_recorded_and_continues(self):
         scenario = NetworkScenario(

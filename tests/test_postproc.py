@@ -10,12 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcqkd.postproc import (
-    KeyMaterial,
-    KeyStage,
     binary_entropy,
-    estimate_qber,
     final_key_length,
-    format_key_hex,
     privacy_amplify,
     reconcile,
     toeplitz_hash,
@@ -31,67 +27,6 @@ def flip(bits, positions):
     for p in positions:
         out[p] = "01"[1 - int(out[p])]
     return "".join(out)
-
-
-class TestKeyMaterial:
-    def test_stage_advance_accumulates_leakage(self):
-        km = KeyMaterial(KeyStage.RAW, "0101", 0)
-        km = km.advanced(KeyStage.SIFTED, "010", 3)
-        km = km.advanced(KeyStage.RECONCILED, "010", 5)
-        assert km.leaked_bits == 8
-
-    def test_rejects_negative_leak_and_bad_bits(self):
-        with pytest.raises(ValueError):
-            KeyMaterial(KeyStage.RAW, "01", -1)
-        with pytest.raises(ValueError):
-            KeyMaterial(KeyStage.RAW, "012")
-
-    def test_hex_export(self):
-        text = format_key_hex(KeyMaterial(KeyStage.FINAL, "11110000101", 7))
-        header, hexline = text.strip().split("\n")
-        assert header == "stage=final bits=11 leaked=7"
-        assert hexline == "f0a"  # padded to 12 bits
-
-    def test_hex_export_empty(self):
-        text = format_key_hex(KeyMaterial(KeyStage.FINAL, "", 0))
-        assert text == "stage=final bits=0 leaked=0\n"
-
-
-class TestEstimateQber:
-    def test_identical_keys(self):
-        rng = np.random.default_rng(0)
-        qber, a, b = estimate_qber("0101110", "0101110", 0.5, rng)
-        assert qber == 0.0
-        assert a == b and len(a) == 4
-
-    def test_complement_keys(self):
-        rng = np.random.default_rng(0)
-        qber, _, _ = estimate_qber("0000", "1111", 0.5, rng)
-        assert qber == 1.0
-
-    def test_sampled_positions_removed(self):
-        rng = np.random.default_rng(1)
-        alice = "0123456789".replace("2", "0").replace("3", "1")  # keep it 0/1
-        alice = "0101010101"
-        qber, rest_a, rest_b = estimate_qber(alice, alice, 0.3, rng)
-        assert len(rest_a) == len(alice) - 3
-
-    def test_large_sample_tracks_error_rate(self):
-        # 1000 bits with 110 flips, half sampled: the hypergeometric
-        # standard error is sqrt(p(1-p)/k * (N-k)/(N-1)) ~ 0.0070.
-        rng = np.random.default_rng(2024)
-        alice = random_bits(rng, 1000)
-        bob = flip(alice, rng.choice(1000, size=110, replace=False))
-        qber, _, _ = estimate_qber(alice, bob, 0.5, np.random.default_rng(77))
-        se = math.sqrt(0.11 * 0.89 / 500 * (500 / 999))
-        assert abs(qber - 0.11) <= 3 * se
-
-    def test_errors(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            estimate_qber("01", "011", 0.5, rng)
-        with pytest.raises(ValueError):
-            estimate_qber("01", "01", 0.1, rng)  # empty sample
 
 
 class TestReconcile:

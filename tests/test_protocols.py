@@ -4,18 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from tcqkd.adversary import InterceptResend, NoAttack, Party
+from tcqkd.adversary import InterceptResend, NoAttack
 from tcqkd.protocols import (
-    PositionRecord,
     ProtocolId,
     SessionConfig,
     TIME_RESERVED_EPR_BASELINE,
     center_basis_rule_p3,
     consistency_map,
     efficiency_bound,
-    encode_bit,
     keep_rule,
-    measured_efficiency,
     run_session,
     summary_csv_row,
     SUMMARY_CSV_HEADER,
@@ -92,33 +89,6 @@ class TestConsistencyMap:
             consistency_map(ProtocolId.GHZ1, (X, P), X, P, Y)
 
 
-class TestEncodeBit:
-    def _position(self, **kw):
-        base = dict(index=0, lost=False, center_announcement=(X, P), alice_basis=Y,
-                    bob_basis=Y, alice_outcome=P, bob_outcome=M, kept=True,
-                    used_for_check=False)
-        base.update(kw)
-        return PositionRecord(**base)
-
-    def test_bob_encodes_own_outcome(self):
-        assert encode_bit(ProtocolId.GHZ2, self._position(), Party.BOB) == 1
-
-    def test_alice_encodes_prediction(self):
-        # center x+, Alice (y,+), Bob basis y -> prediction y- -> bit 1
-        assert encode_bit(ProtocolId.GHZ2, self._position(), Party.ALICE) == 1
-
-    def test_bits_agree_on_honest_position(self):
-        pos = self._position()
-        assert encode_bit(ProtocolId.GHZ2, pos, Party.ALICE) == encode_bit(
-            ProtocolId.GHZ2, pos, Party.BOB)
-
-    def test_rejects_checked_or_discarded(self):
-        with pytest.raises(ValueError):
-            encode_bit(ProtocolId.GHZ2, self._position(used_for_check=True), Party.BOB)
-        with pytest.raises(ValueError):
-            encode_bit(ProtocolId.GHZ2, self._position(kept=False), Party.BOB)
-
-
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -190,7 +160,7 @@ class TestSessions:
 
     def test_efficiency_accounting(self):
         tr = run_session(SessionConfig(ProtocolId.GHZ3, 10000, check_fraction=0.02, rng_seed=12))
-        assert measured_efficiency(tr) == tr.efficiency_measured
+        assert tr.efficiency_measured == len(tr.alice_final_key) / tr.config.num_states
         assert tr.efficiency_measured <= efficiency_bound(ProtocolId.GHZ3)
         assert tr.efficiency_bound - tr.efficiency_measured <= 0.03
 
