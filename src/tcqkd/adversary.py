@@ -34,10 +34,11 @@ from .qstate import (
     GHZ,
     Outcome,
     StateVector,
-    collapse,
+    apply_x_probe,
     deterministic_peer_outcome,
     inner_product,
     make_eigenstate,
+    project,
 )
 
 
@@ -118,8 +119,6 @@ def ancilla_attack(ghz: StateVector, coupling: float) -> StateVector:
     if ghz.num_qubits != 3:
         raise ValueError("ancilla attack acts on the 3-qubit triplet")
     u, v = probe_vectors(coupling)
-    from .qstate import apply_x_probe
-
     return apply_x_probe(ghz, 1, u, v)
 
 
@@ -174,18 +173,13 @@ def eve_projection(joint: StateVector, alphas) -> EveProjection:
     if success <= ATOL:
         raise ValueError("projection has zero probability")
     post = StateVector(unnorm.reshape(-1) / math.sqrt(success))
-    priors = []
-    ancillas = []
-    for outcome in (Outcome.PLUS, Outcome.MINUS):
-        p, anc = collapse(post, 0, Basis.X, outcome)
-        priors.append(p)
-        ancillas.append(anc)
-    guess = _helstrom(priors[0], ancillas[0], priors[1], ancillas[1])
+    (p_plus, anc_plus), (p_minus, anc_minus) = project(post, 0, Basis.X)
+    guess = _helstrom(p_plus, anc_plus, p_minus, anc_minus)
     return EveProjection(
         success_probability=success,
         post_state=post,
-        branch_priors=(priors[0], priors[1]),
-        branch_ancillas=(ancillas[0], ancillas[1]),
+        branch_priors=(p_plus, p_minus),
+        branch_ancillas=(anc_plus, anc_minus),
         guess_probability=guess,
     )
 

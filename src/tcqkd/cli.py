@@ -115,13 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pull --config out of argv and fold its values into subparser defaults."""
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2:]
-    values = _parse_config_file(path)
+    """Pull --config FILE or --config=FILE out of argv and fold the
+    file's values into subparser defaults."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
+        return rest
+    values = _parse_config_file(known.config)
     for subparser in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
         supplied = {}
         for action in subparser._actions:  # noqa: SLF001
@@ -241,7 +242,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         argv = _apply_config_defaults(parser, argv)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

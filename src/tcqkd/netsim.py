@@ -237,7 +237,7 @@ def scenario_to_json_dict(scenario: NetworkScenario) -> dict:
 
 def _of_type(value, kind: type, path: str):
     if not isinstance(value, kind):
-        expected = "an object" if kind is dict else "a list"
+        expected = {dict: "an object", list: "a list", str: "a string"}[kind]
         raise ValueError(f"{path}: expected {expected}, got {type(value).__name__}")
     return value
 
@@ -248,12 +248,19 @@ def _member(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _number(convert, value, path: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: expected a number, got {value!r}") from None
+
+
 def _session_config(doc, path: str) -> SessionConfig:
     try:
         return config_from_json_dict(_of_type(doc, dict, path))
     except KeyError as exc:
         raise ValueError(f"{path}: missing {exc}") from None
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -264,25 +271,29 @@ def scenario_from_json_dict(doc: dict) -> NetworkScenario:
     doc = _of_type(doc, dict, "scenario")
     channels = {}
     for uid, ch in _of_type(doc.get("channels", {}), dict, "channels").items():
-        ch = _of_type(ch, dict, f"channels.{uid}")
-        channels[uid] = ChannelModel(
-            loss_probability=float(ch.get("loss_probability", 0.0)),
-            latency_ticks=int(ch.get("latency_ticks", 0)),
-        )
+        path = f"channels.{uid}"
+        ch = _of_type(ch, dict, path)
+        loss = _number(float, ch.get("loss_probability", 0.0), f"{path}.loss_probability")
+        latency = _number(int, ch.get("latency_ticks", 0), f"{path}.latency_ticks")
+        try:
+            channels[uid] = ChannelModel(loss_probability=loss, latency_ticks=latency)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     sessions = []
     for i, s in enumerate(_of_type(doc.get("sessions", []), list, "sessions")):
         path = f"sessions[{i}]"
         s = _of_type(s, dict, path)
         sessions.append(SessionSpec(
-            requester=_member(s, "requester", path),
-            responder=_member(s, "responder", path),
+            requester=_of_type(_member(s, "requester", path), str, f"{path}.requester"),
+            responder=_of_type(_member(s, "responder", path), str, f"{path}.responder"),
             config=_session_config(_member(s, "config", path), f"{path}.config"),
         ))
     return NetworkScenario(
-        users=tuple(_of_type(_member(doc, "users", "scenario"), list, "users")),
+        users=tuple(_of_type(uid, str, f"users[{i}]") for i, uid
+                    in enumerate(_of_type(_member(doc, "users", "scenario"), list, "users"))),
         channels=channels,
         sessions=tuple(sessions),
-        seed=int(doc.get("seed", 0)),
+        seed=_number(int, doc.get("seed", 0), "seed"),
     )
 
 

@@ -36,20 +36,24 @@ Sessions are deterministic: every random choice comes from a named
 per-actor stream (center, alice, bob, eve, channel, postproc) derived
 from the session seed, so identical configs produce byte-identical
 transcripts.  Parties interact only through explicit announcement and
-basis messages, recorded in an ordered event log.
+basis messages, recorded in an ordered event log that depends only on
+the (protocol, attack) pairing.
 
 A session runs as array operations over all positions at once.  Every
 position goes through the same fixed sequence of measurements
 (`_steps`): a cheating center's or an intercepting adversary's, then
 the center, Alice and Bob in protocol order, then the probe read-out.
-`_compile` walks that sequence once per (protocol, attack) pairing from
-the start registers with the exact Born-rule branches and stores
-integer tables: p_plus[node, basis], the probability a draw is compared
-against, and next[node, basis, outcome], plus the keep rule and the
-correlation-table predictions per announcement and bases.  A session
-then gathers p_plus for every position, compares, and advances the node
-ids; sifting, the check and the key bits are masks.  Compiled tables are
-built on first use and kept (up to 64 pairings).
+Each step names its role, the bases it may use and the actor stream it
+draws from.  `_compile` walks that sequence once per (protocol, attack)
+pairing from the start registers with the exact Born-rule branches and
+stores integer tables: p_plus[node, basis], the probability a draw is
+compared against, and next[node, basis, outcome], plus the keep rule
+and the correlation-table predictions per announcement and bases.  A
+session walks the same step list, kept on the table: per step it draws
+the bases and outcomes from the step's stream, gathers p_plus for every
+position, compares, and advances the node ids; sifting, the check and
+the key bits are masks.  Compiled tables are built on first use and
+kept (up to 64 pairings).
 
 The exact oracles `predict_detection_rate` and
 `predict_adversary_accuracy` read the same description: during its walk
@@ -57,10 +61,11 @@ The exact oracles `predict_detection_rate` and
 and stores both rates on the table, so the sampler and the oracle
 cannot disagree on what a position does.
 
-Each stream is drawn in bulk in exactly the order of one scalar call
-per position and step (`replay.replay_draws`), so transcripts are the
-same bytes as position-by-position sampling gives, and a stream left
-for a later phase (Bob's check sample, a coin) is in the same state.
+Each run of consecutive steps on one stream is drawn in bulk in exactly
+the order of one scalar call per position and step
+(`replay.replay_draws`), so transcripts are the same bytes as
+position-by-position sampling gives, and a stream left for a later
+phase (Bob's check sample, a coin) is in the same state.
 """
 
 from __future__ import annotations
@@ -322,12 +327,26 @@ def _stream(seed: int, key: int) -> np.random.Generator:
 _STREAM_CENTER, _STREAM_ALICE, _STREAM_BOB, _STREAM_EVE, _STREAM_CHANNEL, _STREAM_POSTPROC = range(6)
 
 
-class _EventLog:
-    def __init__(self):
-        self.events = []
-
-    def emit(self, actor: str, event: str):
-        self.events.append({"seq": len(self.events), "actor": actor, "event": event})
+def _events(protocol: ProtocolId, attack: AttackModel) -> list:
+    """The session's ordered event log; it depends only on the pairing."""
+    cheating = isinstance(attack, CheatingCenterMeasureAll)
+    names = [("center", "prepare_states")]
+    if protocol not in _GHZ_PROTOCOLS:
+        names.append(("center", "announce_labels"))
+    if cheating:
+        names.append(("center", "center_measure"))  # before sending
+    names.append(("channel", "transmit_particles"))
+    if protocol in (ProtocolId.GHZ1, ProtocolId.GHZ2):
+        if not cheating:
+            names.append(("center", "center_measure"))
+        names.append(("center", "announce_results"))
+    names += [("alice", "alice_measure"), ("bob", "bob_measure")]
+    if protocol is ProtocolId.GHZ3:
+        names += [("alice", "send_basis"), ("bob", "send_basis"),
+                  ("center", "center_measure"), ("center", "announce_results")]
+    names += [("all", "compare_bases_and_sift"), ("bob", "eavesdrop_check"),
+              ("all", "encode_key_bits"), ("all", "postprocess")]
+    return [{"seq": i, "actor": actor, "event": event} for i, (actor, event) in enumerate(names)]
 
 
 def eavesdrop_check(mismatch: np.ndarray, check_fraction: float, rng: np.random.Generator,
@@ -366,8 +385,10 @@ _BASES = tuple(Basis)
 _OUTCOMES = (Outcome.PLUS, Outcome.MINUS)
 
 
-def _basis_indices(bases) -> np.ndarray:
-    return np.array([_BASES.index(b) for b in bases])
+# _RULE_P3[a_basis, b_basis]: the GHZ3 center's basis index for Alice's
+# and Bob's disclosed basis indices (-1 off the x/y pool).
+_RULE_P3 = np.array([[_BASES.index(center_basis_rule_p3(a, b)) if Basis.Z not in (a, b) else -1
+                      for b in _BASES] for a in _BASES])
 
 
 def _intercept_pool(protocol: ProtocolId, attack: InterceptResend) -> tuple[Basis, ...]:
@@ -376,27 +397,28 @@ def _intercept_pool(protocol: ProtocolId, attack: InterceptResend) -> tuple[Basi
 
 def _steps(protocol: ProtocolId, attack: AttackModel) -> tuple:
     """The measurements every position goes through, in order, as
-    (role, bases it may be measured in, resend).  With resend a fresh
-    eigenstate of the result replaces the measured particle."""
+    (role, bases it may be measured in, resend, stream it draws from).
+    With resend a fresh eigenstate of the result replaces the measured
+    particle.  The GHZ3 center's basis follows `center_basis_rule_p3`."""
     steps = []
     cheating = isinstance(attack, CheatingCenterMeasureAll)
     if cheating:
         # The center measures the whole triplet and sends eigenstates.
         basis = (attack.basis,)
-        steps += [("c", basis, False), ("a", basis, True), ("b", basis, True)]
+        steps += [(role, basis, role != "c", _STREAM_CENTER) for role in ("c", "a", "b")]
     elif isinstance(attack, InterceptResend):
         role = "a" if attack.target_party is Party.ALICE else "b"
-        steps.append((role, _intercept_pool(protocol, attack), True))
+        steps.append((role, _intercept_pool(protocol, attack), True, _STREAM_EVE))
     if protocol is ProtocolId.GHZ1 and not cheating:
-        steps.append(("c", (Basis.X,), False))
+        steps.append(("c", (Basis.X,), False, _STREAM_CENTER))
     if protocol is ProtocolId.GHZ2 and not cheating:
-        steps.append(("c", (Basis.X, Basis.Y), False))
+        steps.append(("c", (Basis.X, Basis.Y), False, _STREAM_CENTER))
     bases = party_bases(protocol)
-    steps += [("a", bases, False), ("b", bases, False)]
+    steps += [("a", bases, False, _STREAM_ALICE), ("b", bases, False, _STREAM_BOB)]
     if protocol is ProtocolId.GHZ3:
-        steps.append(("c", (Basis.X, Basis.Y), False))
+        steps.append(("c", (Basis.X, Basis.Y), False, _STREAM_CENTER))
     if isinstance(attack, AncillaEntangle):
-        steps.append(("eve", (Basis.X,), False))
+        steps.append(("eve", (Basis.X,), False, _STREAM_EVE))
     return tuple(steps)
 
 
@@ -404,12 +426,13 @@ def _steps(protocol: ProtocolId, attack: AttackModel) -> tuple:
 class _Table:
     """One (protocol, attack) pairing's per-position process, compiled.
 
-    Nodes are the registers reachable along `_steps`, numbered level by
-    level from the start registers.  p_plus[node, basis] is the
-    probability a draw is compared against (outcome + iff draw <
-    p_plus), the same float `qstate.measure` uses; next[node, basis,
-    outcome] is the node that outcome leads to, -1 for a zero-probability
-    branch.  Announcements are numbered 2 * basis + outcome for the
+    steps is the `_steps` tuple the tables were walked along; sessions
+    draw and measure in its order.  Nodes are the registers reachable
+    along it, numbered level by level from the start registers.
+    p_plus[node, basis] is the probability a draw is compared against
+    (outcome + iff draw < p_plus), the same float `qstate.measure` uses;
+    next[node, basis, outcome] is the node that outcome leads to, -1 for
+    a zero-probability branch.  Announcements are numbered 2 * basis + outcome for the
     triplet and by prepared label for pairs.  keep[ann, a_basis,
     b_basis] is the keep rule; expect[ann, a_basis, a_outcome, b_basis]
     is Bob's key bit as the correlation tables fix it from Alice's
@@ -427,6 +450,7 @@ class _Table:
     kept weight.  adversary_accuracy is None without an adversary.
     """
 
+    steps: tuple
     p_plus: np.ndarray
     next: np.ndarray
     announcements: tuple
@@ -462,20 +486,24 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
     probe = probe_vectors(attack.coupling) if isinstance(attack, AncillaEntangle) else None
     starts = _start_registers(protocol, probe)
     level = [(reg, 1 / len(starts), {"start": i}) for i, reg in enumerate(starts.values())]
+    steps = _steps(protocol, attack)
     p_plus, nxt = [], []
-    for role, bases, resend in _steps(protocol, attack):
+    for role, bases, resend, _ in steps:
         children = []
         first_child = len(p_plus) + len(level)
         for reg, weight, seen in level:
             followed = bases
             if protocol is ProtocolId.GHZ3 and role == "c":
-                followed = (center_basis_rule_p3(_BASES[seen["a"][0]], _BASES[seen["b"][0]]),)
+                followed = (_BASES[_RULE_P3[seen["a"][0], seen["b"][0]]],)
             p_row = np.full(len(_BASES), np.nan)
             next_row = np.full((len(_BASES), 2), -1)
             for basis in bases:
                 b = _BASES.index(basis)
-                p_row[b] = reg.distribution(role, basis)[0]
-                for p, outcome, child in reg.branches(role, basis):
+                branches = reg.branches(role, basis)
+                p_row[b] = branches[0][0]
+                for p, outcome, child in branches:
+                    if child is None:
+                        continue
                     next_row[b, outcome.bit] = first_child + len(children)
                     if resend:
                         child = child.add_eigenstate(role, basis, outcome)
@@ -502,17 +530,18 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
         for a, b in itertools.product(bases, bases):
             keep[i, _BASES.index(a), _BASES.index(b)] = keep_rule(protocol, ann, a, b)
     expect = _peer_table(announcements, bases, bases, deterministic_peer_outcome)
+    # The adversary's record is filed under "eve": her intercept, the
+    # eigenstate a cheating center sent Bob, or the probe's x read-out.
     eve_expect = None
-    if isinstance(attack, InterceptResend):
-        eve_expect = _peer_table(
-            announcements, _intercept_pool(protocol, attack), bases,
-            lambda ann, eb, eo, b: infer_bob_outcome(ann, eb, eo, attack.target_party, b))
-    elif isinstance(attack, CheatingCenterMeasureAll):
-        eve_expect = _peer_table(
-            announcements, (attack.basis,), bases,
-            lambda ann, eb, eo, b: infer_bob_outcome(ann, eb, eo, Party.BOB, b))
-    elif isinstance(attack, AncillaEntangle):
-        eve_expect = _peer_table(announcements, (Basis.X,), bases, deterministic_peer_outcome)
+    if not isinstance(attack, NoAttack):
+        if isinstance(attack, InterceptResend):
+            pool, target = _intercept_pool(protocol, attack), attack.target_party
+        elif isinstance(attack, CheatingCenterMeasureAll):
+            pool, target = (attack.basis,), Party.BOB
+        else:
+            pool, target = (Basis.X,), Party.ALICE
+        eve_expect = _peer_table(announcements, pool, bases,
+                                 lambda ann, eb, eo, b: infer_bob_outcome(ann, eb, eo, target, b))
 
     # Sequential sums in leaf order; the oracle floats are pinned bit
     # for bit, and a pairwise (np.sum) order would move their last bits.
@@ -540,7 +569,7 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
     for a in arrays:
         if a is not None:
             a.flags.writeable = False
-    return _Table(arrays[0], arrays[1], announcements, *arrays[2:], errors / kept, accuracy)
+    return _Table(steps, arrays[0], arrays[1], announcements, *arrays[2:], errors / kept, accuracy)
 
 
 def predict_detection_rate(protocol: ProtocolId, attack: AttackModel) -> float:
@@ -580,13 +609,6 @@ def _channel_losses(rng: np.random.Generator, n: int, loss_a: float, loss_b: flo
     return np.array(lost, dtype=bool)
 
 
-def _basis_draws(rng: np.random.Generator, choices: int, m: int):
-    """m positions' (rng.integers(choices), rng.random()) pairs, drawn in
-    that order: (choice array, draw array)."""
-    draws = replay_draws(rng, np.tile([choices, 0], m)).reshape(m, 2)
-    return draws[:, 0].astype(np.intp), draws[:, 1]
-
-
 def _object_column(objects, index: np.ndarray) -> list:
     """[objects[i] for i in index], through an object array."""
     table = np.empty(len(objects), dtype=object)
@@ -607,115 +629,74 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     n = config.num_states
     loss_a, loss_b = leg_loss if leg_loss is not None else (
         config.loss_probability, config.loss_probability)
-    center_rng = _stream(config.rng_seed, _STREAM_CENTER)
-    alice_rng = _stream(config.rng_seed, _STREAM_ALICE)
-    bob_rng = _stream(config.rng_seed, _STREAM_BOB)
-    eve_rng = _stream(config.rng_seed, _STREAM_EVE)
-    channel_rng = _stream(config.rng_seed, _STREAM_CHANNEL)
+    rngs = [_stream(config.rng_seed, key) for key in range(_STREAM_POSTPROC)]
     pp_seed_seq = np.random.SeedSequence(config.rng_seed, spawn_key=(_STREAM_POSTPROC,))
     pa_seed, rec_seed = (int(x) for x in pp_seed_seq.generate_state(2, dtype=np.uint64))
-
-    log = _EventLog()
     table = _compile(protocol, attack)
-    is_bell = protocol in (ProtocolId.BELL4, ProtocolId.BELL5)
-    is_cheating = isinstance(attack, CheatingCenterMeasureAll)
 
-    # -- prepare ------------------------------------------------------------
-    log.emit("center", "prepare_states")
-    if is_bell:
-        labels = center_rng.integers(len(table.announcements), size=n)
-        log.emit("center", "announce_labels")
-    if is_cheating:
-        log.emit("center", "center_measure")  # cheating center measures before sending
-
-    # -- transmit (loss, then in-flight attacks) -----------------------------
+    # -- prepare, then transmit (loss) ----------------------------------------
     # Every array below has one entry per position that arrived.
-    log.emit("channel", "transmit_particles")
-    present = np.flatnonzero(~_channel_losses(channel_rng, n, loss_a, loss_b))
+    is_bell = protocol not in _GHZ_PROTOCOLS
+    if is_bell:
+        labels = rngs[_STREAM_CENTER].integers(len(table.announcements), size=n)
+    present = np.flatnonzero(~_channel_losses(rngs[_STREAM_CHANNEL], n, loss_a, loss_b))
     m = len(present)
-    ann = labels[present] if is_bell else None
-    nodes = ann if is_bell else np.zeros(m, dtype=np.intp)
+    ann = nodes = labels[present] if is_bell else np.zeros(m, dtype=np.intp)
 
-    def measure(basis, draws):
-        """Measure the next particle of `_steps` in `basis` at every
-        position; the outcome bits."""
-        nonlocal nodes
-        minus = (draws >= table.p_plus[nodes, basis]).astype(np.intp)
-        nodes = table.next[nodes, basis, minus]
-        if np.any(nodes < 0):
-            raise AssertionError("selected a zero-probability branch")
-        return minus
-
-    if is_cheating:
-        cheat_basis = _BASES.index(attack.basis)
-        draws = center_rng.random(3 * m).reshape(m, 3)
-        center_out = measure(cheat_basis, draws[:, 0])
-        measure(cheat_basis, draws[:, 1])
-        cheat_bob_out = measure(cheat_basis, draws[:, 2])
-        ann = 2 * cheat_basis + center_out
-    elif isinstance(attack, InterceptResend):
-        pool = _basis_indices(_intercept_pool(protocol, attack))
-        choice, draws = _basis_draws(eve_rng, len(pool), m)
-        eve_basis = pool[choice]
-        eve_out = measure(eve_basis, draws)
-
-    # -- measurement and announcement order differs per protocol -------------
-    if protocol in (ProtocolId.GHZ1, ProtocolId.GHZ2):
-        if not is_cheating:
-            log.emit("center", "center_measure")
-            if protocol is ProtocolId.GHZ1:
-                c_basis, draws = _BASES.index(Basis.X), center_rng.random(m)
+    # -- measure: the compiled steps, in order -----------------------------------
+    # Consecutive steps on one stream are drawn position by position: per
+    # step the basis choice, integers(len(bases)), which draws nothing for
+    # one basis or the GHZ3 center's rule; then the outcome draw; after
+    # the probe read-out, Eve's coin where she cannot infer.  rec[role] is
+    # (basis, outcome bit) per position, a resent particle's under "eve",
+    # as `_compile` files it.
+    rec, coins = {}, None
+    ruled = "c" if protocol is ProtocolId.GHZ3 else None  # the role whose basis follows the rule
+    for stream, run in itertools.groupby(table.steps, key=lambda step: step[3]):
+        run = [(role, bases, resend, role != ruled and len(bases) > 1) for role, bases, resend, _ in run]
+        slots = []
+        for role, bases, _, chosen in run:
+            slots += [len(bases), 0] if chosen else [0]
+            if role == "eve":
+                coin = table.eve_expect[ann, _BASES.index(bases[0]), 0, rec["b"][0]] < 0
+                slots.append(np.where(coin, 2, 1))
+        bounds = np.column_stack([np.broadcast_to(slot, m) for slot in slots])
+        draws = replay_draws(rngs[stream], bounds.reshape(-1)).reshape(m, len(slots))
+        col = 0
+        for role, bases, resend, chosen in run:
+            choice = np.zeros(m, dtype=np.intp)
+            if chosen:
+                choice, col = draws[:, col].astype(np.intp), col + 1
+            if role == ruled:
+                basis = _RULE_P3[rec["a"][0], rec["b"][0]]
             else:
-                choice, draws = _basis_draws(center_rng, 2, m)
-                c_basis = _basis_indices((Basis.X, Basis.Y))[choice]
-            ann = 2 * c_basis + measure(c_basis, draws)
-        log.emit("center", "announce_results")
-    bases = party_bases(protocol)
-    log.emit("alice", "alice_measure")
-    a_choice, draws = _basis_draws(alice_rng, 2, m)
-    a_basis = _basis_indices(bases)[a_choice]
-    a_out = measure(a_basis, draws)
-    log.emit("bob", "bob_measure")
-    b_choice, draws = _basis_draws(bob_rng, 2, m)
-    b_basis = _basis_indices(bases)[b_choice]
-    b_out = measure(b_basis, draws)
-    if protocol is ProtocolId.GHZ3:
-        log.emit("alice", "send_basis")
-        log.emit("bob", "send_basis")
-        log.emit("center", "center_measure")
-        rule = np.array([[_BASES.index(center_basis_rule_p3(x, y)) for y in bases] for x in bases])
-        c_basis = rule[a_choice, b_choice]
-        ann = 2 * c_basis + measure(c_basis, center_rng.random(m))
-        log.emit("center", "announce_results")
+                basis = np.array([_BASES.index(b) for b in bases])[choice]
+            minus = (draws[:, col] >= table.p_plus[nodes, basis]).astype(np.intp)
+            col += 1
+            nodes = table.next[nodes, basis, minus]
+            if np.any(nodes < 0):
+                raise AssertionError("selected a zero-probability branch")
+            key = "eve" if resend else role
+            rec[key] = (basis, minus)
+            if key == "c":
+                ann = 2 * basis + minus
+            if key == "eve":
+                eve_stream = stream
+            if role == "eve":
+                coins, col = draws[:, col].astype(np.intp), col + 1
+    (a_basis, a_out), (b_basis, b_out) = rec["a"], rec["b"]
 
-    # -- adversary's own final measurements and inferences --------------------
-    # (what she records, her outcome bits, her inferred bits of Bob's key)
-    eve = None
-    if isinstance(attack, InterceptResend):
+    # -- the adversary's inferences of Bob's key bits --------------------------
+    if table.eve_expect is not None:
+        eve_basis, eve_out = rec["eve"]
         inferred = table.eve_expect[ann, eve_basis, eve_out, b_basis].astype(np.intp)
         coin = inferred < 0
-        inferred[coin] = eve_rng.integers(2, size=int(np.count_nonzero(coin)))
-        eve = (_object_column([b.value for b in _BASES], eve_basis), eve_out, inferred)
-    elif isinstance(attack, AncillaEntangle):
-        x = _BASES.index(Basis.X)
-        coin = table.eve_expect[ann, x, 0, b_basis] < 0
-        # Per position: the probe read-out, then a coin where needed.
-        first = np.arange(m) + np.cumsum(coin) - coin
-        bounds = np.zeros(m + int(np.count_nonzero(coin)), dtype=np.int64)
-        bounds[first[coin] + 1] = 2
-        draws = replay_draws(eve_rng, bounds)
-        probe_out = measure(x, draws[first])
-        inferred = table.eve_expect[ann, x, probe_out, b_basis].astype(np.intp)
-        inferred[coin] = draws[first[coin] + 1]
-        eve = (["probe-X"] * m, probe_out, inferred)
-    elif is_cheating:
-        inferred = table.eve_expect[ann, cheat_basis, cheat_bob_out, b_basis].astype(np.intp)
-        coin = inferred < 0
-        inferred[coin] = center_rng.integers(2, size=int(np.count_nonzero(coin)))
-        eve = ([attack.basis.value] * m, center_out, inferred)
+        if coins is None:  # no probe: the coins follow every step on her stream
+            inferred[coin] = rngs[eve_stream].integers(2, size=int(np.count_nonzero(coin)))
+        else:
+            inferred[coin] = coins[coin]
 
     # -- sift -----------------------------------------------------------------
-    log.emit("all", "compare_bases_and_sift")
     kept_at = np.flatnonzero(table.keep[ann, a_basis, b_basis])
     kept_count = len(kept_at)
     predicted = table.expect[ann, a_basis, a_out, b_basis]  # Alice's key bits where kept
@@ -723,15 +704,13 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
         raise LookupError("the keep rule admitted a position with no deterministic correlation")
 
     # -- eavesdrop check -------------------------------------------------------
-    log.emit("bob", "eavesdrop_check")
     report, checked = eavesdrop_check(predicted[kept_at] != b_out[kept_at], config.check_fraction,
-                                      bob_rng, config.qber_abort_threshold)
+                                      rngs[_STREAM_BOB], config.qber_abort_threshold)
     in_key = np.zeros(m, dtype=bool)
     in_key[kept_at] = True
     in_key[kept_at[checked]] = False
 
     # -- key material -----------------------------------------------------------
-    log.emit("all", "encode_key_bits")
     if report.aborted:
         alice_raw = bob_raw = ""
     else:
@@ -739,7 +718,6 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
         bob_raw = postproc.bits_to_str(b_out[in_key])
 
     # -- post-processing ---------------------------------------------------------
-    log.emit("all", "postprocess")
     qber_used = report.qber
     reconcile_leaked = 0
     bob_rec = bob_raw
@@ -768,14 +746,17 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     )
 
     adversary_section = None
-    if eve is not None:
-        basis_used, eve_bits, inferred = eve
+    if table.eve_expect is not None:
         total = int(np.count_nonzero(in_key))
         hits = int(np.count_nonzero(inferred[in_key] == b_out[in_key]))
+        # A cheating center reports its own triplet measurement.
+        shown_basis, shown_out = rec["c"] if isinstance(attack, CheatingCenterMeasureAll) else rec["eve"]
+        prefix = "probe-" if isinstance(attack, AncillaEntangle) else ""
         records = [
             {"position": i, "basis_used": s, "outcome": o, "inferred_bit": bit}
-            for i, s, o, bit in zip(present.tolist(), basis_used,
-                                    _object_column([o.value for o in _OUTCOMES], eve_bits),
+            for i, s, o, bit in zip(present.tolist(),
+                                    _object_column([prefix + b.value for b in _BASES], shown_basis),
+                                    _object_column([o.value for o in _OUTCOMES], shown_out),
                                     inferred.tolist())
         ]
         adversary_section = _adversary_section(config, report, records,
@@ -804,7 +785,7 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     transcript = SessionTranscript(
         config=config,
         positions=positions,
-        events=log.events,
+        events=_events(protocol, attack),
         check_report=report,
         alice_raw_key=alice_raw,
         bob_raw_key=bob_raw,

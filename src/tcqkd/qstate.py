@@ -11,6 +11,11 @@ explicit uniform draw in [0,1), so identical draws reproduce identical
 outcomes and collapsed states bit for bit.  StateVector instances are
 immutable and safe to share between threads.
 
+One projection serves each measurement: `project` splits a qubit along
+both eigenvectors of a basis at once and returns both outcomes'
+probability and collapsed state, and `collapse`, `measure`,
+`Register.branches` and the per-announcement peer tables all read it.
+
 The correlation tables for the two-particle states, the mixed
 x/z-correlated combination states and the GHZ triplet are *derived*
 from projection arithmetic, never hand-entered; a hand-transcribed
@@ -105,13 +110,6 @@ class StateVector:
         return f"StateVector({self.num_qubits} qubits, {self.amplitudes.tolist()})"
 
 
-def states_close(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
-    """Exact (not up-to-phase) amplitude equality within atol."""
-    if a.num_qubits != b.num_qubits:
-        return False
-    return bool(np.max(np.abs(a.amplitudes - b.amplitudes)) <= atol)
-
-
 @lru_cache(maxsize=None)
 def make_eigenstate(basis: Basis, sign: Outcome) -> StateVector:
     """Single-qubit eigenvector of the given measurement axis."""
@@ -132,13 +130,6 @@ def make_cat(n: int, relative_sign: str) -> StateVector:
     amps[0] = _SQRT2_INV
     amps[-1] = _SQRT2_INV if relative_sign == "+" else -_SQRT2_INV
     return StateVector(amps)
-
-
-def tensor(*states: StateVector) -> StateVector:
-    out = states[0].amplitudes
-    for s in states[1:]:
-        out = np.kron(out, s.amplitudes)
-    return StateVector(out)
 
 
 @lru_cache(maxsize=None)
@@ -192,25 +183,33 @@ def _components(state: StateVector, qubit_index: int, basis: Basis):
     return comp_plus.reshape(-1), comp_minus.reshape(-1)
 
 
+def project(state: StateVector, qubit_index: int, basis: Basis):
+    """Both outcomes of measuring one qubit in one basis, from a single
+    projection: ((p_plus, collapsed_plus), (p_minus, collapsed_minus)).
+
+    A collapsed state has the measured qubit removed; it is None for
+    probability ~ 0 and for single-qubit states (the empty marker).
+    """
+    out = []
+    for comp in _components(state, qubit_index, basis):
+        prob = float(np.sum(np.abs(comp) ** 2))
+        if prob <= ATOL or state.num_qubits == 1:
+            out.append((prob, None))
+        else:
+            out.append((prob, StateVector(comp / math.sqrt(prob))))
+    return tuple(out)
+
+
 def outcome_distribution(state: StateVector, qubit_index: int, basis: Basis):
     """Born probabilities (p_plus, p_minus) for one qubit in one basis."""
-    comp_plus, comp_minus = _components(state, qubit_index, basis)
-    return float(np.sum(np.abs(comp_plus) ** 2)), float(np.sum(np.abs(comp_minus) ** 2))
+    (p_plus, _), (p_minus, _) = project(state, qubit_index, basis)
+    return p_plus, p_minus
 
 
 def collapse(state: StateVector, qubit_index: int, basis: Basis, outcome: Outcome):
-    """Project one qubit onto a basis outcome.
-
-    Returns (probability, collapsed) where the collapsed state has the
-    measured qubit removed; collapsed is None for probability ~ 0 and
-    for single-qubit states (the empty marker).
-    """
-    comp_plus, comp_minus = _components(state, qubit_index, basis)
-    comp = comp_plus if outcome is Outcome.PLUS else comp_minus
-    prob = float(np.sum(np.abs(comp) ** 2))
-    if prob <= ATOL or state.num_qubits == 1:
-        return prob, None
-    return prob, StateVector(comp / math.sqrt(prob))
+    """Project one qubit onto a basis outcome: (probability, collapsed),
+    as `project` gives it for that outcome."""
+    return project(state, qubit_index, basis)[outcome.bit]
 
 
 def measure(state: StateVector, qubit_index: int, basis: Basis, random_draw: float):
@@ -221,9 +220,9 @@ def measure(state: StateVector, qubit_index: int, basis: Basis, random_draw: flo
     collapsed state drops the measured qubit; measuring the last qubit
     returns None as the empty marker.
     """
-    p_plus, _ = outcome_distribution(state, qubit_index, basis)
-    outcome = Outcome.PLUS if random_draw < p_plus else Outcome.MINUS
-    prob, collapsed = collapse(state, qubit_index, basis, outcome)
+    branches = project(state, qubit_index, basis)
+    outcome = Outcome.PLUS if random_draw < branches[0][0] else Outcome.MINUS
+    prob, collapsed = branches[outcome.bit]
     assert prob > ATOL, "selected a zero-probability branch"
     return outcome, collapsed
 
@@ -272,10 +271,6 @@ class Register:
             raise ValueError("one role per qubit required")
         return cls((state,), {r: (0, q) for q, r in enumerate(roles)})
 
-    def distribution(self, role, basis: Basis):
-        fi, qi = self.where[role]
-        return outcome_distribution(self.factors[fi], qi, basis)
-
     def _after_collapse(self, role, collapsed):
         fi, qi = self.where[role]
         factors = list(self.factors)
@@ -298,14 +293,12 @@ class Register:
         return outcome, self._after_collapse(role, collapsed)
 
     def branches(self, role, basis: Basis):
-        """Exact Born-rule branches [(prob, outcome, register), ...]."""
+        """Both Born-rule branches [(prob, outcome, register), ...], +
+        first; the register is None for a branch of probability ~ 0."""
         fi, qi = self.where[role]
-        out = []
-        for outcome in (Outcome.PLUS, Outcome.MINUS):
-            prob, collapsed = collapse(self.factors[fi], qi, basis, outcome)
-            if prob > ATOL:
-                out.append((prob, outcome, self._after_collapse(role, collapsed)))
-        return out
+        return [(prob, outcome, self._after_collapse(role, collapsed) if prob > ATOL else None)
+                for outcome, (prob, collapsed)
+                in zip((Outcome.PLUS, Outcome.MINUS), project(self.factors[fi], qi, basis))]
 
     def add_eigenstate(self, role, basis: Basis, sign: Outcome) -> "Register":
         if role in self.where:
@@ -415,43 +408,39 @@ _SCENARIO_ANNOUNCEMENTS = {
 }
 
 
-def pair_state_for_announcement(announcement) -> StateVector:
-    """Two-qubit (Alice, Bob) state conditioned on the center's announcement.
+@lru_cache(maxsize=None)
+def _peer_outcomes(announcement) -> dict:
+    """{(alice_basis, alice_outcome, peer_basis): Bob's outcome when
+    uniquely determined, else None} for one announcement.
 
     A TwoQubitLabel announcement names a prepared pair directly; a
     (basis, outcome) announcement is the GHZ triplet collapsed by the
-    center's measurement of its own particle.
+    center's measurement of its own particle.  Each state on the way is
+    projected once per basis.
     """
     if isinstance(announcement, TwoQubitLabel):
-        return make_two_qubit(announcement)
-    basis, outcome = announcement
-    _, pair = collapse(GHZ, 0, basis, outcome)
-    return pair
-
-
-def bob_conditional_state(announcement, alice_basis: Basis, alice_outcome: Outcome):
-    """Bob's single-qubit state given the announcement and Alice's result.
-
-    Returns None when Alice's result has probability ~ 0 (cannot occur
-    for the states used here)."""
-    pair = pair_state_for_announcement(announcement)
-    prob, bob = collapse(pair, 0, alice_basis, alice_outcome)
-    if prob <= ATOL:
-        return None
-    return bob
+        pair = make_two_qubit(announcement)
+    else:
+        basis, outcome = announcement
+        _, pair = project(GHZ, 0, basis)[outcome.bit]
+    table = {}
+    for alice_basis in Basis:
+        for alice_outcome, (_, bob) in zip((_P, _M), project(pair, 0, alice_basis)):
+            for peer_basis in Basis:
+                fixed = None
+                if bob is not None:
+                    p_plus, p_minus = outcome_distribution(bob, 0, peer_basis)
+                    if p_plus >= 1 - ATOL:
+                        fixed = Outcome.PLUS
+                    elif p_minus >= 1 - ATOL:
+                        fixed = Outcome.MINUS
+                table[alice_basis, alice_outcome, peer_basis] = fixed
+    return table
 
 
 def deterministic_peer_outcome(announcement, alice_basis, alice_outcome, peer_basis):
     """Bob's outcome in peer_basis when uniquely determined, else None."""
-    bob = bob_conditional_state(announcement, alice_basis, alice_outcome)
-    if bob is None:
-        return None
-    p_plus, p_minus = outcome_distribution(bob, 0, peer_basis)
-    if p_plus >= 1 - ATOL:
-        return Outcome.PLUS
-    if p_minus >= 1 - ATOL:
-        return Outcome.MINUS
-    return None
+    return _peer_outcomes(announcement)[alice_basis, alice_outcome, peer_basis]
 
 
 def derive_correlation_table(scenario: TableScenario) -> CorrelationTable:

@@ -3,7 +3,8 @@
 A session draws from each actor's numpy ``Generator`` (PCG64) one call
 at a time: ``rng.random()`` for a measurement, ``rng.integers(k)`` for a
 basis choice or a coin.  `replay_draws` returns the values of such a
-sequence from one ``bit_generator.random_raw`` call and leaves the
+sequence from one ``bit_generator.random_raw`` call (one
+``rng.random(k)`` call when it holds no 32-bit draw) and leaves the
 generator exactly where the scalar calls would have, so every later
 draw of the stream is the same either way.
 
@@ -42,11 +43,15 @@ def replay_draws(rng: np.random.Generator, bounds) -> np.ndarray:
     ``rng.integers(bound)`` (bound >= 1), made in the order of `bounds`,
     as float64.  Bounds must be below 2**32."""
     bounds = np.asarray(bounds, dtype=np.int64)
+    is_double = bounds == 0
+    words = np.flatnonzero(bounds > 1)  # the calls that take a 32-bit word
+    values = np.zeros(len(bounds))
+    if not len(words):  # doubles only: one bulk call draws them in order
+        values[is_double] = rng.random(int(np.count_nonzero(is_double)))
+        return values
     bitgen = rng.bit_generator
     saved = bitgen.state
     buffered = saved["has_uint32"]
-    is_double = bounds == 0
-    words = np.flatnonzero(bounds > 1)  # the calls that take a 32-bit word
     # Word t takes a fresh output when t + buffered is even; otherwise it
     # is the high half of word t - 1's output, or the buffer on entry.
     fresh = (np.arange(len(words)) + buffered) % 2 == 0
@@ -54,25 +59,23 @@ def replay_draws(rng: np.random.Generator, bounds) -> np.ndarray:
     takes_output[words[fresh]] = True
     outputs = bitgen.random_raw(int(np.count_nonzero(takes_output)))
     output_of = np.cumsum(takes_output) - 1
-    values = np.zeros(len(bounds))
     values[is_double] = (outputs[output_of[is_double]] >> _SHIFT11) * _DOUBLE_SCALE
-    if len(words):
-        own = outputs[output_of[words[fresh]]]
-        highs = np.concatenate(([np.uint64(saved["uinteger"])], own >> _SHIFT32))
-        word = np.empty(len(words), dtype=np.uint64)
-        word[fresh] = own & _LOW32
-        word[~fresh] = highs[np.cumsum(fresh)[~fresh]]
-        k = bounds[words].astype(np.uint64)
-        product = word * k
-        if np.any((product & _LOW32) < _TWO32 % k):
-            bitgen.state = saved
-            return _scalar_draws(rng, bounds)
-        values[words] = product >> _SHIFT32
-        state = bitgen.state
-        state["has_uint32"] = (len(words) + buffered) % 2
-        if len(own):
-            state["uinteger"] = int(highs[-1])
-        bitgen.state = state
+    own = outputs[output_of[words[fresh]]]
+    highs = np.concatenate(([np.uint64(saved["uinteger"])], own >> _SHIFT32))
+    word = np.empty(len(words), dtype=np.uint64)
+    word[fresh] = own & _LOW32
+    word[~fresh] = highs[np.cumsum(fresh)[~fresh]]
+    k = bounds[words].astype(np.uint64)
+    product = word * k
+    if np.any((product & _LOW32) < _TWO32 % k):
+        bitgen.state = saved
+        return _scalar_draws(rng, bounds)
+    values[words] = product >> _SHIFT32
+    state = bitgen.state
+    state["has_uint32"] = (len(words) + buffered) % 2
+    if len(own):
+        state["uinteger"] = int(highs[-1])
+    bitgen.state = state
     return values
 
 

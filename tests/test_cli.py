@@ -196,3 +196,15 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("protocol GHZ3\n", encoding="utf-8")
         assert main(["--config", str(cfg), "run"]) == 1
+
+    def test_equals_form_reads_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("num-states=400\nseed=5\n", encoding="utf-8")
+        assert main([f"--config={cfg}", "run", "--protocol", "GHZ1"]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["run", "--protocol", "GHZ1", "--num-states", "400", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == from_file
+
+    def test_config_without_path_one_line_exit_1(self, capsys):
+        assert main(["--config"]) == 1
+        assert capsys.readouterr().err == "error: argument --config: expected one argument\n"

@@ -31,6 +31,22 @@ MALFORMED_SCENARIOS = {
         "sessions[0]: missing 'responder'"),
     "channel_list": ({"users": ["a"], "channels": {"a": [0.1]}},
                      "channels.a: expected an object, got list"),
+    "seed_list": ({"users": ["a"], "seed": [1]}, "seed: expected a number, got [1]"),
+    "loss_null": ({"users": ["a"], "channels": {"a": {"loss_probability": None}}},
+                  "channels.a.loss_probability: expected a number, got None"),
+    "loss_range": ({"users": ["a"], "channels": {"a": {"loss_probability": 2}}},
+                   "channels.a: loss_probability must be in [0, 1]"),
+    "user_list": ({"users": [["a"], "b"]}, "users[0]: expected a string, got list"),
+    "requester_list": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": ["a"], "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": 100}}]},
+        "sessions[0].requester: expected a string, got list"),
+    "num_states_text": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": "x"}}]},
+        "sessions[0].config: invalid literal for int() with base 10: 'x'"),
 }
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracle
-from tcqkd import predict_adversary_accuracy, predict_detection_rate, protocols
+from tcqkd import predict_adversary_accuracy, predict_detection_rate, protocols, qstate
 from tcqkd.adversary import (
     AncillaEntangle,
     CheatingCenterMeasureAll,
@@ -112,7 +112,7 @@ def walk_tree(protocol, attack):
             assert (table.next[node] == -1).all()
             leaves.append((weight, path))
             return
-        role, bases, resend = steps[level]
+        role, bases, resend, _ = steps[level]
         q = roles.index(role)
         rest_roles = roles[:q] + roles[q + 1:]
         followed = list(bases)
@@ -334,3 +334,23 @@ def test_tables_are_read_only_and_shared():
     assert a is protocols._compile(ProtocolId.GHZ2, AncillaEntangle(0.5))
     for arr in (a.p_plus, a.next, a.keep, a.expect, a.eve_expect):
         assert not arr.flags.writeable
+
+
+def test_compile_projects_each_node_and_basis_once(monkeypatch):
+    """One `qstate._components` call per p_plus entry `_compile` fills.
+    The per-announcement peer tables are built before counting: they are
+    shared by every pairing and kept across `_compile.cache_clear()`."""
+    for protocol, attack in PAIRINGS:
+        protocols._compile(protocol, attack)
+    calls = []
+    components = qstate._components
+
+    def counted(*args):
+        calls.append(args)
+        return components(*args)
+
+    monkeypatch.setattr(qstate, "_components", counted)
+    protocols._compile.cache_clear()
+    entries = sum(int(np.count_nonzero(~np.isnan(protocols._compile(p, a).p_plus)))
+                  for p, a in PAIRINGS)
+    assert len(calls) == entries
