@@ -123,7 +123,12 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
     if known.config is None:
         return rest
     values = _parse_config_file(known.config)
-    for subparser in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
+    subparsers = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
+    dests = {action.dest for subparser in subparsers for action in subparser._actions}  # noqa: SLF001
+    for key in values:
+        if key not in dests:
+            raise ValueError(f"{known.config}: unknown key {key!r}")
+    for subparser in subparsers:
         supplied = {}
         for action in subparser._actions:  # noqa: SLF001
             if action.dest in values:
@@ -131,18 +136,6 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
                 action.required = False
         subparser.set_defaults(**supplied)
     return rest
-
-
-def _print_session_summary(transcript):
-    cr = transcript.check_report
-    print(
-        f"protocol={transcript.config.protocol.value} "
-        f"kept_fraction={transcript.kept_fraction:.4f} "
-        f"qber={cr.qber:.4f} aborted={cr.aborted} "
-        f"final_key_bits={len(transcript.alice_final_key)} "
-        f"efficiency={transcript.efficiency_measured:.4f} "
-        f"bound={transcript.efficiency_bound} baseline={TIME_RESERVED_EPR_BASELINE}"
-    )
 
 
 def cmd_tables(args) -> int:
@@ -167,12 +160,28 @@ def _session_config(args, attack) -> SessionConfig:
     )
 
 
-def cmd_run(args) -> int:
-    transcript = run_session(_session_config(args, NoAttack()))
+def cmd_run(args, attack=NoAttack()) -> int:
+    transcript = run_session(_session_config(args, attack))
     if args.out:
         Path(args.out).write_text(transcript_to_json(transcript), encoding="utf-8")
-    _print_session_summary(transcript)
-    return 2 if transcript.check_report.aborted else 0
+    cr = transcript.check_report
+    print(
+        f"protocol={transcript.config.protocol.value} "
+        f"kept_fraction={transcript.kept_fraction:.4f} "
+        f"qber={cr.qber:.4f} aborted={cr.aborted} "
+        f"final_key_bits={len(transcript.alice_final_key)} "
+        f"efficiency={transcript.efficiency_measured:.4f} "
+        f"bound={transcript.efficiency_bound} baseline={TIME_RESERVED_EPR_BASELINE}"
+    )
+    adv = transcript.adversary
+    if adv is not None:
+        print(
+            f"attack={adv['kind']} predicted_detection_rate={adv['predicted_detection_rate']} "
+            f"observed_check_error_rate={adv['observed_check_error_rate']:.4f} "
+            f"predicted_accuracy={adv['predicted_accuracy']} "
+            f"observed_accuracy={adv['observed_accuracy']}"
+        )
+    return 2 if cr.aborted else 0
 
 
 def cmd_attack(args) -> int:
@@ -185,18 +194,7 @@ def cmd_attack(args) -> int:
         attack = CheatingCenterMeasureAll(basis=Basis(args.basis))
     else:
         attack = AncillaEntangle(coupling=args.coupling)
-    transcript = run_session(_session_config(args, attack))
-    if args.out:
-        Path(args.out).write_text(transcript_to_json(transcript), encoding="utf-8")
-    adv = transcript.adversary
-    _print_session_summary(transcript)
-    print(
-        f"attack={adv['kind']} predicted_detection_rate={adv['predicted_detection_rate']} "
-        f"observed_check_error_rate={adv['observed_check_error_rate']:.4f} "
-        f"predicted_accuracy={adv['predicted_accuracy']} "
-        f"observed_accuracy={adv['observed_accuracy']}"
-    )
-    return 2 if transcript.check_report.aborted else 0
+    return cmd_run(args, attack)
 
 
 def cmd_bench(args) -> int:

@@ -58,9 +58,6 @@ class Registry:
     def channel(self, user_id: str) -> ChannelModel:
         return self._channels[user_id]
 
-    def user_ids(self) -> list[str]:
-        return sorted(self._channels)
-
 
 def register_user(registry: Registry, user_id: str,
                   channel: ChannelModel | None = None) -> None:
@@ -250,9 +247,12 @@ def _member(doc: dict, key: str, path: str):
 
 def _number(convert, value, path: str):
     try:
-        return convert(value)
-    except (TypeError, ValueError):
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{path}: expected a number, got {value!r}") from None
+    if convert is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{path}: expected an integer, got {value!r}")
+    return number
 
 
 def _session_config(doc, path: str) -> SessionConfig:

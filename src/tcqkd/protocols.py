@@ -1,6 +1,12 @@
 """Three-party key distribution sessions over a trusted center.
 
-Five protocols share one driver:
+Five protocols share one driver.  `_SCHEMES` describes each one once:
+Alice's and Bob's bases, the center's announcements in the column order
+of the paper's correlation table (Table I for BELL4, Table II for
+BELL5, Table III for the triplet protocols, its x columns for GHZ1),
+the bases the center measures in, whether it measures after the bases
+are disclosed, and the efficiency bound.  Everything below reads that
+record; nothing else branches on the protocol.
 
 * GHZ1 — the center measures its triplet particle in x and announces;
   Alice and Bob measure randomly in x/y and keep equal-basis positions.
@@ -16,6 +22,10 @@ Five protocols share one driver:
 * BELL5 — the prepared set adds the two x/z-correlated combination
   states; the keep rule pairs plain labels with equal bases and
   combination labels with different bases.
+
+The keep rules above are not coded one by one: a position is kept when,
+for its announcement and bases, the correlation tables fix Bob's
+outcome from Alice's, whichever outcome she got.
 
 The four non-orthogonal BELL5 states cannot all be distinguished by a
 single projective measurement, so preparation is modeled directly: the
@@ -47,12 +57,12 @@ Each step names its role, the bases it may use and the actor stream it
 draws from.  `_compile` walks that sequence once per (protocol, attack)
 pairing from the start registers with the exact Born-rule branches and
 stores integer tables: p_plus[node, basis], the probability a draw is
-compared against, and next[node, basis, outcome], plus the keep rule
-and the correlation-table predictions per announcement and bases.  A
-session walks the same step list, kept on the table: per step it draws
-the bases and outcomes from the step's stream, gathers p_plus for every
-position, compares, and advances the node ids; sifting, the check and
-the key bits are masks.  Compiled tables are built on first use and
+compared against, and next[node, basis, outcome], plus the
+correlation-table predictions per announcement and bases and the keep
+rule derived from them.  A session walks the same step list, kept on
+the table: per step it draws the bases and outcomes from the step's
+stream, gathers p_plus for every position, compares, and advances the
+node ids; sifting, the check and the key bits are masks.  Compiled tables are built on first use and
 kept (up to 64 pairings).
 
 The exact oracles `predict_detection_rate` and
@@ -73,7 +83,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -96,9 +106,11 @@ from .qstate import (
     Basis,
     Outcome,
     Register,
+    TableScenario,
     TwoQubitLabel,
     deterministic_peer_outcome,
     make_two_qubit,
+    scenario_announcements,
 )
 from .replay import replay_draws
 
@@ -114,41 +126,53 @@ class ProtocolId(Enum):
     BELL5 = "BELL5"
 
 
-_GHZ_PROTOCOLS = (ProtocolId.GHZ1, ProtocolId.GHZ2, ProtocolId.GHZ3)
+@dataclass(frozen=True)
+class _Scheme:
+    """One protocol as the paper defines it.
 
-_BELL4_LABELS = (
-    TwoQubitLabel.PSI_PLUS,
-    TwoQubitLabel.PSI_MINUS,
-    TwoQubitLabel.PHI_PLUS,
-    TwoQubitLabel.PHI_MINUS,
-)
-_BELL5_LABELS = (
-    TwoQubitLabel.PHI_PLUS,
-    TwoQubitLabel.PSI_MINUS,
-    TwoQubitLabel.COMB_PHI_MINUS,
-    TwoQubitLabel.COMB_PSI_PLUS,
-)
-_BELL5_SAME_BASIS_LABELS = (TwoQubitLabel.PHI_PLUS, TwoQubitLabel.PSI_MINUS)
+    bases are the two directions Alice and Bob each draw from.
+    announcements are what the center may announce, in the column order
+    of the protocol's correlation table; they index every per-announcement
+    table.  center_bases are the bases the center measures its triplet
+    particle in, empty for prepared pairs, whose label is the
+    announcement.  With center_after_bases the center measures after
+    Alice and Bob disclose their bases, in the basis
+    `center_basis_rule_p3` picks.
+    """
+
+    bases: tuple[Basis, Basis]
+    announcements: tuple
+    center_bases: tuple[Basis, ...] = ()
+    center_after_bases: bool = False
+    efficiency_bound: float = 0.5
+
+
+_TABLE_III = scenario_announcements(TableScenario.GHZ_TABLE_III)
+_XY, _XZ = (Basis.X, Basis.Y), (Basis.X, Basis.Z)
+_SCHEMES = {
+    ProtocolId.GHZ1: _Scheme(_XY, tuple(a for a in _TABLE_III if a[0] is Basis.X), (Basis.X,)),
+    ProtocolId.GHZ2: _Scheme(_XY, _TABLE_III, _XY),
+    ProtocolId.GHZ3: _Scheme(_XY, _TABLE_III, _XY, center_after_bases=True, efficiency_bound=1.0),
+    ProtocolId.BELL4: _Scheme(_XZ, scenario_announcements(TableScenario.BELL_TABLE_I)),
+    ProtocolId.BELL5: _Scheme(_XZ, scenario_announcements(TableScenario.MIXED_TABLE_II)),
+}
 
 
 def party_bases(protocol: ProtocolId) -> tuple[Basis, Basis]:
     """The two measurement directions each communicator draws from."""
-    if protocol in _GHZ_PROTOCOLS:
-        return (Basis.X, Basis.Y)
-    return (Basis.X, Basis.Z)
+    return _SCHEMES[protocol].bases
 
 
 def prepared_labels(protocol: ProtocolId) -> tuple[TwoQubitLabel, ...]:
-    if protocol is ProtocolId.BELL4:
-        return _BELL4_LABELS
-    if protocol is ProtocolId.BELL5:
-        return _BELL5_LABELS
-    raise ValueError(f"{protocol} does not prepare labeled pairs")
+    scheme = _SCHEMES[protocol]
+    if scheme.center_bases:
+        raise ValueError(f"{protocol} does not prepare labeled pairs")
+    return scheme.announcements
 
 
 def efficiency_bound(protocol: ProtocolId) -> float:
     """Final key bits per prepared state, upper bound."""
-    return 1.0 if protocol is ProtocolId.GHZ3 else 0.5
+    return _SCHEMES[protocol].efficiency_bound
 
 
 def center_basis_rule_p3(alice_basis: Basis, bob_basis: Basis) -> Basis:
@@ -160,37 +184,18 @@ def center_basis_rule_p3(alice_basis: Basis, bob_basis: Basis) -> Basis:
 
 
 def _require_announcement_type(protocol: ProtocolId, announcement):
-    if protocol in _GHZ_PROTOCOLS:
-        if not (isinstance(announcement, tuple) and len(announcement) == 2
-                and isinstance(announcement[0], Basis) and isinstance(announcement[1], Outcome)):
-            raise TypeError(f"{protocol.value} announces a (basis, outcome) pair")
-    else:
-        if not isinstance(announcement, TwoQubitLabel):
-            raise TypeError(f"{protocol.value} announces a pair-state label")
+    if announcement not in _SCHEMES[protocol].announcements:
+        raise TypeError(f"{protocol.value} does not announce {announcement!r}")
 
 
 def keep_rule(protocol: ProtocolId, center_announcement, alice_basis: Basis,
               bob_basis: Basis) -> bool:
-    """Whether a position carries a deterministic correlation."""
+    """Whether a position carries a deterministic correlation: the
+    correlation tables fix Bob's outcome from Alice's, whichever outcome
+    she got."""
     _require_announcement_type(protocol, center_announcement)
-    if protocol is ProtocolId.GHZ1:
-        return alice_basis is bob_basis
-    if protocol is ProtocolId.GHZ2:
-        ann_basis = center_announcement[0]
-        if ann_basis is Basis.X:
-            return alice_basis is bob_basis
-        if ann_basis is Basis.Y:
-            return alice_basis is not bob_basis
-        raise ValueError("GHZ2 announcements use the x/y pool")
-    if protocol is ProtocolId.GHZ3:
-        return True
-    if protocol is ProtocolId.BELL4:
-        return alice_basis is bob_basis
-    if protocol is ProtocolId.BELL5:
-        if center_announcement in _BELL5_SAME_BASIS_LABELS:
-            return alice_basis is bob_basis
-        return alice_basis is not bob_basis
-    raise ValueError(f"unknown protocol {protocol}")
+    return all(deterministic_peer_outcome(center_announcement, alice_basis, outcome, bob_basis)
+               is not None for outcome in Outcome)
 
 
 def consistency_map(protocol: ProtocolId, center_announcement, own_basis: Basis,
@@ -246,20 +251,20 @@ class SessionConfig:
 
 
 def _validate_attack(protocol: ProtocolId, attack: AttackModel):
-    if isinstance(attack, NoAttack):
-        return
-    if isinstance(attack, InterceptResend):
+    scheme = _SCHEMES[protocol]
+    if isinstance(attack, (NoAttack, InterceptResend)):
         return
     if isinstance(attack, CheatingCenterMeasureAll):
-        if protocol not in (ProtocolId.GHZ1, ProtocolId.GHZ2):
-            raise UnsupportedAttackError("cheating center is modeled for GHZ1/GHZ2 only")
-        if protocol is ProtocolId.GHZ1 and attack.basis is not Basis.X:
-            raise UnsupportedAttackError("GHZ1 announcements are x results; cheating basis must be X")
-        if attack.basis is Basis.Z:
-            raise UnsupportedAttackError("announcements use the x/y pool; cheating basis must be X or Y")
+        if not scheme.center_bases or scheme.center_after_bases:
+            raise UnsupportedAttackError(
+                "cheating center is modeled where the center measures before the parties (GHZ1/GHZ2)")
+        if attack.basis not in scheme.center_bases:
+            names = " or ".join(b.value for b in scheme.center_bases)
+            raise UnsupportedAttackError(
+                f"{protocol.value} announces results in {names}; cheating basis must be {names}")
         return
     if isinstance(attack, AncillaEntangle):
-        if protocol not in _GHZ_PROTOCOLS:
+        if not scheme.center_bases:
             raise UnsupportedAttackError("the ancilla attack targets the triplet protocols")
         return
     raise UnsupportedAttackError(f"unknown attack {attack!r}")
@@ -329,21 +334,20 @@ _STREAM_CENTER, _STREAM_ALICE, _STREAM_BOB, _STREAM_EVE, _STREAM_CHANNEL, _STREA
 
 def _events(protocol: ProtocolId, attack: AttackModel) -> list:
     """The session's ordered event log; it depends only on the pairing."""
+    scheme = _SCHEMES[protocol]
     cheating = isinstance(attack, CheatingCenterMeasureAll)
+    center = [("center", "center_measure"), ("center", "announce_results")]
     names = [("center", "prepare_states")]
-    if protocol not in _GHZ_PROTOCOLS:
+    if not scheme.center_bases:
         names.append(("center", "announce_labels"))
     if cheating:
-        names.append(("center", "center_measure"))  # before sending
+        names.append(center.pop(0))  # before sending
     names.append(("channel", "transmit_particles"))
-    if protocol in (ProtocolId.GHZ1, ProtocolId.GHZ2):
-        if not cheating:
-            names.append(("center", "center_measure"))
-        names.append(("center", "announce_results"))
+    if scheme.center_bases and not scheme.center_after_bases:
+        names += center
     names += [("alice", "alice_measure"), ("bob", "bob_measure")]
-    if protocol is ProtocolId.GHZ3:
-        names += [("alice", "send_basis"), ("bob", "send_basis"),
-                  ("center", "center_measure"), ("center", "announce_results")]
+    if scheme.center_after_bases:
+        names += [("alice", "send_basis"), ("bob", "send_basis"), *center]
     names += [("all", "compare_bases_and_sift"), ("bob", "eavesdrop_check"),
               ("all", "encode_key_bits"), ("all", "postprocess")]
     return [{"seq": i, "actor": actor, "event": event} for i, (actor, event) in enumerate(names)]
@@ -369,11 +373,12 @@ def _start_registers(protocol: ProtocolId, probe) -> dict:
     (None for the GHZ triplet), with the ancilla probe attached when
     `probe` is given.  Registers are immutable, so one per key serves
     every position of a session."""
-    if protocol in _GHZ_PROTOCOLS:
+    scheme = _SCHEMES[protocol]
+    if scheme.center_bases:
         starts = {None: Register.from_state(GHZ, ("c", "a", "b"))}
     else:
         starts = {label: Register.from_state(make_two_qubit(label), ("a", "b"))
-                  for label in prepared_labels(protocol)}
+                  for label in scheme.announcements}
     if probe is not None:
         starts = {key: reg.attach_probe("a", "eve", *probe) for key, reg in starts.items()}
     return starts
@@ -400,6 +405,7 @@ def _steps(protocol: ProtocolId, attack: AttackModel) -> tuple:
     (role, bases it may be measured in, resend, stream it draws from).
     With resend a fresh eigenstate of the result replaces the measured
     particle.  The GHZ3 center's basis follows `center_basis_rule_p3`."""
+    scheme = _SCHEMES[protocol]
     steps = []
     cheating = isinstance(attack, CheatingCenterMeasureAll)
     if cheating:
@@ -409,14 +415,12 @@ def _steps(protocol: ProtocolId, attack: AttackModel) -> tuple:
     elif isinstance(attack, InterceptResend):
         role = "a" if attack.target_party is Party.ALICE else "b"
         steps.append((role, _intercept_pool(protocol, attack), True, _STREAM_EVE))
-    if protocol is ProtocolId.GHZ1 and not cheating:
-        steps.append(("c", (Basis.X,), False, _STREAM_CENTER))
-    if protocol is ProtocolId.GHZ2 and not cheating:
-        steps.append(("c", (Basis.X, Basis.Y), False, _STREAM_CENTER))
-    bases = party_bases(protocol)
-    steps += [("a", bases, False, _STREAM_ALICE), ("b", bases, False, _STREAM_BOB)]
-    if protocol is ProtocolId.GHZ3:
-        steps.append(("c", (Basis.X, Basis.Y), False, _STREAM_CENTER))
+    center = ("c", scheme.center_bases, False, _STREAM_CENTER)
+    if scheme.center_bases and not scheme.center_after_bases and not cheating:
+        steps.append(center)
+    steps += [("a", scheme.bases, False, _STREAM_ALICE), ("b", scheme.bases, False, _STREAM_BOB)]
+    if scheme.center_after_bases:
+        steps.append(center)
     if isinstance(attack, AncillaEntangle):
         steps.append(("eve", (Basis.X,), False, _STREAM_EVE))
     return tuple(steps)
@@ -432,13 +436,14 @@ class _Table:
     p_plus[node, basis] is the probability a draw is compared against
     (outcome + iff draw < p_plus), the same float `qstate.measure` uses;
     next[node, basis, outcome] is the node that outcome leads to, -1 for
-    a zero-probability branch.  Announcements are numbered 2 * basis + outcome for the
-    triplet and by prepared label for pairs.  keep[ann, a_basis,
-    b_basis] is the keep rule; expect[ann, a_basis, a_outcome, b_basis]
-    is Bob's key bit as the correlation tables fix it from Alice's
-    record, -1 where they do not; eve_expect[ann, basis, outcome,
-    b_basis] is the adversary's prediction from her own last record, -1
-    where she tosses a coin.  That record is in Alice's place for an
+    a zero-probability branch.  Announcements are numbered 2 * basis +
+    outcome for the triplet and by prepared label for pairs.
+    expect[ann, a_basis, a_outcome, b_basis] is Bob's key bit as the
+    correlation tables fix it from Alice's record, -1 where they do not;
+    keep[ann, a_basis, b_basis], the keep rule, says expect fixes it for
+    both of Alice's outcomes; eve_expect[ann, basis, outcome, b_basis]
+    is the adversary's prediction from her own last record, -1 where she
+    tosses a coin.  That record is in Alice's place for an
     intercepted Alice particle and for the probe's x read-out; for an
     intercepted Bob particle and for a cheating center it is the
     eigenstate sent to Bob.
@@ -483,6 +488,7 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
     follows its basis rule (None off that rule), and what its path
     recorded: the start index, then (basis index, outcome bit) per role,
     a resent particle's under "eve"."""
+    scheme = _SCHEMES[protocol]
     probe = probe_vectors(attack.coupling) if isinstance(attack, AncillaEntangle) else None
     starts = _start_registers(protocol, probe)
     level = [(reg, 1 / len(starts), {"start": i}) for i, reg in enumerate(starts.values())]
@@ -493,7 +499,7 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
         first_child = len(p_plus) + len(level)
         for reg, weight, seen in level:
             followed = bases
-            if protocol is ProtocolId.GHZ3 and role == "c":
+            if scheme.center_after_bases and role == "c":
                 followed = (_BASES[_RULE_P3[seen["a"][0], seen["b"][0]]],)
             p_row = np.full(len(_BASES), np.nan)
             next_row = np.full((len(_BASES), 2), -1)
@@ -519,17 +525,9 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
     p_plus += [np.full(len(_BASES), np.nan)] * len(level)
     nxt += [np.full((len(_BASES), 2), -1)] * len(level)
 
-    if protocol in _GHZ_PROTOCOLS:
-        center_bases = (Basis.X,) if protocol is ProtocolId.GHZ1 else (Basis.X, Basis.Y)
-        announcements = tuple((b, o) for b in center_bases for o in _OUTCOMES)
-    else:
-        announcements = prepared_labels(protocol)
-    bases = party_bases(protocol)
-    keep = np.zeros((len(announcements), len(_BASES), len(_BASES)), dtype=bool)
-    for i, ann in enumerate(announcements):
-        for a, b in itertools.product(bases, bases):
-            keep[i, _BASES.index(a), _BASES.index(b)] = keep_rule(protocol, ann, a, b)
+    announcements, bases = scheme.announcements, scheme.bases
     expect = _peer_table(announcements, bases, bases, deterministic_peer_outcome)
+    keep = (expect >= 0).all(axis=2)  # the tables fix Bob's bit whatever Alice got
     # The adversary's record is filed under "eve": her intercept, the
     # eigenstate a cheating center sent Bob, or the probe's x read-out.
     eve_expect = None
@@ -636,7 +634,8 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
 
     # -- prepare, then transmit (loss) ----------------------------------------
     # Every array below has one entry per position that arrived.
-    is_bell = protocol not in _GHZ_PROTOCOLS
+    scheme = _SCHEMES[protocol]
+    is_bell = not scheme.center_bases
     if is_bell:
         labels = rngs[_STREAM_CENTER].integers(len(table.announcements), size=n)
     present = np.flatnonzero(~_channel_losses(rngs[_STREAM_CHANNEL], n, loss_a, loss_b))
@@ -651,7 +650,7 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     # (basis, outcome bit) per position, a resent particle's under "eve",
     # as `_compile` files it.
     rec, coins = {}, None
-    ruled = "c" if protocol is ProtocolId.GHZ3 else None  # the role whose basis follows the rule
+    ruled = "c" if scheme.center_after_bases else None  # the role whose basis follows the rule
     for stream, run in itertools.groupby(table.steps, key=lambda step: step[3]):
         run = [(role, bases, resend, role != ruled and len(bases) > 1) for role, bases, resend, _ in run]
         slots = []
@@ -700,8 +699,6 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     kept_at = np.flatnonzero(table.keep[ann, a_basis, b_basis])
     kept_count = len(kept_at)
     predicted = table.expect[ann, a_basis, a_out, b_basis]  # Alice's key bits where kept
-    if np.any(predicted[kept_at] < 0):
-        raise LookupError("the keep rule admitted a position with no deterministic correlation")
 
     # -- eavesdrop check -------------------------------------------------------
     report, checked = eavesdrop_check(predicted[kept_at] != b_out[kept_at], config.check_fraction,
@@ -795,22 +792,18 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
         adversary=adversary_section,
         kept_count=kept_count,
         efficiency_measured=len(alice_final) / n,
-        efficiency_bound=efficiency_bound(protocol),
+        efficiency_bound=scheme.efficiency_bound,
     )
     return transcript
 
 
 def _adversary_section(config, report, records, observed_accuracy):
     attack = config.attack
-    params: dict[str, object] = {}
+    resolved = attack
     if isinstance(attack, InterceptResend):
-        pool = _intercept_pool(config.protocol, attack)
-        params = {"target_party": attack.target_party.value,
-                  "basis_pool": [b.value for b in pool]}
-    elif isinstance(attack, CheatingCenterMeasureAll):
-        params = {"basis": attack.basis.value}
-    elif isinstance(attack, AncillaEntangle):
-        params = {"coupling": attack.coupling}
+        resolved = replace(attack, basis_pool=_intercept_pool(config.protocol, attack))
+    params = _attack_json(resolved)
+    del params["kind"]
     return {
         "kind": attack.kind,
         "params": params,
@@ -833,18 +826,16 @@ def _announcement_json(ann):
     return {"basis": ann[0].value, "outcome": ann[1].value}
 
 
-def _attack_json(attack: AttackModel):
-    if isinstance(attack, NoAttack):
-        return {"kind": "none"}
+def _attack_json(attack: AttackModel) -> dict:
+    doc = {"kind": attack.kind}
     if isinstance(attack, InterceptResend):
-        return {
-            "kind": attack.kind,
-            "target_party": attack.target_party.value,
-            "basis_pool": None if attack.basis_pool is None else [b.value for b in attack.basis_pool],
-        }
-    if isinstance(attack, CheatingCenterMeasureAll):
-        return {"kind": attack.kind, "basis": attack.basis.value}
-    return {"kind": attack.kind, "coupling": attack.coupling}
+        doc["target_party"] = attack.target_party.value
+        doc["basis_pool"] = None if attack.basis_pool is None else [b.value for b in attack.basis_pool]
+    elif isinstance(attack, CheatingCenterMeasureAll):
+        doc["basis"] = attack.basis.value
+    elif isinstance(attack, AncillaEntangle):
+        doc["coupling"] = attack.coupling
+    return doc
 
 
 def attack_from_json(doc) -> AttackModel:
@@ -853,6 +844,8 @@ def attack_from_json(doc) -> AttackModel:
         return NoAttack()
     if kind == "intercept_resend":
         pool = doc.get("basis_pool")
+        if pool is not None and not isinstance(pool, list):
+            raise ValueError(f"basis_pool: expected a list, got {type(pool).__name__}")
         return InterceptResend(
             target_party=Party(doc.get("target_party", "alice")),
             basis_pool=None if pool is None else tuple(Basis(b) for b in pool),
@@ -876,14 +869,21 @@ def config_to_json_dict(config: SessionConfig) -> dict:
     }
 
 
+def _integer(value, key: str) -> int:
+    """int(value), refusing to truncate a fractional number."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_json_dict(doc: dict) -> SessionConfig:
     return SessionConfig(
         protocol=ProtocolId(doc["protocol"]),
-        num_states=int(doc["num_states"]),
+        num_states=_integer(doc["num_states"], "num_states"),
         check_fraction=float(doc.get("check_fraction", 0.1)),
         qber_abort_threshold=float(doc.get("qber_abort_threshold", 0.0)),
         loss_probability=float(doc.get("loss_probability", 0.0)),
-        rng_seed=int(doc.get("rng_seed", 0)),
+        rng_seed=_integer(doc.get("rng_seed", 0), "rng_seed"),
         attack=attack_from_json(doc.get("attack", {"kind": "none"})),
     )
 
@@ -945,13 +945,12 @@ SUMMARY_CSV_HEADER = ("protocol,num_states,loss,attack,kept_fraction,qber,aborte
 
 def summary_csv_row(transcript: SessionTranscript) -> str:
     c = transcript.config
-    attack = c.attack.kind if not isinstance(c.attack, NoAttack) else "none"
     return ",".join(
         [
             c.protocol.value,
             str(c.num_states),
             repr(c.loss_probability),
-            attack,
+            c.attack.kind,
             repr(transcript.kept_fraction),
             repr(transcript.check_report.qber),
             str(transcript.check_report.aborted).lower(),

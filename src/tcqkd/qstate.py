@@ -53,9 +53,6 @@ class Outcome(Enum):
     def bit(self) -> int:
         return 0 if self is Outcome.PLUS else 1
 
-    def flipped(self) -> "Outcome":
-        return Outcome.MINUS if self is Outcome.PLUS else Outcome.PLUS
-
 
 class TwoQubitLabel(Enum):
     """Names for the four maximally entangled pair states and the two
@@ -362,6 +359,7 @@ _X, _Y, _Z = Basis.X, Basis.Y, Basis.Z
 
 # Hand-transcribed reference tables.  Every derived entry is checked
 # against these; disagreements are flagged, never silently corrected.
+# Key order is the paper's: announcement columns, then Alice's rows.
 _REFERENCE = {
     TableScenario.BELL_TABLE_I: {
         TwoQubitLabel.PSI_PLUS: {(_X, _P): (_X, _P), (_X, _M): (_X, _M), (_Z, _P): (_Z, _P), (_Z, _M): (_Z, _M)},
@@ -385,27 +383,10 @@ _REFERENCE = {
     },
 }
 
-_SCENARIO_ALICE_ROWS = {
-    TableScenario.BELL_TABLE_I: ((_X, _P), (_X, _M), (_Z, _P), (_Z, _M)),
-    TableScenario.MIXED_TABLE_II: ((_X, _P), (_X, _M), (_Z, _P), (_Z, _M)),
-    TableScenario.GHZ_TABLE_III: ((_X, _P), (_X, _M), (_Y, _P), (_Y, _M)),
-}
 
-_SCENARIO_ANNOUNCEMENTS = {
-    TableScenario.BELL_TABLE_I: (
-        TwoQubitLabel.PSI_PLUS,
-        TwoQubitLabel.PSI_MINUS,
-        TwoQubitLabel.PHI_PLUS,
-        TwoQubitLabel.PHI_MINUS,
-    ),
-    TableScenario.MIXED_TABLE_II: (
-        TwoQubitLabel.PHI_PLUS,
-        TwoQubitLabel.PSI_MINUS,
-        TwoQubitLabel.COMB_PHI_MINUS,
-        TwoQubitLabel.COMB_PSI_PLUS,
-    ),
-    TableScenario.GHZ_TABLE_III: ((_X, _P), (_X, _M), (_Y, _P), (_Y, _M)),
-}
+def scenario_announcements(scenario: TableScenario) -> tuple:
+    """The scenario's center announcements in the table's column order."""
+    return tuple(_REFERENCE[scenario])
 
 
 @lru_cache(maxsize=None)
@@ -451,15 +432,14 @@ def derive_correlation_table(scenario: TableScenario) -> CorrelationTable:
     and compares the result against the reference transcription.
     """
     entries = []
-    for announcement in _SCENARIO_ANNOUNCEMENTS[scenario]:
-        for alice_basis, alice_outcome in _SCENARIO_ALICE_ROWS[scenario]:
+    for announcement, column in _REFERENCE[scenario].items():
+        for (alice_basis, alice_outcome), ref in column.items():
             derived = None
             for bob_basis in (Basis.X, Basis.Y, Basis.Z):
                 out = deterministic_peer_outcome(announcement, alice_basis, alice_outcome, bob_basis)
                 if out is not None:
                     derived = (bob_basis, out)
                     break
-            ref = _REFERENCE[scenario][announcement][(alice_basis, alice_outcome)]
             entries.append(
                 TableEntry(
                     announcement=announcement,
@@ -518,8 +498,8 @@ def table_to_text(table: CorrelationTable) -> str:
     """Aligned four-column layout: one column per announcement, row
     pairs of Alice's state and Bob's derived state.  Entries that
     disagree with the reference transcription carry a '*'."""
-    announcements = _SCENARIO_ANNOUNCEMENTS[table.scenario]
-    rows = _SCENARIO_ALICE_ROWS[table.scenario]
+    announcements = dict.fromkeys(e.announcement for e in table.entries)
+    rows = dict.fromkeys((e.alice_basis, e.alice_outcome) for e in table.entries)
     width = 10
     header = f"{table.scenario.value}\n"
     header += "Center".ljust(width) + "".join(_column_header(a).ljust(width) for a in announcements)

@@ -205,6 +205,15 @@ class TestConfigFile:
         assert main(["run", "--protocol", "GHZ1", "--num-states", "400", "--seed", "5"]) == 0
         assert capsys.readouterr().out == from_file
 
+    def test_unknown_key_one_line_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("num_state=400\nsede=5\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "run", "--protocol", "GHZ1",
+                     "--num-states", "200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cfg}: unknown key 'num_state'\n"
+        assert captured.out == ""
+
     def test_config_without_path_one_line_exit_1(self, capsys):
         assert main(["--config"]) == 1
         assert capsys.readouterr().err == "error: argument --config: expected one argument\n"

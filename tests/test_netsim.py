@@ -47,6 +47,29 @@ MALFORMED_SCENARIOS = {
          "sessions": [{"requester": "a", "responder": "b",
                        "config": {"protocol": "GHZ1", "num_states": "x"}}]},
         "sessions[0].config: invalid literal for int() with base 10: 'x'"),
+    "num_states_fraction": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": 2000.9}}]},
+        "sessions[0].config: num_states: expected an integer, got 2000.9"),
+    "rng_seed_fraction": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": 2000, "rng_seed": 7.8}}]},
+        "sessions[0].config: rng_seed: expected an integer, got 7.8"),
+    "num_states_infinite": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": float("inf")}}]},
+        "sessions[0].config: num_states: expected an integer, got inf"),
+    "basis_pool_text": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": 2000,
+                                  "attack": {"kind": "intercept_resend", "basis_pool": "XZ"}}}]},
+        "sessions[0].config: basis_pool: expected a list, got str"),
+    "seed_fraction": ({"users": ["a"], "seed": 7.8}, "seed: expected an integer, got 7.8"),
+    "seed_infinite": ({"users": ["a"], "seed": float("inf")}, "seed: expected a number, got inf"),
 }
 
 

@@ -1,9 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from tcqkd import protocols
 from tcqkd.adversary import InterceptResend, NoAttack
 from tcqkd.protocols import (
     ProtocolId,
@@ -13,16 +15,35 @@ from tcqkd.protocols import (
     consistency_map,
     efficiency_bound,
     keep_rule,
+    party_bases,
+    prepared_labels,
     run_session,
     summary_csv_row,
     SUMMARY_CSV_HEADER,
     transcript_to_json,
     transcript_to_json_dict,
 )
-from tcqkd.qstate import Basis, Outcome, TwoQubitLabel
+from tcqkd.qstate import Basis, Outcome, TableScenario, TwoQubitLabel, derive_correlation_table
 
 P, M = Outcome.PLUS, Outcome.MINUS
 X, Y, Z = Basis.X, Basis.Y, Basis.Z
+L = TwoQubitLabel
+
+# The paper's correlation tables' columns: what the center announces.
+TABLE_I = (L.PSI_PLUS, L.PSI_MINUS, L.PHI_PLUS, L.PHI_MINUS)
+TABLE_II = (L.PHI_PLUS, L.PSI_MINUS, L.COMB_PHI_MINUS, L.COMB_PSI_PLUS)
+TABLE_III = ((X, P), (X, M), (Y, P), (Y, M))
+
+# Each protocol's announcements and keep rule, as the paper states them.
+PAPER_RULES = {
+    ProtocolId.GHZ1: (TABLE_III[:2], lambda ann, a, b: a is b),
+    ProtocolId.GHZ2: (TABLE_III, lambda ann, a, b: (a is b) == (ann[0] is X)),
+    # Every reachable combination is kept; the center's basis follows
+    # the disclosed bases, so no other combination occurs.
+    ProtocolId.GHZ3: (TABLE_III, lambda ann, a, b: ann[0] is center_basis_rule_p3(a, b)),
+    ProtocolId.BELL4: (TABLE_I, lambda ann, a, b: a is b),
+    ProtocolId.BELL5: (TABLE_II, lambda ann, a, b: (a is b) == (ann in (L.PHI_PLUS, L.PSI_MINUS))),
+}
 
 
 class TestCenterBasisRule:
@@ -71,6 +92,32 @@ class TestKeepRule:
             keep_rule(ProtocolId.GHZ1, TwoQubitLabel.PSI_PLUS, X, X)
         with pytest.raises(TypeError):
             keep_rule(ProtocolId.BELL4, (X, P), X, X)
+
+    @pytest.mark.parametrize("protocol", list(ProtocolId))
+    def test_keep_rule_is_the_papers(self, protocol):
+        announcements, rule = PAPER_RULES[protocol]
+        bases = party_bases(protocol)
+        for ann, a, b in itertools.product(announcements, bases, bases):
+            assert keep_rule(protocol, ann, a, b) == rule(ann, a, b), (ann, a, b)
+
+    @pytest.mark.parametrize("protocol", list(ProtocolId))
+    def test_only_the_protocols_announcements_accepted(self, protocol):
+        announcements, _ = PAPER_RULES[protocol]
+        for ann in set(TABLE_I + TABLE_II + TABLE_III + ((Z, P), (Z, M))) - set(announcements):
+            with pytest.raises(TypeError):
+                keep_rule(protocol, ann, X, X)
+
+    def test_announcements_are_the_tables_columns(self):
+        def columns(scenario):
+            entries = derive_correlation_table(scenario).entries
+            return tuple(dict.fromkeys(e.announcement for e in entries))
+
+        assert columns(TableScenario.BELL_TABLE_I) == TABLE_I == prepared_labels(ProtocolId.BELL4)
+        assert columns(TableScenario.MIXED_TABLE_II) == TABLE_II == prepared_labels(ProtocolId.BELL5)
+        assert columns(TableScenario.GHZ_TABLE_III) == TABLE_III
+        for protocol in (ProtocolId.GHZ1, ProtocolId.GHZ2, ProtocolId.GHZ3):
+            table = protocols._compile(protocol, NoAttack())
+            assert table.announcements == PAPER_RULES[protocol][0]
 
 
 class TestConsistencyMap:

@@ -294,6 +294,7 @@ def test_prediction_tables_match_correlation_tables(protocol, attack):
             assert ann == (BASES[i // 2], OUTCOMES[i % 2])
     else:
         assert anns == prepared_labels(protocol)
+    assert (table.keep == (table.expect >= 0).all(axis=2)).all()
     bases = party_bases(protocol)
     for i, ann in enumerate(anns):
         for a, o, b in itertools.product(bases, OUTCOMES, bases):
