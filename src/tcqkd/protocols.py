@@ -76,6 +76,18 @@ the order of one scalar call per position and step
 (`replay.replay_draws`), so transcripts are the same bytes as
 position-by-position sampling gives, and a stream left for a later
 phase (Bob's check sample, a coin) is in the same state.
+
+A transcript stores its positions as columns, never as objects: lost,
+announcement index, Alice's and Bob's basis and outcome (-1 for None),
+kept and used_for_check (`_Positions`), and the adversary's records as
+position, shown basis, outcome and inferred bit (`_AdversaryRecords`).
+Both are read-only sequences that build a `PositionRecord`, resp. a
+dict, on index, slice or iteration.  `transcript_to_json` writes them
+from a fragment table: each distinct combination of the columns is
+dumped once through `json.dumps`, and an item is its leading
+`{"index":` or `{"position":`, its number, then its combination's
+fragment.  The rest of the document goes through `json.dumps`, so the
+bytes are those of dumping `transcript_to_json_dict` whole.
 """
 
 from __future__ import annotations
@@ -83,6 +95,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
@@ -192,8 +205,12 @@ def keep_rule(protocol: ProtocolId, center_announcement, alice_basis: Basis,
               bob_basis: Basis) -> bool:
     """Whether a position carries a deterministic correlation: the
     correlation tables fix Bob's outcome from Alice's, whichever outcome
-    she got."""
+    she got.  Both bases must be in the protocol's pool."""
     _require_announcement_type(protocol, center_announcement)
+    pool = _SCHEMES[protocol].bases
+    if alice_basis not in pool or bob_basis not in pool:
+        names = "/".join(b.value.lower() for b in pool)
+        raise ValueError(f"{protocol.value} uses the {names} pool only")
     return all(deterministic_peer_outcome(center_announcement, alice_basis, outcome, bob_basis)
                is not None for outcome in Outcome)
 
@@ -270,6 +287,12 @@ def _validate_attack(protocol: ProtocolId, attack: AttackModel):
     raise UnsupportedAttackError(f"unknown attack {attack!r}")
 
 
+# The compiled session stores a basis as its index here and an outcome
+# as its key bit.
+_BASES = tuple(Basis)
+_OUTCOMES = (Outcome.PLUS, Outcome.MINUS)
+
+
 @dataclass
 class PositionRecord:
     index: int
@@ -281,6 +304,120 @@ class PositionRecord:
     bob_outcome: Outcome | None
     kept: bool
     used_for_check: bool
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+class _Columns(Sequence):
+    """A read-only sequence whose items are built on access from
+    equal-length columns, never stored.  `first` holds each item's first
+    JSON value, an integer (a range or an integer array); the other
+    columns are small integers with -1 for None.
+
+    `write_json` writes the compact JSON array of the items' dicts
+    (`_json`) from a fragment table: the items sharing one combination of
+    the other columns differ only in their first value, so each
+    combination is dumped once, through `json.dumps` from its first item,
+    and an item is `head`, its first value, then its combination's
+    text."""
+
+    head = ""  # an item's JSON text up to its first value
+
+    def __init__(self, lookup, first, *columns):
+        self._lookup = lookup  # what `_item` decodes column values with
+        self._first = first
+        self._columns = columns
+
+    def _json(self, item) -> dict:
+        return item
+
+    def __len__(self) -> int:
+        return len(self._first)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._item(int(self._first[i]), *(c[i].item() for c in self._columns))
+
+    def _first_values(self):
+        return self._first.tolist() if isinstance(self._first, np.ndarray) else self._first
+
+    def __iter__(self):
+        return itertools.starmap(self._item, zip(self._first_values(),
+                                                 *(c.tolist() for c in self._columns)))
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self._lookup == other._lookup
+                and all(np.array_equal(a, b) for a, b in
+                        zip((self._first, *self._columns), (other._first, *other._columns))))
+
+    def write_json(self, out: list):
+        """Append the array's text to out, in pieces: per item its first
+        value, then its combination's text up to the next item's first
+        value."""
+        if not len(self):
+            out.append("[]")
+            return
+        digits = [c.astype(np.intp) + 1 for c in self._columns]
+        codes = np.ravel_multi_index(digits, [int(d.max()) + 1 for d in digits])
+        _, at, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        glue = "," + self.head
+        tails = [_dumps(self._json(self[i]))[len(self.head) + len(str(self._first[i])):] + glue
+                 for i in at.tolist()]
+        pieces = [None] * (2 * len(self))
+        pieces[0::2] = map(str, self._first_values())
+        pieces[1::2] = np.array(tails, dtype=object)[inverse].tolist()
+        pieces[-1] = pieces[-1][:-len(glue)] + "]"
+        out.append("[" + self.head)
+        out += pieces
+
+
+# Column value -> object; -1 indexes the trailing None.
+_BASES_OR_NONE = (*_BASES, None)
+_OUTCOMES_OR_NONE = (*_OUTCOMES, None)
+
+
+class _Positions(_Columns):
+    """A session's positions, one `PositionRecord` per prepared state,
+    built on access.  Built as (announcements + (None,), range(n), lost,
+    announcement, Alice's basis, Bob's basis, Alice's outcome, Bob's
+    outcome, kept, used_for_check): the announcement is an index in the
+    announcements, a basis one in `Basis` and an outcome its key bit."""
+
+    head = '{"index":'
+
+    def _item(self, index, lost, announcement, a_basis, b_basis, a_out, b_out, kept, checked):
+        return PositionRecord(index, lost, self._lookup[announcement],
+                              _BASES_OR_NONE[a_basis], _BASES_OR_NONE[b_basis],
+                              _OUTCOMES_OR_NONE[a_out], _OUTCOMES_OR_NONE[b_out], kept, checked)
+
+    def _json(self, p: PositionRecord) -> dict:
+        return {
+            "index": p.index,
+            "lost": p.lost,
+            "center_announcement": _announcement_json(p.center_announcement),
+            "alice_basis": None if p.alice_basis is None else p.alice_basis.value,
+            "bob_basis": None if p.bob_basis is None else p.bob_basis.value,
+            "alice_outcome": None if p.alice_outcome is None else p.alice_outcome.value,
+            "bob_outcome": None if p.bob_outcome is None else p.bob_outcome.value,
+            "kept": p.kept,
+            "used_for_check": p.used_for_check,
+        }
+
+
+class _AdversaryRecords(_Columns):
+    """The adversary's record per arrived position, as a dict built on
+    access.  Built as (prefix, position, basis, outcome, inferred bit):
+    the basis she shows is an index in `Basis`, named with the prefix,
+    and her outcome is its key bit."""
+
+    head = '{"position":'
+
+    def _item(self, position, basis, outcome, bit):
+        return {"position": position, "basis_used": self._lookup + _BASES_OR_NONE[basis].value,
+                "outcome": _OUTCOMES_OR_NONE[outcome].value, "inferred_bit": bit}
 
 
 @dataclass
@@ -307,7 +444,7 @@ class PostprocSummary:
 @dataclass
 class SessionTranscript:
     config: SessionConfig
-    positions: list
+    positions: _Positions
     events: list
     check_report: CheckReport
     alice_raw_key: str
@@ -382,12 +519,6 @@ def _start_registers(protocol: ProtocolId, probe) -> dict:
     if probe is not None:
         starts = {key: reg.attach_probe("a", "eve", *probe) for key, reg in starts.items()}
     return starts
-
-
-# The compiled session stores a basis as its index here and an outcome
-# as its key bit.
-_BASES = tuple(Basis)
-_OUTCOMES = (Outcome.PLUS, Outcome.MINUS)
 
 
 # _RULE_P3[a_basis, b_basis]: the GHZ3 center's basis index for Alice's
@@ -591,28 +722,20 @@ def predict_adversary_accuracy(protocol: ProtocolId, attack: AttackModel) -> flo
 def _channel_losses(rng: np.random.Generator, n: int, loss_a: float, loss_b: float) -> np.ndarray:
     """Per-position erasure.  Alice's leg draws first and Bob's leg draws
     only when her particle arrived, so a position takes one or two draws:
-    draw 2n and walk them in that order."""
+    draw 2n and walk them in that order.
+
+    The walk j -> j + 1 + (not lost_a[j]) visits draw 0 and every draw
+    right after one below loss_a: after a visited one Alice's particle
+    was lost, and a skipped draw is always followed by a visited one.
+    Between such restarts it strides by two, so it visits draw j exactly
+    when j lies an even distance past the last restart at or before it.
+    Position i starts at the i-th visited draw."""
     draws = rng.random(2 * n)
-    lost_a = (draws < loss_a).tolist()
-    lost_b = (draws < loss_b).tolist()
-    lost = [False] * n
-    j = 0
-    for i in range(n):
-        if lost_a[j]:
-            lost[i] = True
-            j += 1
-        else:
-            lost[i] = lost_b[j + 1]
-            j += 2
-    return np.array(lost, dtype=bool)
-
-
-def _object_column(objects, index: np.ndarray) -> list:
-    """[objects[i] for i in index], through an object array."""
-    table = np.empty(len(objects), dtype=object)
-    for i, obj in enumerate(objects):
-        table[i] = obj
-    return table[index].tolist()
+    lost_a, lost_b = draws < loss_a, draws < loss_b
+    j = np.arange(2 * n)
+    restart = np.where(np.concatenate(([True], lost_a[:-1])), j, 0)
+    start = np.flatnonzero((j - np.maximum.accumulate(restart)) % 2 == 0)[:n]
+    return lost_a[start] | lost_b[start + 1]
 
 
 def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = None) -> SessionTranscript:
@@ -748,36 +871,24 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
         hits = int(np.count_nonzero(inferred[in_key] == b_out[in_key]))
         # A cheating center reports its own triplet measurement.
         shown_basis, shown_out = rec["c"] if isinstance(attack, CheatingCenterMeasureAll) else rec["eve"]
-        prefix = "probe-" if isinstance(attack, AncillaEntangle) else ""
-        records = [
-            {"position": i, "basis_used": s, "outcome": o, "inferred_bit": bit}
-            for i, s, o, bit in zip(present.tolist(),
-                                    _object_column([prefix + b.value for b in _BASES], shown_basis),
-                                    _object_column([o.value for o in _OUTCOMES], shown_out),
-                                    inferred.tolist())
-        ]
+        records = _AdversaryRecords("probe-" if isinstance(attack, AncillaEntangle) else "", present,
+                                    shown_basis.astype(np.int8), shown_out.astype(np.int8),
+                                    inferred.astype(np.int8))
         adversary_section = _adversary_section(config, report, records,
                                                 hits / total if total else None)
 
-    # -- transcript records, one per prepared state -------------------------------
-    def column(objects, values):
-        """objects[value] per position, None where the position was lost."""
-        index = np.full(n, len(objects))
-        index[present] = values
-        return _object_column(tuple(objects) + (None,), index)
-
-    lost = np.ones(n, dtype=bool)
-    lost[present] = False
+    # -- transcript columns, one entry per prepared state, -1 where lost ---------------
+    columns = np.full((5, n), -1, dtype=np.int8)
+    columns[:, present] = ann, a_basis, b_basis, a_out, b_out
+    if is_bell:
+        columns[0] = labels  # the center announced every prepared pair's label
     kept = np.zeros(n, dtype=bool)
     kept[present[kept_at]] = True
     used_for_check = np.zeros(n, dtype=bool)
     used_for_check[present[kept_at[checked]]] = True
-    positions = list(map(
-        PositionRecord, range(n), lost.tolist(),
-        _object_column(table.announcements, labels) if is_bell else column(table.announcements, ann),
-        column(_BASES, a_basis), column(_BASES, b_basis),
-        column(_OUTCOMES, a_out), column(_OUTCOMES, b_out),
-        kept.tolist(), used_for_check.tolist()))
+    lost = columns[1] < 0  # Alice measured every arrived position
+    positions = _Positions((*table.announcements, None), range(n), lost, *columns,
+                           kept, used_for_check)
 
     transcript = SessionTranscript(
         config=config,
@@ -839,6 +950,8 @@ def _attack_json(attack: AttackModel) -> dict:
 
 
 def attack_from_json(doc) -> AttackModel:
+    if not isinstance(doc, dict):
+        raise ValueError(f"attack: expected an object, got {type(doc).__name__}")
     kind = doc.get("kind", "none")
     if kind == "none":
         return NoAttack()
@@ -888,26 +1001,15 @@ def config_from_json_dict(doc: dict) -> SessionConfig:
     )
 
 
-def transcript_to_json_dict(transcript: SessionTranscript) -> dict:
+def _document(transcript: SessionTranscript) -> dict:
+    """The transcript document, positions and adversary records still
+    as their column sequences."""
     cr = transcript.check_report
     return {
         "schema_version": 1,
         "config": config_to_json_dict(transcript.config),
         "events": transcript.events,
-        "positions": [
-            {
-                "index": p.index,
-                "lost": p.lost,
-                "center_announcement": _announcement_json(p.center_announcement),
-                "alice_basis": None if p.alice_basis is None else p.alice_basis.value,
-                "bob_basis": None if p.bob_basis is None else p.bob_basis.value,
-                "alice_outcome": None if p.alice_outcome is None else p.alice_outcome.value,
-                "bob_outcome": None if p.bob_outcome is None else p.bob_outcome.value,
-                "kept": p.kept,
-                "used_for_check": p.used_for_check,
-            }
-            for p in transcript.positions
-        ],
+        "positions": transcript.positions,
         "check_report": {
             "checked_count": cr.checked_count,
             "error_count": cr.error_count,
@@ -935,8 +1037,41 @@ def transcript_to_json_dict(transcript: SessionTranscript) -> dict:
     }
 
 
+def _plain(value):
+    """value with every column sequence in it, at any depth of dicts,
+    replaced by the list of its items' dicts."""
+    if isinstance(value, _Columns):
+        return [value._json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    return value
+
+
+def _write_json(value, out: list):
+    """Append `_dumps(_plain(value))` to out, in pieces, with column
+    sequences written from their fragment tables.  Keys are strings, as
+    in every transcript dict."""
+    if isinstance(value, _Columns):
+        value.write_json(out)
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, (key, v) in enumerate(value.items()):
+            out.append(f"{',' if i else ''}{_dumps(key)}:")
+            _write_json(v, out)
+        out.append("}")
+    else:
+        out.append(_dumps(value))
+
+
+def transcript_to_json_dict(transcript: SessionTranscript) -> dict:
+    return _plain(_document(transcript))
+
+
 def transcript_to_json(transcript: SessionTranscript) -> str:
-    return json.dumps(transcript_to_json_dict(transcript), separators=(",", ":")) + "\n"
+    out = []
+    _write_json(_document(transcript), out)
+    out.append("\n")
+    return "".join(out)
 
 
 SUMMARY_CSV_HEADER = ("protocol,num_states,loss,attack,kept_fraction,qber,aborted,"

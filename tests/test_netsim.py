@@ -68,6 +68,11 @@ MALFORMED_SCENARIOS = {
                        "config": {"protocol": "GHZ1", "num_states": 2000,
                                   "attack": {"kind": "intercept_resend", "basis_pool": "XZ"}}}]},
         "sessions[0].config: basis_pool: expected a list, got str"),
+    "attack_text": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": 2000, "attack": "none"}}]},
+        "sessions[0].config: attack: expected an object, got str"),
     "seed_fraction": ({"users": ["a"], "seed": 7.8}, "seed: expected an integer, got 7.8"),
     "seed_infinite": ({"users": ["a"], "seed": float("inf")}, "seed: expected a number, got inf"),
 }

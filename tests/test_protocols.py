@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,6 +100,19 @@ class TestKeepRule:
         bases = party_bases(protocol)
         for ann, a, b in itertools.product(announcements, bases, bases):
             assert keep_rule(protocol, ann, a, b) == rule(ann, a, b), (ann, a, b)
+
+    @pytest.mark.parametrize("protocol", list(ProtocolId))
+    def test_keep_rule_is_the_compiled_table_on_the_pool(self, protocol):
+        table = protocols._compile(protocol, NoAttack())
+        pool = party_bases(protocol)
+        names = "/".join(b.value.lower() for b in pool)
+        for (i, ann), a, b in itertools.product(enumerate(table.announcements), Basis, Basis):
+            if a in pool and b in pool:
+                assert keep_rule(protocol, ann, a, b) == table.keep[i, list(Basis).index(a),
+                                                                    list(Basis).index(b)]
+            else:
+                with pytest.raises(ValueError, match=f"^{protocol.value} uses the {names} pool only$"):
+                    keep_rule(protocol, ann, a, b)
 
     @pytest.mark.parametrize("protocol", list(ProtocolId))
     def test_only_the_protocols_announcements_accepted(self, protocol):
@@ -252,6 +266,71 @@ class TestEventOrdering:
     def test_event_sequence_numbers(self):
         tr = run_session(SessionConfig(ProtocolId.BELL4, 100, rng_seed=2))
         assert [e["seq"] for e in tr.events] == list(range(len(tr.events)))
+
+
+def scalar_channel_losses(draws, n, loss_a, loss_b):
+    """The erasure walk one position at a time: Bob's leg draws only
+    when Alice's particle arrived."""
+    lost, j = [], 0
+    for _ in range(n):
+        if draws[j] < loss_a:
+            lost.append(True)
+            j += 1
+        else:
+            lost.append(bool(draws[j + 1] < loss_b))
+            j += 2
+    return lost
+
+
+class TestChannelLosses:
+    @pytest.mark.parametrize("loss_a, loss_b", [
+        (0.0, 0.0), (1.0, 1.0), (0.0, 0.3), (0.3, 0.3), (0.5, 0.5), (0.02, 0.2), (0.3, 0.0),
+        (1.0, 0.0), (0.0, 1.0), (0.9, 0.1)])
+    def test_equals_the_scalar_walk(self, loss_a, loss_b):
+        for seed, n in enumerate([1, 2, 3, 17, 1000, 4001]):
+            draws = np.random.default_rng(seed).random(2 * n)
+            lost = protocols._channel_losses(np.random.default_rng(seed), n, loss_a, loss_b)
+            assert lost.dtype == bool
+            assert lost.tolist() == scalar_channel_losses(draws, n, loss_a, loss_b)
+
+
+class TestPositions:
+    CONFIG = SessionConfig(ProtocolId.GHZ2, 500, loss_probability=0.2, rng_seed=5,
+                           qber_abort_threshold=0.5, attack=InterceptResend())
+
+    def test_sequence_behaviour(self):
+        positions = run_session(self.CONFIG).positions
+        records = list(positions)
+        assert len(positions) == len(records) == 500
+        assert [p.index for p in records] == list(range(500))
+        assert positions[-1] == records[-1] and positions[-500] == records[0]
+        assert positions[3] == records[3]
+        for bad in (500, -501):
+            with pytest.raises(IndexError):
+                positions[bad]
+        assert positions[10:20] == records[10:20]
+        assert positions[::-7] == records[::-7]
+        assert positions[490:600] == records[490:]
+        assert positions[5:5] == []
+        lost = [p for p in records if p.lost]
+        assert lost and all(p.alice_basis is p.bob_outcome is p.center_announcement is None
+                            for p in lost)
+
+    def test_equal_between_runs_of_one_seed(self):
+        first, second = run_session(self.CONFIG), run_session(self.CONFIG)
+        assert list(first.positions) == list(second.positions)
+        assert first.positions == second.positions
+        assert first == second
+        other = run_session(replace(self.CONFIG, rng_seed=6))
+        assert first.positions != other.positions
+
+    def test_adversary_records(self):
+        tr = run_session(self.CONFIG)
+        records = tr.adversary["records"]
+        arrived = [p.index for p in tr.positions if not p.lost]
+        assert [r["position"] for r in records] == arrived
+        assert records[-1] == list(records)[-1]
+        assert set(records[0]) == {"position", "basis_used", "outcome", "inferred_bit"}
 
 
 class TestDeterminismAndSerialization:

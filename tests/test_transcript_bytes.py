@@ -9,13 +9,20 @@ registers, reconciliation and the Toeplitz hash.
 
 import hashlib
 import json
+import os
 
 import pytest
 
 from tcqkd import protocols
 from tcqkd.cli import main
 from tcqkd.adversary import AncillaEntangle, CheatingCenterMeasureAll, InterceptResend, Party
-from tcqkd.protocols import ProtocolId, SessionConfig, run_session, transcript_to_json
+from tcqkd.protocols import (
+    ProtocolId,
+    SessionConfig,
+    run_session,
+    transcript_to_json,
+    transcript_to_json_dict,
+)
 from tcqkd.qstate import GHZ, Basis, Outcome, TwoQubitLabel, make_eigenstate, make_two_qubit
 
 N = 3000
@@ -175,6 +182,37 @@ def test_transcript_digest_pinned(name):
 def test_more_transcript_digests_pinned(name):
     config, leg_loss, expected = MORE_CASES[name]
     assert digest(run_session(config, leg_loss=leg_loss)) == expected
+
+
+def assert_exact_route(transcript):
+    """transcript_to_json equals the document dumped whole by
+    `json.dumps`, positions and adversary records as lists of dicts built
+    from their items.  A difference is reported by its offset: a diff of
+    two long documents would take minutes."""
+    fast = transcript_to_json(transcript)
+    exact = json.dumps(transcript_to_json_dict(transcript), separators=(",", ":")) + "\n"
+    if fast != exact:
+        at = len(os.path.commonprefix([fast, exact]))
+        pytest.fail(f"first difference at offset {at}: "
+                    f"{fast[at - 80:at + 80]!r} != {exact[at - 80:at + 80]!r}")
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(MORE_CASES))
+def test_fragment_writer_is_the_exact_route(name):
+    if name in CASES:
+        transcript = run_session(CASES[name][0])
+    else:
+        config, leg_loss, _ = MORE_CASES[name]
+        transcript = run_session(config, leg_loss=leg_loss)
+    assert_exact_route(transcript)
+
+
+def test_fragment_writer_is_the_exact_route_at_scale():
+    transcript = run_session(SessionConfig(ProtocolId.GHZ1, 10**5, loss_probability=0.05,
+                                           qber_abort_threshold=T, rng_seed=45,
+                                           attack=AncillaEntangle(0.5)))
+    assert transcript.adversary is not None
+    assert_exact_route(transcript)
 
 
 def test_network_csv_pinned(tmp_path, capsys):
