@@ -52,13 +52,17 @@ def _write_or_print(text: str, out: str | None):
 
 
 def _parse_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     values = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"config line without '=': {line!r}")
+            raise ValueError(f"{path}: config line without '=': {line!r}")
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
     return values

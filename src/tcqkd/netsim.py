@@ -23,6 +23,7 @@ import numpy as np
 from .protocols import (
     SessionConfig,
     SessionTranscript,
+    _integer,
     config_from_json_dict,
     config_to_json_dict,
     run_session,
@@ -245,14 +246,11 @@ def _member(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _number(convert, value, path: str):
+def _number(value, path: str) -> float:
     try:
-        number = convert(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{path}: expected a number, got {value!r}") from None
-    if convert is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{path}: expected an integer, got {value!r}")
-    return number
 
 
 def _session_config(doc, path: str) -> SessionConfig:
@@ -273,8 +271,8 @@ def scenario_from_json_dict(doc: dict) -> NetworkScenario:
     for uid, ch in _of_type(doc.get("channels", {}), dict, "channels").items():
         path = f"channels.{uid}"
         ch = _of_type(ch, dict, path)
-        loss = _number(float, ch.get("loss_probability", 0.0), f"{path}.loss_probability")
-        latency = _number(int, ch.get("latency_ticks", 0), f"{path}.latency_ticks")
+        loss = _number(ch.get("loss_probability", 0.0), f"{path}.loss_probability")
+        latency = _integer(ch.get("latency_ticks", 0), f"{path}.latency_ticks")
         try:
             channels[uid] = ChannelModel(loss_probability=loss, latency_ticks=latency)
         except ValueError as exc:
@@ -293,10 +291,14 @@ def scenario_from_json_dict(doc: dict) -> NetworkScenario:
                     in enumerate(_of_type(_member(doc, "users", "scenario"), list, "users"))),
         channels=channels,
         sessions=tuple(sessions),
-        seed=_number(int, doc.get("seed", 0), "seed"),
+        seed=_integer(doc.get("seed", 0), "seed"),
     )
 
 
 def load_scenario(path) -> NetworkScenario:
-    with open(path, encoding="utf-8") as fh:
-        return scenario_from_json_dict(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from None
+    return scenario_from_json_dict(doc)

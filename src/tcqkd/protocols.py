@@ -56,26 +56,29 @@ the center, Alice and Bob in protocol order, then the probe read-out.
 Each step names its role, the bases it may use and the actor stream it
 draws from.  `_compile` walks that sequence once per (protocol, attack)
 pairing from the start registers with the exact Born-rule branches and
-stores integer tables: p_plus[node, basis], the probability a draw is
-compared against, and next[node, basis, outcome], plus the
-correlation-table predictions per announcement and bases and the keep
-rule derived from them.  A session walks the same step list, kept on
-the table: per step it draws the bases and outcomes from the step's
-stream, gathers p_plus for every position, compares, and advances the
-node ids; sifting, the check and the key bits are masks.  Compiled tables are built on first use and
-kept (up to 64 pairings).
+stores integer tables: basis_of[node, choice], the basis a step's
+choice selects (the GHZ3 center has one choice, the rule's basis),
+p_plus[node, basis], the probability a draw is compared against, and
+next[node, basis, outcome].  It also says once what each path means,
+one row per leaf: the announcement, both parties' bases and outcomes,
+whether it is kept, Alice's key bit, the adversary's shown record and
+her guess of Bob's bit.  A session draws per level the choices and
+outcomes from the step's stream, advances the node ids, and gathers
+its transcript columns, check mismatches, key bits and adversary
+records from the leaf rows it reached.  Compiled tables are built on
+first use and kept (up to 64 pairings).
 
 The exact oracles `predict_detection_rate` and
-`predict_adversary_accuracy` read the same description: during its walk
-`_compile` weighs every leaf by its Born probability and basis choices
-and stores both rates on the table, so the sampler and the oracle
-cannot disagree on what a position does.
+`predict_adversary_accuracy` read the same rows: `_compile` weighs
+every leaf by its Born probability and basis choices and stores both
+weighted sums on the table, so the sampler and the oracles cannot
+disagree on what a position does.
 
 Each run of consecutive steps on one stream is drawn in bulk in exactly
 the order of one scalar call per position and step
 (`replay.replay_draws`), so transcripts are the same bytes as
 position-by-position sampling gives, and a stream left for a later
-phase (Bob's check sample, a coin) is in the same state.
+phase (Bob's check sample) is in the same state.
 
 A transcript stores its positions as columns, never as objects: lost,
 announcement index, Alice's and Bob's basis and outcome (-1 for None),
@@ -219,9 +222,9 @@ def consistency_map(protocol: ProtocolId, center_announcement, own_basis: Basis,
                     own_outcome: Outcome, peer_basis: Basis) -> Outcome:
     """The peer's outcome as uniquely fixed by the correlation tables.
 
-    These are the values the compiled `expect` table holds for the check
-    and Alice's bit encoding.  A non-deterministic combination raises
-    LookupError: the keep rule admits only deterministic ones.
+    These are the key bits the compiled leaf rows hold for Alice, which
+    the check compares Bob's against.  A non-deterministic combination
+    raises LookupError: the keep rule admits only deterministic ones.
     """
     _require_announcement_type(protocol, center_announcement)
     out = deterministic_peer_outcome(center_announcement, own_basis, own_outcome, peer_basis)
@@ -521,12 +524,6 @@ def _start_registers(protocol: ProtocolId, probe) -> dict:
     return starts
 
 
-# _RULE_P3[a_basis, b_basis]: the GHZ3 center's basis index for Alice's
-# and Bob's disclosed basis indices (-1 off the x/y pool).
-_RULE_P3 = np.array([[_BASES.index(center_basis_rule_p3(a, b)) if Basis.Z not in (a, b) else -1
-                      for b in _BASES] for a in _BASES])
-
-
 def _intercept_pool(protocol: ProtocolId, attack: InterceptResend) -> tuple[Basis, ...]:
     return attack.basis_pool or party_bases(protocol)
 
@@ -535,7 +532,8 @@ def _steps(protocol: ProtocolId, attack: AttackModel) -> tuple:
     """The measurements every position goes through, in order, as
     (role, bases it may be measured in, resend, stream it draws from).
     With resend a fresh eigenstate of the result replaces the measured
-    particle.  The GHZ3 center's basis follows `center_basis_rule_p3`."""
+    particle.  The GHZ3 center measures in the one basis
+    `center_basis_rule_p3` picks from Alice's and Bob's."""
     scheme = _SCHEMES[protocol]
     steps = []
     cheating = isinstance(attack, CheatingCenterMeasureAll)
@@ -561,52 +559,52 @@ def _steps(protocol: ProtocolId, attack: AttackModel) -> tuple:
 class _Table:
     """One (protocol, attack) pairing's per-position process, compiled.
 
-    steps is the `_steps` tuple the tables were walked along; sessions
-    draw and measure in its order.  Nodes are the registers reachable
-    along it, numbered level by level from the start registers.
-    p_plus[node, basis] is the probability a draw is compared against
-    (outcome + iff draw < p_plus), the same float `qstate.measure` uses;
-    next[node, basis, outcome] is the node that outcome leads to, -1 for
-    a zero-probability branch.  Announcements are numbered 2 * basis +
-    outcome for the triplet and by prepared label for pairs.
-    expect[ann, a_basis, a_outcome, b_basis] is Bob's key bit as the
-    correlation tables fix it from Alice's record, -1 where they do not;
-    keep[ann, a_basis, b_basis], the keep rule, says expect fixes it for
-    both of Alice's outcomes; eve_expect[ann, basis, outcome, b_basis]
-    is the adversary's prediction from her own last record, -1 where she
-    tosses a coin.  That record is in Alice's place for an
-    intercepted Alice particle and for the probe's x read-out; for an
-    intercepted Bob particle and for a cheating center it is the
-    eigenstate sent to Bob.
+    Nodes are the registers reachable along `_steps`, numbered level by
+    level from the start registers (one per prepared label, else the
+    triplet); the last level are the leaves, one per path.  For the
+    other nodes, basis_of[node, choice] is the basis index a step's
+    choice selects (-1 past its choices), p_plus[node, basis] the
+    probability a draw is compared against (outcome + iff draw <
+    p_plus, the same float `qstate.measure` uses; NaN for a basis not
+    measured there) and next[node, basis, outcome] the node that
+    outcome leads to, -1 for a zero-probability branch.
+
+    leaves[column, node - len(p_plus)] says what a path means, in the
+    columns: announcement (an index in announcements), Alice's basis,
+    Bob's basis, Alice's outcome, Bob's outcome (a basis as its index in
+    `Basis`, an outcome as its key bit), kept (`keep_rule`), Alice's key
+    bit (Bob's outcome as `deterministic_peer_outcome` fixes it from
+    Alice's, -1 where it does not), the basis and outcome the adversary
+    shows (-1 without one) and her guess of Bob's bit
+    (`infer_bob_outcome` from her record; -1 for a coin or without
+    her).  Her record is her
+    intercept, the probe's x read-out in Alice's place, or the
+    eigenstate a cheating center sent Bob; a cheating center shows its
+    own triplet measurement.  coin[node] says she tosses a coin at every
+    leaf below node.
+
+    steps lists what a session draws, in order: (stream, number of
+    basis choices) per level, then, with an adversary, (her stream,
+    None) for her coins.  Per level a position draws its choice, which
+    draws nothing for one choice, then its outcome.
 
     detection_rate and adversary_accuracy are the exact oracles: sums
-    over the leaves of the same walk, weighted by their probability,
-    of the kept leaves where Bob's outcome differs from expect, resp.
-    matches eve_expect (a coin counts one half), each divided by the
-    kept weight.  adversary_accuracy is None without an adversary.
+    over the leaves in order, weighted by their probability when every
+    choice is uniform, of the kept leaves where Bob's outcome differs
+    from Alice's key bit, resp. matches the guess (a coin counts one
+    half), each divided by the kept weight.  adversary_accuracy is None
+    without an adversary.
     """
 
     steps: tuple
+    basis_of: np.ndarray
     p_plus: np.ndarray
     next: np.ndarray
+    coin: np.ndarray
+    leaves: np.ndarray
     announcements: tuple
-    keep: np.ndarray
-    expect: np.ndarray
-    eve_expect: np.ndarray | None
     detection_rate: float
     adversary_accuracy: float | None
-
-
-def _peer_table(announcements, own_bases, peer_bases, predict) -> np.ndarray:
-    """table[ann, own_basis, own_outcome, peer_basis]: the peer's bit as
-    `predict` fixes it, -1 where it returns None."""
-    table = np.full((len(announcements), len(_BASES), 2, len(_BASES)), -1, dtype=np.int8)
-    for i, ann in enumerate(announcements):
-        for own, outcome, peer in itertools.product(own_bases, _OUTCOMES, peer_bases):
-            out = predict(ann, own, outcome, peer)
-            if out is not None:
-                table[i, _BASES.index(own), outcome.bit, _BASES.index(peer)] = out.bit
-    return table
 
 
 @lru_cache(maxsize=64)
@@ -615,26 +613,24 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
     branches; built on first use of a pairing and kept.
 
     Each node also carries its weight, the probability of reaching it
-    when every step draws its basis uniformly and the GHZ3 center
-    follows its basis rule (None off that rule), and what its path
-    recorded: the start index, then (basis index, outcome bit) per role,
-    a resent particle's under "eve"."""
+    when every choice is uniform, and what its path recorded: per role
+    its (basis, outcome), a resent particle's under "eve", and under
+    "c" the announcement (a prepared pair's label from the start)."""
     scheme = _SCHEMES[protocol]
     probe = probe_vectors(attack.coupling) if isinstance(attack, AncillaEntangle) else None
     starts = _start_registers(protocol, probe)
-    level = [(reg, 1 / len(starts), {"start": i}) for i, reg in enumerate(starts.values())]
-    steps = _steps(protocol, attack)
-    p_plus, nxt = [], []
-    for role, bases, resend, _ in steps:
+    level = [(reg, 1 / len(starts), {"c": label}) for label, reg in starts.items()]
+    steps, basis_of, p_plus, nxt = [], [], [], []
+    for role, bases, resend, stream in _steps(protocol, attack):
         children = []
         first_child = len(p_plus) + len(level)
         for reg, weight, seen in level:
             followed = bases
             if scheme.center_after_bases and role == "c":
-                followed = (_BASES[_RULE_P3[seen["a"][0], seen["b"][0]]],)
+                followed = (center_basis_rule_p3(seen["a"][0], seen["b"][0]),)
             p_row = np.full(len(_BASES), np.nan)
             next_row = np.full((len(_BASES), 2), -1)
-            for basis in bases:
+            for basis in followed:
                 b = _BASES.index(basis)
                 branches = reg.branches(role, basis)
                 p_row[b] = branches[0][0]
@@ -644,61 +640,62 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
                     next_row[b, outcome.bit] = first_child + len(children)
                     if resend:
                         child = child.add_eigenstate(role, basis, outcome)
-                    if weight is not None and basis in followed:
-                        child_weight = weight * p / len(followed)
-                    else:
-                        child_weight = None
-                    record = {**seen, "eve" if resend else role: (b, outcome.bit)}
-                    children.append((child, child_weight, record))
+                    record = {**seen, "eve" if resend else role: (basis, outcome)}
+                    children.append((child, weight * p / len(followed), record))
+            basis_of.append([_BASES.index(b) for b in followed] + [-1] * (len(_BASES) - len(followed)))
             p_plus.append(p_row)
             nxt.append(next_row)
+        steps.append((stream, len(followed)))
         level = children
-    p_plus += [np.full(len(_BASES), np.nan)] * len(level)
-    nxt += [np.full((len(_BASES), 2), -1)] * len(level)
 
-    announcements, bases = scheme.announcements, scheme.bases
-    expect = _peer_table(announcements, bases, bases, deterministic_peer_outcome)
-    keep = (expect >= 0).all(axis=2)  # the tables fix Bob's bit whatever Alice got
-    # The adversary's record is filed under "eve": her intercept, the
-    # eigenstate a cheating center sent Bob, or the probe's x read-out.
-    eve_expect = None
-    if not isinstance(attack, NoAttack):
-        if isinstance(attack, InterceptResend):
-            pool, target = _intercept_pool(protocol, attack), attack.target_party
-        elif isinstance(attack, CheatingCenterMeasureAll):
-            pool, target = (attack.basis,), Party.BOB
-        else:
-            pool, target = (Basis.X,), Party.ALICE
-        eve_expect = _peer_table(announcements, pool, bases,
-                                 lambda ann, eb, eo, b: infer_bob_outcome(ann, eb, eo, target, b))
+    # Her record is filed under "eve": her intercept, the eigenstate a
+    # cheating center sent Bob, or the probe's x read-out.
+    cheating = isinstance(attack, CheatingCenterMeasureAll)
+    target = attack.target_party if isinstance(attack, InterceptResend) else (
+        Party.BOB if cheating else Party.ALICE)
+    adversary = not isinstance(attack, NoAttack)
+    if adversary:  # her coins
+        steps.append((_STREAM_CENTER if cheating else _STREAM_EVE, None))
+    rows = []
+    for _, _, seen in level:
+        ann, (a, a_out), (b, b_out) = seen["c"], seen["a"], seen["b"]
+        shown = seen.get("c" if cheating else "eve", (None, None))
+        guess = infer_bob_outcome(ann, *seen["eve"], target, b) if adversary else None
+        bit = deterministic_peer_outcome(ann, a, a_out, b)
+        rows.append([scheme.announcements.index(ann), *map(_code, (a, b, a_out, b_out)),
+                     keep_rule(protocol, ann, a, b), *map(_code, (bit, *shown, guess))])
+    leaves = np.array(rows, dtype=np.int8).T
 
     # Sequential sums in leaf order; the oracle floats are pinned bit
     # for bit, and a pairwise (np.sum) order would move their last bits.
     kept = errors = correct = 0.0
-    for _, weight, seen in level:
-        if weight is None:
-            continue
-        ann = 2 * seen["c"][0] + seen["c"][1] if "c" in seen else seen["start"]
-        (a, a_out), (b, b_out) = seen["a"], seen["b"]
-        if not keep[ann, a, b]:
+    for (_, weight, _), (*_, b_out, keep, bit, _, _, guess) in zip(level, rows):
+        if not keep:
             continue
         kept += weight
-        if expect[ann, a, a_out, b] != b_out:
+        if bit != b_out:
             errors += weight
-        if eve_expect is not None:
-            eve_basis, eve_out = seen["eve"]
-            guess = eve_expect[ann, eve_basis, eve_out, b]
-            if guess < 0:
-                correct += 0.5 * weight
-            elif guess == b_out:
-                correct += weight
-    accuracy = correct / kept if eve_expect is not None else None
+        if guess < 0:
+            correct += 0.5 * weight
+        elif guess == b_out:
+            correct += weight
 
-    arrays = [np.array(p_plus), np.array(nxt), keep, expect, eve_expect]
+    coin = np.concatenate([np.zeros(len(p_plus), dtype=bool), leaves[-1] < 0])  # guess -1
+    nxt = np.array(nxt)
+    for node in reversed(range(len(p_plus))):
+        coin[node] = coin[nxt[node][nxt[node] >= 0]].all()
+    arrays = [np.array(basis_of), np.array(p_plus), nxt, coin, leaves]
     for a in arrays:
-        if a is not None:
-            a.flags.writeable = False
-    return _Table(steps, arrays[0], arrays[1], announcements, *arrays[2:], errors / kept, accuracy)
+        a.flags.writeable = False
+    return _Table(tuple(steps), *arrays, scheme.announcements, errors / kept,
+                  correct / kept if adversary else None)
+
+
+def _code(value) -> int:
+    """A basis as its index in `Basis`, an outcome as its key bit, None as -1."""
+    if value is None:
+        return -1
+    return value.bit if isinstance(value, Outcome) else _BASES.index(value)
 
 
 def predict_detection_rate(protocol: ProtocolId, attack: AttackModel) -> float:
@@ -763,68 +760,39 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
         labels = rngs[_STREAM_CENTER].integers(len(table.announcements), size=n)
     present = np.flatnonzero(~_channel_losses(rngs[_STREAM_CHANNEL], n, loss_a, loss_b))
     m = len(present)
-    ann = nodes = labels[present] if is_bell else np.zeros(m, dtype=np.intp)
+    nodes = labels[present] if is_bell else np.zeros(m, dtype=np.intp)
 
     # -- measure: the compiled steps, in order -----------------------------------
-    # Consecutive steps on one stream are drawn position by position: per
-    # step the basis choice, integers(len(bases)), which draws nothing for
-    # one basis or the GHZ3 center's rule; then the outcome draw; after
-    # the probe read-out, Eve's coin where she cannot infer.  rec[role] is
-    # (basis, outcome bit) per position, a resent particle's under "eve",
-    # as `_compile` files it.
-    rec, coins = {}, None
-    ruled = "c" if scheme.center_after_bases else None  # the role whose basis follows the rule
-    for stream, run in itertools.groupby(table.steps, key=lambda step: step[3]):
-        run = [(role, bases, resend, role != ruled and len(bases) > 1) for role, bases, resend, _ in run]
+    # Consecutive draws on one stream are made position by position: per
+    # level the basis choice, integers(choices), unless there is one
+    # choice, then the outcome; the adversary's coin is integers(2) where
+    # she tosses one, and nothing elsewhere.
+    coins = None
+    for stream, run in itertools.groupby(table.steps, key=lambda step: step[0]):
+        run = [choices for _, choices in run]
         slots = []
-        for role, bases, _, chosen in run:
-            slots += [len(bases), 0] if chosen else [0]
-            if role == "eve":
-                coin = table.eve_expect[ann, _BASES.index(bases[0]), 0, rec["b"][0]] < 0
-                slots.append(np.where(coin, 2, 1))
+        for k in run:
+            slots += [np.where(table.coin[nodes], 2, 1)] if k is None else [k, 0] if k > 1 else [0]
         bounds = np.column_stack([np.broadcast_to(slot, m) for slot in slots])
-        draws = replay_draws(rngs[stream], bounds.reshape(-1)).reshape(m, len(slots))
-        col = 0
-        for role, bases, resend, chosen in run:
-            choice = np.zeros(m, dtype=np.intp)
-            if chosen:
-                choice, col = draws[:, col].astype(np.intp), col + 1
-            if role == ruled:
-                basis = _RULE_P3[rec["a"][0], rec["b"][0]]
-            else:
-                basis = np.array([_BASES.index(b) for b in bases])[choice]
-            minus = (draws[:, col] >= table.p_plus[nodes, basis]).astype(np.intp)
-            col += 1
+        draws = iter(replay_draws(rngs[stream], bounds.reshape(-1)).reshape(m, len(slots)).T)
+        for k in run:
+            if k is None:
+                coins = next(draws)
+                continue
+            basis = table.basis_of[nodes, next(draws).astype(np.intp) if k > 1 else 0]
+            minus = (next(draws) >= table.p_plus[nodes, basis]).astype(np.intp)
             nodes = table.next[nodes, basis, minus]
             if np.any(nodes < 0):
                 raise AssertionError("selected a zero-probability branch")
-            key = "eve" if resend else role
-            rec[key] = (basis, minus)
-            if key == "c":
-                ann = 2 * basis + minus
-            if key == "eve":
-                eve_stream = stream
-            if role == "eve":
-                coins, col = draws[:, col].astype(np.intp), col + 1
-    (a_basis, a_out), (b_basis, b_out) = rec["a"], rec["b"]
-
-    # -- the adversary's inferences of Bob's key bits --------------------------
-    if table.eve_expect is not None:
-        eve_basis, eve_out = rec["eve"]
-        inferred = table.eve_expect[ann, eve_basis, eve_out, b_basis].astype(np.intp)
-        coin = inferred < 0
-        if coins is None:  # no probe: the coins follow every step on her stream
-            inferred[coin] = rngs[eve_stream].integers(2, size=int(np.count_nonzero(coin)))
-        else:
-            inferred[coin] = coins[coin]
+    (ann, a_basis, b_basis, a_out, b_out, keep, key_bit, shown_basis, shown_out,
+     guess) = table.leaves[:, nodes - len(table.p_plus)]
 
     # -- sift -----------------------------------------------------------------
-    kept_at = np.flatnonzero(table.keep[ann, a_basis, b_basis])
+    kept_at = np.flatnonzero(keep)
     kept_count = len(kept_at)
-    predicted = table.expect[ann, a_basis, a_out, b_basis]  # Alice's key bits where kept
 
     # -- eavesdrop check -------------------------------------------------------
-    report, checked = eavesdrop_check(predicted[kept_at] != b_out[kept_at], config.check_fraction,
+    report, checked = eavesdrop_check(key_bit[kept_at] != b_out[kept_at], config.check_fraction,
                                       rngs[_STREAM_BOB], config.qber_abort_threshold)
     in_key = np.zeros(m, dtype=bool)
     in_key[kept_at] = True
@@ -834,7 +802,7 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     if report.aborted:
         alice_raw = bob_raw = ""
     else:
-        alice_raw = postproc.bits_to_str(predicted[in_key])
+        alice_raw = postproc.bits_to_str(key_bit[in_key])
         bob_raw = postproc.bits_to_str(b_out[in_key])
 
     # -- post-processing ---------------------------------------------------------
@@ -866,14 +834,12 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     )
 
     adversary_section = None
-    if table.eve_expect is not None:
+    if not isinstance(attack, NoAttack):
+        inferred = np.where(guess < 0, coins, guess).astype(np.int8)
         total = int(np.count_nonzero(in_key))
         hits = int(np.count_nonzero(inferred[in_key] == b_out[in_key]))
-        # A cheating center reports its own triplet measurement.
-        shown_basis, shown_out = rec["c"] if isinstance(attack, CheatingCenterMeasureAll) else rec["eve"]
         records = _AdversaryRecords("probe-" if isinstance(attack, AncillaEntangle) else "", present,
-                                    shown_basis.astype(np.int8), shown_out.astype(np.int8),
-                                    inferred.astype(np.int8))
+                                    shown_basis, shown_out, inferred)
         adversary_section = _adversary_section(config, report, records,
                                                 hits / total if total else None)
 
@@ -982,11 +948,15 @@ def config_to_json_dict(config: SessionConfig) -> dict:
     }
 
 
-def _integer(value, key: str) -> int:
-    """int(value), refusing to truncate a fractional number."""
+def _integer(value, path: str) -> int:
+    """int(value) for a config or scenario field at path, refusing to
+    truncate a fractional number or to read an infinite one."""
     if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key}: expected an integer, got {value!r}")
-    return int(value)
+        raise ValueError(f"{path}: expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: expected a number, got {value!r}") from None
 
 
 def config_from_json_dict(doc: dict) -> SessionConfig:

@@ -4,7 +4,9 @@ A session draws from each actor's numpy ``Generator`` (PCG64) one call
 at a time: ``rng.random()`` for a measurement, ``rng.integers(k)`` for a
 basis choice or a coin.  `replay_draws` returns the values of such a
 sequence from one ``bit_generator.random_raw`` call (one
-``rng.random(k)`` call when it holds no 32-bit draw) and leaves the
+``rng.random(k)`` call when it holds no 32-bit draw, one
+``rng.integers(k, size)`` call when every call that draws is
+``integers(k)`` for one k) and leaves the
 generator exactly where the scalar calls would have, so every later
 draw of the stream is the same either way.
 
@@ -48,6 +50,9 @@ def replay_draws(rng: np.random.Generator, bounds) -> np.ndarray:
     values = np.zeros(len(bounds))
     if not len(words):  # doubles only: one bulk call draws them in order
         values[is_double] = rng.random(int(np.count_nonzero(is_double)))
+        return values
+    if not is_double.any() and (bounds[words] == bounds[words[0]]).all():  # one range only
+        values[words] = rng.integers(bounds[words[0]], size=len(words))
         return values
     bitgen = rng.bit_generator
     saved = bitgen.state

@@ -149,6 +149,18 @@ class TestNetwork:
     def test_missing_file_usage_error(self, capsys):
         assert main(["network", "/nonexistent/scenario.json"]) == 1
 
+    @pytest.mark.parametrize("content,message", [
+        (b"\n", "Expecting value: line 2 column 1 (char 1)"),
+        (b"\xff\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["not_json", "not_utf8"])
+    def test_unreadable_scenario_names_the_file(self, content, message, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        assert main(["network", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("name", sorted(MALFORMED_SCENARIOS))
     def test_malformed_scenario_one_line_exit_1(self, name, tmp_path, capsys):
         doc, message = MALFORMED_SCENARIOS[name]
@@ -196,6 +208,14 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("protocol GHZ3\n", encoding="utf-8")
         assert main(["--config", str(cfg), "run"]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: config line without '=': 'protocol GHZ3'\n"
+
+    def test_undecodable_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"seed=5 \xff\n")
+        assert main(["--config", str(cfg), "run", "--protocol", "GHZ1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n")
 
     def test_equals_form_reads_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "defaults.cfg"

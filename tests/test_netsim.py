@@ -46,7 +46,7 @@ MALFORMED_SCENARIOS = {
         {"users": ["a", "b"],
          "sessions": [{"requester": "a", "responder": "b",
                        "config": {"protocol": "GHZ1", "num_states": "x"}}]},
-        "sessions[0].config: invalid literal for int() with base 10: 'x'"),
+        "sessions[0].config: num_states: expected a number, got 'x'"),
     "num_states_fraction": (
         {"users": ["a", "b"],
          "sessions": [{"requester": "a", "responder": "b",
@@ -74,7 +74,7 @@ MALFORMED_SCENARIOS = {
                        "config": {"protocol": "GHZ1", "num_states": 2000, "attack": "none"}}]},
         "sessions[0].config: attack: expected an object, got str"),
     "seed_fraction": ({"users": ["a"], "seed": 7.8}, "seed: expected an integer, got 7.8"),
-    "seed_infinite": ({"users": ["a"], "seed": float("inf")}, "seed: expected a number, got inf"),
+    "seed_infinite": ({"users": ["a"], "seed": float("inf")}, "seed: expected an integer, got inf"),
 }
 
 

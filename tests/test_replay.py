@@ -45,12 +45,14 @@ def test_interleaved_draws_equal_scalar_calls(k, count, integer_first, buffered)
     assert_same_afterwards(bulk, loop)
 
 
+@pytest.mark.parametrize("draw", [[0], []], ids=["after_a_draw", "coins_alone"])
 @pytest.mark.parametrize("buffered", [False, True])
-def test_coins_only_where_masked(buffered):
-    """Per position a draw, then a coin only where the mask is set."""
+def test_coins_only_where_masked(buffered, draw):
+    """Per position a draw (or none), then a coin only where the mask is
+    set."""
     bulk, loop = twin_generators(7, buffered)
     mask = np.random.default_rng(0).random(301) < 0.4
-    bounds = [b for coin in mask for b in ([0, 2] if coin else [0])]
+    bounds = [b for coin in mask for b in draw + ([2] if coin else [1])]
     assert replay_draws(bulk, bounds).tolist() == scalar_calls(loop, bounds)
     assert_same_afterwards(bulk, loop)
 

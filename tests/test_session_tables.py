@@ -2,13 +2,13 @@
 
 Every p_plus entry is recomputed by following the table's own next
 links along states projected with `oracle.project`, starting from the
-literal triplet, pair and probed-triplet vectors; the prediction tables
-are checked against the correlation-table functions they encode.  The
-detection and accuracy oracles are recomputed as weighted sums over the
-same walk's leaves and pinned bit for bit.
+literal triplet, pair and probed-triplet vectors; every leaf row is
+checked against the path that reaches it, against projection and
+against the correlation-table functions it encodes.  The detection and
+accuracy oracles are recomputed as weighted sums over the same walk's
+leaves and pinned bit for bit.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -27,7 +27,6 @@ from tcqkd.adversary import (
 )
 from tcqkd.protocols import (
     ProtocolId,
-    center_basis_rule_p3,
     keep_rule,
     party_bases,
     prepared_labels,
@@ -90,28 +89,71 @@ def start_states(protocol, attack):
     return [(label.value, PAIRS[label.value], ["a", "b"]) for label in prepared_labels(protocol)]
 
 
+def read_path(attack, path):
+    """What a path recorded, as (basis value, outcome value) pairs: the
+    announcement (for a prepared pair its label value), Alice's and
+    Bob's own measurements, and the adversary's shown record and the
+    record she guesses from (None without her)."""
+    by_role = {}
+    for role, basis, outcome in path[1:]:
+        by_role.setdefault(role, []).append((basis, outcome))
+    announcement = by_role["c"][0] if "c" in by_role else path[0][1]
+    shown = hers = None
+    if isinstance(attack, InterceptResend):
+        shown = hers = path[1][1:]
+    elif isinstance(attack, CheatingCenterMeasureAll):
+        # It shows its triplet measurement and knows the eigenstate it sent Bob.
+        shown, hers = by_role["c"][0], by_role["b"][0]
+    elif isinstance(attack, AncillaEntangle):
+        shown = hers = by_role["eve"][0]
+    return announcement, by_role["a"][-1], by_role["b"][-1], shown, hers
+
+
+def announcement_of(protocol, record):
+    if protocol in GHZ_PROTOCOLS:
+        return Basis(record[0]), Outcome(record[1])
+    return TwoQubitLabel(record)
+
+
+def columns(record):
+    """A (basis value, outcome value) record as the table's integers."""
+    if record is None:
+        return [-1, -1]
+    return [BASES.index(Basis(record[0])), Outcome(record[1]).bit]
+
+
 def walk_tree(protocol, attack):
     """Follow the compiled table's next links along `oracle.project`
-    projections, checking every p_plus and next entry on the way.
+    projections, checking every basis_of, p_plus, next and coin entry on
+    the way and, per leaf, the columns of its row that its path fixes.
 
     Returns the table, the visited node ids and the leaves as (weight,
-    path).  weight is the leaf's probability when every basis is drawn
-    uniformly and the GHZ3 center follows its basis rule, None off that
-    rule; path is ("start", start key, None) followed by (role, basis
-    value, outcome value) per step.
+    path, row).  weight is the leaf's probability when every choice is
+    uniform; path is ("start", start key, None) followed by (role, basis
+    value, outcome value) per step; row is the leaf's column of
+    table.leaves.
     """
     table = protocols._compile(protocol, attack)
     steps = protocols._steps(protocol, attack)
+    inner = len(table.p_plus)
     visited = set()
     leaves = []
 
     def walk(node, level, vec, roles, weight, path):
+        """Returns, per leaf below node, whether the adversary tosses a coin there."""
         visited.add(node)
         if level == len(steps):
-            assert np.isnan(table.p_plus[node]).all()
-            assert (table.next[node] == -1).all()
-            leaves.append((weight, path))
-            return
+            assert node >= inner
+            row = table.leaves[:, node - inner]
+            announcement, alice, bob, shown, _ = read_path(attack, path)
+            ann = table.announcements.index(announcement_of(protocol, announcement))
+            a_basis, a_bit = columns(alice)
+            b_basis, b_bit = columns(bob)
+            assert row[:5].tolist() == [ann, a_basis, b_basis, a_bit, b_bit]
+            assert row[7:9].tolist() == columns(shown)
+            assert table.coin[node] == (row[-1] < 0)
+            leaves.append((weight, path, row))
+            return [row[-1] < 0]
         role, bases, resend, _ = steps[level]
         q = roles.index(role)
         rest_roles = roles[:q] + roles[q + 1:]
@@ -119,8 +161,12 @@ def walk_tree(protocol, attack):
         if protocol is ProtocolId.GHZ3 and role == "c":
             a_basis, b_basis = path[-2][1], path[-1][1]
             followed = [Basis.X if a_basis == b_basis else Basis.Y]
+        assert table.basis_of[node].tolist() == [BASES.index(b) for b in followed] + [-1] * (
+            len(BASES) - len(followed))
+        coins = []
         for b, basis in enumerate(BASES):
-            if basis not in bases:
+            if basis not in followed:
+                # The GHZ3 center's off-rule basis included: never measured.
                 assert np.isnan(table.p_plus[node, b])
                 assert (table.next[node, b] == -1).all()
                 continue
@@ -134,15 +180,15 @@ def walk_tree(protocol, attack):
                     assert child == -1
                     continue
                 assert child > node
-                child_weight = None
-                if weight is not None and basis in followed:
-                    child_weight = weight * p / len(followed)
                 child_path = path + [(role, basis.value, outcome.value)]
                 if resend:
-                    walk(child, level + 1, np.kron(reduced, eigen), rest_roles + [role],
-                         child_weight, child_path)
+                    reduced, child_roles = np.kron(reduced, eigen), rest_roles + [role]
                 else:
-                    walk(child, level + 1, reduced, rest_roles, child_weight, child_path)
+                    child_roles = rest_roles
+                coins += walk(child, level + 1, reduced, child_roles, weight * p / len(followed),
+                              child_path)
+        assert table.coin[node] == all(coins)
+        return coins
 
     starts = start_states(protocol, attack)
     for node, (key, vec, roles) in enumerate(starts):
@@ -152,8 +198,9 @@ def walk_tree(protocol, attack):
 
 @pytest.mark.parametrize("protocol,attack", PAIRINGS, ids=IDS)
 def test_every_p_plus_entry_matches_projection(protocol, attack):
-    table, visited, _ = walk_tree(protocol, attack)
-    assert visited == set(range(len(table.p_plus)))
+    table, visited, leaves = walk_tree(protocol, attack)
+    assert visited == set(range(len(table.p_plus) + len(leaves)))
+    assert table.leaves.shape[1] == len(leaves)
 
 
 def peer_prediction(pair, own, peer_basis):
@@ -169,41 +216,32 @@ def peer_prediction(pair, own, peer_basis):
 def test_oracles_match_projection_walk(protocol, attack):
     """The detection and accuracy oracles recomputed as sums over the
     projection walk's leaves, with the correlations read off projected
-    vectors instead of the package's tables."""
+    vectors instead of the package's tables; each leaf row's key bit and
+    guess are the projected ones."""
     _, _, leaves = walk_tree(protocol, attack)
+    bob_measures_hers = isinstance(attack, CheatingCenterMeasureAll) or (
+        isinstance(attack, InterceptResend) and attack.target_party is Party.BOB)
     kept = errors = correct = 0.0
-    for weight, path in leaves:
-        if weight is None:
-            continue
-        start = path[0][1]
-        by_role = {}
-        for role, basis, outcome in path[1:]:
-            by_role.setdefault(role, []).append((basis, outcome))
+    for weight, path, row in leaves:
+        announcement, alice, (b_basis, b_out), _, hers = read_path(attack, path)
         if protocol in GHZ_PROTOCOLS:
-            announcement = by_role["c"][0]
             _, pair = oracle.project(oracle.GHZ3, 3, 0, oracle.EIGEN[announcement])
-            announcement = (Basis(announcement[0]), Outcome(announcement[1]))
         else:
-            announcement = TwoQubitLabel(start)
-            pair = PAIRS[start]
-        alice, (b_basis, b_out) = by_role["a"][-1], by_role["b"][-1]
+            pair = PAIRS[announcement]
+        announcement = announcement_of(protocol, announcement)
         if not keep_rule(protocol, announcement, Basis(alice[0]), Basis(b_basis)):
             continue
+        bit = peer_prediction(pair, alice, b_basis)
+        assert row[6] == Outcome(bit).bit
         kept += weight
-        errors += weight * (b_out != peer_prediction(pair, alice, b_basis))
-        if isinstance(attack, InterceptResend):
-            eve = path[1][1:]
-            if attack.target_party is Party.ALICE:
-                guess = peer_prediction(pair, eve, b_basis)
-            else:
-                guess = eve[1] if eve[0] == b_basis else None
-        elif isinstance(attack, CheatingCenterMeasureAll):
-            sent = by_role["b"][0]  # the eigenstate the center sent Bob
-            guess = sent[1] if sent[0] == b_basis else None
-        elif isinstance(attack, AncillaEntangle):
-            guess = peer_prediction(pair, by_role["eve"][0], b_basis)
-        else:
+        errors += weight * (b_out != bit)
+        if hers is None:
             continue
+        if bob_measures_hers:
+            guess = hers[1] if hers[0] == b_basis else None
+        else:  # her record in Alice's place
+            guess = peer_prediction(pair, hers, b_basis)
+        assert row[9] == (-1 if guess is None else Outcome(guess).bit)
         correct += weight * (0.5 if guess is None else float(guess == b_out))
     assert predict_detection_rate(protocol, attack) == pytest.approx(errors / kept, abs=1e-12)
     if isinstance(attack, NoAttack):
@@ -287,53 +325,46 @@ def test_oracle_floats_are_pinned(protocol, attack, pinned):
 
 @pytest.mark.parametrize("protocol,attack", PAIRINGS, ids=IDS)
 def test_prediction_tables_match_correlation_tables(protocol, attack):
-    table = protocols._compile(protocol, attack)
+    """Each leaf's kept flag, key bit and guess are what `keep_rule`,
+    `deterministic_peer_outcome` and `infer_bob_outcome` give for its
+    path."""
+    table, _, leaves = walk_tree(protocol, attack)
     anns = table.announcements
     if protocol in GHZ_PROTOCOLS:
         for i, ann in enumerate(anns):
             assert ann == (BASES[i // 2], OUTCOMES[i % 2])
     else:
         assert anns == prepared_labels(protocol)
-    assert (table.keep == (table.expect >= 0).all(axis=2)).all()
-    bases = party_bases(protocol)
-    for i, ann in enumerate(anns):
-        for a, o, b in itertools.product(bases, OUTCOMES, bases):
-            ai, bi = BASES.index(a), BASES.index(b)
-            assert table.keep[i, ai, bi] == keep_rule(protocol, ann, a, b)
-            peer = deterministic_peer_outcome(ann, a, o, b)
-            assert table.expect[i, ai, o.bit, bi] == (-1 if peer is None else peer.bit)
-            reachable = (protocol is not ProtocolId.GHZ3
-                         or center_basis_rule_p3(a, b) is ann[0])
-            if table.keep[i, ai, bi] and reachable:
-                assert peer is not None
-    if isinstance(attack, (InterceptResend, CheatingCenterMeasureAll)):
-        if isinstance(attack, InterceptResend):
-            pool, target = attack.basis_pool or party_bases(protocol), attack.target_party
-        else:  # the record is the eigenstate the center sent Bob
-            pool, target = (attack.basis,), Party.BOB
-        for i, ann in enumerate(anns):
-            for eb, eo, b in itertools.product(pool, OUTCOMES, bases):
-                guess = infer_bob_outcome(ann, eb, eo, target, b)
-                expected = -1 if guess is None else guess.bit
-                assert table.eve_expect[i, BASES.index(eb), eo.bit, BASES.index(b)] == expected
-    elif isinstance(attack, AncillaEntangle):
-        for i, ann in enumerate(anns):
-            for eo, b in itertools.product(OUTCOMES, bases):
-                guess = deterministic_peer_outcome(ann, Basis.X, eo, b)
-                expected = -1 if guess is None else guess.bit
-                assert table.eve_expect[i, 0, eo.bit, BASES.index(b)] == expected
-        # The session draws the probe read-out and the coin from one
-        # stream, so where the coins fall must not depend on the read-out.
-        coin = table.eve_expect < 0
-        assert (coin[:, :, 0] == coin[:, :, 1]).all()
-    else:
-        assert table.eve_expect is None
+    if isinstance(attack, InterceptResend):
+        target = attack.target_party
+    else:  # the eigenstate a cheating center sent Bob, or the probe in Alice's place
+        target = Party.BOB if isinstance(attack, CheatingCenterMeasureAll) else Party.ALICE
+    coin_after_probe = {}
+    for _, path, row in leaves:
+        ann, a, b, a_out, b_out, kept, bit, _, _, guess = row.tolist()
+        ann, a, b, a_out = anns[ann], BASES[a], BASES[b], OUTCOMES[a_out]
+        assert kept == keep_rule(protocol, ann, a, b)
+        peer = deterministic_peer_outcome(ann, a, a_out, b)
+        assert bit == (-1 if peer is None else peer.bit)
+        if kept:
+            assert peer is not None
+        hers = read_path(attack, path)[-1]
+        if hers is None:
+            assert guess == -1
+            continue
+        expected = infer_bob_outcome(ann, Basis(hers[0]), Outcome(hers[1]), target, b)
+        assert guess == (-1 if expected is None else expected.bit)
+        if isinstance(attack, AncillaEntangle):
+            coin_after_probe.setdefault(tuple(path[:-1]), set()).add(guess < 0)
+    # The session draws the probe read-out and the coin from one stream,
+    # so whether she tosses one must not depend on the read-out.
+    assert all(len(coins) == 1 for coins in coin_after_probe.values())
 
 
 def test_tables_are_read_only_and_shared():
     a = protocols._compile(ProtocolId.GHZ2, AncillaEntangle(0.5))
     assert a is protocols._compile(ProtocolId.GHZ2, AncillaEntangle(0.5))
-    for arr in (a.p_plus, a.next, a.keep, a.expect, a.eve_expect):
+    for arr in (a.basis_of, a.p_plus, a.next, a.coin, a.leaves):
         assert not arr.flags.writeable
 
 
