@@ -1,9 +1,12 @@
 """Classical key distillation: parity-exchange error correction and
 Toeplitz-hash privacy amplification.
 
-Keys are bit strings of '0'/'1'.  Leakage is counted in disclosed bits
-and only ever grows along the pipeline; the final key length follows
+Keys are bit strings of '0'/'1'; other characters raise ValueError.
+Leakage is counted in disclosed bits and only ever grows along the
+pipeline; the final key length follows
 m = floor(n*(1-h2(qber))) - leaked - ceil(2*log2(1/epsilon)).
+Reconciliation keeps each pass's block parity mismatches and toggles
+them on every flip of Bob's bits, so no parity is ever recomputed.
 
 The Toeplitz hash is evaluated as a float64 FFT convolution in
 O(n log n) and rounded to the integer sums it approximates.  The
@@ -32,25 +35,31 @@ def bits_to_str(bits) -> str:
     return (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode()
 
 
-def _parity(bits: np.ndarray, idx: np.ndarray) -> int:
-    return int(np.sum(bits[idx]) & 1)
+def _bits(key: str, name: str) -> np.ndarray:
+    """0/1 uint8 array of a key string; any other character is an error."""
+    bits = np.frombuffer(key.encode(), dtype=np.uint8) - np.uint8(ord("0"))
+    if (bits > 1).any():
+        raise ValueError(f"{name} must contain only '0' and '1'")
+    return bits
 
 
-def _binary_search(alice: np.ndarray, bob: np.ndarray, block: np.ndarray):
-    """Locate one error inside a block with odd parity mismatch.
+def _binary_search(diff: list[int]) -> tuple[int, int]:
+    """Locate one error in a block whose (alice ^ bob) bits `diff` have odd weight.
 
-    Returns (position, parities_disclosed): each halving discloses one
-    of Alice's sub-block parities.
+    Returns (offset in the block, parities_disclosed): each halving
+    discloses one of Alice's sub-block parities and enters the first
+    half when its parities differ.
     """
+    lo, hi = 0, len(diff)
     disclosed = 0
-    while len(block) > 1:
-        half = block[: len(block) // 2]
+    while hi - lo > 1:
+        mid = lo + (hi - lo) // 2
         disclosed += 1
-        if _parity(alice, half) != _parity(bob, half):
-            block = half
+        if sum(diff[lo:mid]) & 1:
+            hi = mid
         else:
-            block = block[len(block) // 2:]
-    return int(block[0]), disclosed
+            lo = mid
+    return lo, disclosed
 
 
 def reconcile(alice: str, bob: str, passes: int = 2, initial_block: int = 8, seed: int = 0):
@@ -63,52 +72,56 @@ def reconcile(alice: str, bob: str, passes: int = 2, initial_block: int = 8, see
     flip re-opens the blocks containing that bit in every other pass,
     so corrections cascade until all disclosed parities agree.
 
+    Block parity mismatches are computed once per pass and kept: a flip
+    toggles its block's flag in every pass set up so far.
+
     Returns (corrected_bob, leaked) where leaked counts every disclosed
     parity.  Residual errors (even-weight patterns aligned in all
     partitions) remain in the output rather than being hidden.
     """
     if len(alice) != len(bob):
         raise ValueError("keys must have equal length")
-    n = len(alice)
-    if n == 0:
-        return bob, 0
+    if passes < 1:
+        raise ValueError("passes must be >= 1")
     if initial_block < 1:
         raise ValueError("initial_block must be >= 1")
-    a = np.frombuffer(alice.encode(), dtype=np.uint8) - ord("0")
-    b = (np.frombuffer(bob.encode(), dtype=np.uint8) - ord("0")).copy()
+    a = _bits(alice, "alice")
+    diff = a ^ _bits(bob, "bob")
+    n = len(a)
+    if n == 0:
+        return bob, 0
     rng = np.random.default_rng(seed)
+    starts = np.arange(0, n, initial_block)
     leaked = 0
-    partitions: list[list[np.ndarray]] = []
-    block_of: list[np.ndarray] = []  # per pass: position -> block index
+    orders: list[np.ndarray] = []
+    block_of: list[list[int]] = []  # per pass: position -> block index
+    mismatch: list[list[int]] = []  # per pass: block -> parities differ
     queue: deque[tuple[int, int]] = deque()
     for p in range(passes):
         order = np.arange(n) if p == 0 else rng.permutation(n)
-        blocks = [order[i:i + initial_block] for i in range(0, n, initial_block)]
-        partitions.append(blocks)
         lookup = np.empty(n, dtype=np.int64)
         lookup[order] = np.arange(n) // initial_block
-        block_of.append(lookup)
-        starts = np.arange(0, n, initial_block)
-        a_par = np.add.reduceat(a[order], starts) & 1
-        b_par = np.add.reduceat(b[order], starts) & 1
-        leaked += len(blocks)
-        for bi in np.nonzero(a_par != b_par)[0]:
-            queue.append((p, int(bi)))
+        flags = (np.add.reduceat(diff[order], starts) & 1).tolist()
+        orders.append(order)
+        block_of.append(lookup.tolist())
+        mismatch.append(flags)
+        leaked += len(flags)
+        queue.extend((p, bi) for bi, odd in enumerate(flags) if odd)
         while queue:
             pi, bi = queue.popleft()
-            block = partitions[pi][bi]
-            if _parity(a, block) == _parity(b, block):
+            if not mismatch[pi][bi]:
                 continue  # stale entry, fixed by an earlier cascade
-            pos, disclosed = _binary_search(a, b, block)
+            block = orders[pi][bi * initial_block:(bi + 1) * initial_block]
+            offset, disclosed = _binary_search(diff[block].tolist())
             leaked += disclosed
-            b[pos] ^= 1
-            for qi in range(len(partitions)):
-                if qi == pi:
-                    continue
-                qblock = partitions[qi][block_of[qi][pos]]
-                if _parity(a, qblock) != _parity(b, qblock):
-                    queue.append((qi, int(block_of[qi][pos])))
-    return bits_to_str(b), leaked
+            pos = int(block[offset])
+            diff[pos] ^= 1
+            for qi, (q_block_of, q_mismatch) in enumerate(zip(block_of, mismatch)):
+                qb = q_block_of[pos]
+                q_mismatch[qb] ^= 1
+                if qi != pi and q_mismatch[qb]:
+                    queue.append((qi, qb))
+    return bits_to_str(a ^ diff), leaked
 
 
 def final_key_length(n: int, qber: float, leaked: int, epsilon: float) -> int:
@@ -131,14 +144,14 @@ def privacy_amplify(key: str, leaked: int, qber: float, epsilon: float, seed: in
     """
     if not key:
         raise ValueError("key must be non-empty")
+    bits = _bits(key, "key")
     n = len(key)
     m = final_key_length(n, qber, leaked, epsilon)
     if m == 0:
         return ""
     rng = np.random.default_rng(seed)
     diagonals = rng.integers(0, 2, size=m + n - 1, dtype=np.int64)
-    bits = (np.frombuffer(key.encode(), dtype=np.uint8) - ord("0")).astype(np.int64)
-    return bits_to_str(toeplitz_hash(diagonals, bits))
+    return bits_to_str(toeplitz_hash(diagonals, bits.astype(np.int64)))
 
 
 def toeplitz_hash(diagonals: np.ndarray, bits: np.ndarray) -> np.ndarray:

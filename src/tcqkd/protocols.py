@@ -816,8 +816,9 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     if alice_raw:
         alice_final = postproc.privacy_amplify(alice_raw, reconcile_leaked, qber_used,
                                                DEFAULT_EPSILON, pa_seed)
-        bob_final = postproc.privacy_amplify(bob_rec, reconcile_leaked, qber_used,
-                                             DEFAULT_EPSILON, pa_seed)
+        # The hash is a function of its inputs: equal keys, equal output.
+        bob_final = alice_final if bob_rec == alice_raw else postproc.privacy_amplify(
+            bob_rec, reconcile_leaked, qber_used, DEFAULT_EPSILON, pa_seed)
     else:
         alice_final = bob_final = ""
     summary = PostprocSummary(

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+from tcqkd import AncillaEntangle, ProtocolId, SessionConfig, postproc, run_session
 from tcqkd.postproc import (
     binary_entropy,
     final_key_length,
@@ -71,11 +73,63 @@ class TestReconcile:
         with pytest.raises(ValueError):
             reconcile("01", "0", 2, 8)
 
+    @pytest.mark.parametrize("alice, bob", [("0120", "0100"), ("0100", "0120"), ("01 0", "0100"),
+                                            ("01/0", "0100"), ("01\u00e90", "0100")])
+    def test_non_bit_characters_rejected(self, alice, bob):
+        with pytest.raises(ValueError, match="must contain only '0' and '1'"):
+            reconcile(alice, bob, 2, 2)
+
+    @pytest.mark.parametrize("passes", [0, -3])
+    def test_passes_below_one_rejected(self, passes):
+        key = "0110" * 8
+        with pytest.raises(ValueError, match="passes must be >= 1"):
+            reconcile(key, key, passes=passes)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
         a = random_bits(rng, 2048)
         b = flip(a, rng.choice(2048, size=100, replace=False))
         assert reconcile(a, b, 2, 8, seed=3) == reconcile(a, b, 2, 8, seed=3)
+
+
+class TestReconcileMatchesReference:
+    @pytest.mark.parametrize("initial_block", [1, 3, 8, 59, "n+3"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 257, 4000])
+    def test_equals_per_parity_reference(self, n, initial_block):
+        block = n + 3 if initial_block == "n+3" else initial_block
+        for passes in range(1, 5):
+            for qi, qber in enumerate([0.0, 0.04, 0.2, 0.5]):
+                rng = np.random.default_rng([n, block, passes, qi])
+                alice = random_bits(rng, n)
+                bob = flip(alice, np.flatnonzero(rng.random(n) < qber))
+                seed = 4 * passes + qi
+                assert reconcile(alice, bob, passes, block, seed) == \
+                    oracle.reconcile(alice, bob, passes, block, seed), (passes, qber)
+
+
+def count_hashes(monkeypatch):
+    calls = []
+    real = postproc.privacy_amplify
+    monkeypatch.setattr(postproc, "privacy_amplify", lambda *a: calls.append(a[0]) or real(*a))
+    return calls
+
+
+class TestSingleHash:
+    def test_equal_keys_are_hashed_once(self, monkeypatch):
+        calls = count_hashes(monkeypatch)
+        tr = run_session(SessionConfig(ProtocolId.GHZ2, 5000, rng_seed=1))
+        assert len(calls) == 1
+        assert tr.alice_final_key and tr.bob_final_key == tr.alice_final_key
+
+    def test_unequal_keys_are_hashed_each(self, monkeypatch):
+        # Two-pass reconciliation leaves residual errors in this session,
+        # so the keys differ before and after hashing.
+        calls = count_hashes(monkeypatch)
+        tr = run_session(SessionConfig(ProtocolId.GHZ1, 5000, qber_abort_threshold=0.3, rng_seed=1,
+                                       attack=AncillaEntangle(coupling=0.1)))
+        assert len(calls) == 2
+        assert calls[0] == tr.alice_raw_key and calls[1] != calls[0]
+        assert tr.alice_final_key and tr.bob_final_key != tr.alice_final_key
 
 
 class TestPrivacyAmplify:
@@ -117,6 +171,12 @@ class TestPrivacyAmplify:
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
             privacy_amplify("", 0, 0.0, 0.5, 1)
+
+    @pytest.mark.parametrize("qber", [0.0, 0.5])
+    def test_non_bit_characters_rejected(self, qber):
+        # qber 0.5 leaves a 0-bit key: the input is checked all the same.
+        with pytest.raises(ValueError, match="key must contain only '0' and '1'"):
+            privacy_amplify("0120" * 100, 0, qber, 2.0**-32, seed=1)
 
     @settings(max_examples=100, deadline=None)
     @given(
