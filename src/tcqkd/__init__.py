@@ -55,7 +55,6 @@ from .qstate import (
     make_cat,
     make_eigenstate,
     make_two_qubit,
-    measure,
     outcome_distribution,
     table_to_csv,
     table_to_text,

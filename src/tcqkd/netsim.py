@@ -3,9 +3,7 @@
 Users register once; any registered pair can request a key session.
 The center runs the configured protocol between the two users, with
 each user's channel applying independent per-particle erasure on its
-quantum leg (the center's own particle never travels).  Identity
-verification is a named always-pass hook so a real scheme can be
-plugged in later.
+quantum leg (the center's own particle never travels).
 
 Scenario seeds split into per-session seeds via
 SeedSequence(scenario_seed, spawn_key=(session_index,)), so a scenario
@@ -67,11 +65,6 @@ def register_user(registry: Registry, user_id: str,
     registry._channels[user_id] = channel or ChannelModel()
 
 
-def verify_identity(registry: Registry, user_id: str) -> bool:
-    """Identity verification hook; always passes in this model."""
-    return user_id in registry
-
-
 def request_session(registry: Registry, requester: str, responder: str,
                     config: SessionConfig) -> SessionTranscript:
     """Run one protocol session between two registered users.
@@ -84,8 +77,6 @@ def request_session(registry: Registry, requester: str, responder: str,
     for uid in (requester, responder):
         if uid not in registry:
             raise ValueError(f"user id {uid!r} is not registered")
-        if not verify_identity(registry, uid):
-            raise ValueError(f"identity check failed for {uid!r}")
     leg_loss = (
         registry.channel(requester).loss_probability,
         registry.channel(responder).loss_probability,

@@ -78,7 +78,9 @@ Each run of consecutive steps on one stream is drawn in bulk in exactly
 the order of one scalar call per position and step
 (`replay.replay_draws`), so transcripts are the same bytes as
 position-by-position sampling gives, and a stream left for a later
-phase (Bob's check sample) is in the same state.
+phase (Bob's check sample) is in the same state.  The tests hold every
+field of a session against `scalar_session` in tests/oracle.py, which
+samples that way.
 
 A transcript stores its positions as columns, never as objects: lost,
 announcement index, Alice's and Bob's basis and outcome (-1 for None),
@@ -177,13 +179,6 @@ _SCHEMES = {
 def party_bases(protocol: ProtocolId) -> tuple[Basis, Basis]:
     """The two measurement directions each communicator draws from."""
     return _SCHEMES[protocol].bases
-
-
-def prepared_labels(protocol: ProtocolId) -> tuple[TwoQubitLabel, ...]:
-    scheme = _SCHEMES[protocol]
-    if scheme.center_bases:
-        raise ValueError(f"{protocol} does not prepare labeled pairs")
-    return scheme.announcements
 
 
 def efficiency_bound(protocol: ProtocolId) -> float:
@@ -565,9 +560,9 @@ class _Table:
     other nodes, basis_of[node, choice] is the basis index a step's
     choice selects (-1 past its choices), p_plus[node, basis] the
     probability a draw is compared against (outcome + iff draw <
-    p_plus, the same float `qstate.measure` uses; NaN for a basis not
-    measured there) and next[node, basis, outcome] the node that
-    outcome leads to, -1 for a zero-probability branch.
+    p_plus, as in `Register.measure`; NaN for a basis not measured
+    there) and next[node, basis, outcome] the node that outcome leads
+    to, -1 for a zero-probability branch.
 
     leaves[column, node - len(p_plus)] says what a path means, in the
     columns: announcement (an index in announcements), Alice's basis,

@@ -13,8 +13,8 @@ immutable and safe to share between threads.
 
 One projection serves each measurement: `project` splits a qubit along
 both eigenvectors of a basis at once and returns both outcomes'
-probability and collapsed state, and `collapse`, `measure`,
-`Register.branches` and the per-announcement peer tables all read it.
+probability and collapsed state, and `collapse`, `Register.branches`
+and the per-announcement peer tables all read it.
 
 The correlation tables for the two-particle states, the mixed
 x/z-correlated combination states and the GHZ triplet are *derived*
@@ -209,21 +209,6 @@ def collapse(state: StateVector, qubit_index: int, basis: Basis, outcome: Outcom
     return project(state, qubit_index, basis)[outcome.bit]
 
 
-def measure(state: StateVector, qubit_index: int, basis: Basis, random_draw: float):
-    """Projective measurement of one qubit.
-
-    The outcome is PLUS iff random_draw < p_plus, which makes the whole
-    simulation a deterministic function of the supplied draws.  The
-    collapsed state drops the measured qubit; measuring the last qubit
-    returns None as the empty marker.
-    """
-    branches = project(state, qubit_index, basis)
-    outcome = Outcome.PLUS if random_draw < branches[0][0] else Outcome.MINUS
-    prob, collapsed = branches[outcome.bit]
-    assert prob > ATOL, "selected a zero-probability branch"
-    return outcome, collapsed
-
-
 def apply_x_probe(state: StateVector, qubit_index: int, u, v) -> StateVector:
     """Attach a fresh probe qubit correlated with one qubit's x components.
 
@@ -284,10 +269,17 @@ class Register:
                     where[r] = (f, q - 1)
         return Register(factors, where)
 
+    # Sessions draw from compiled tables and never call this;
+    # perfbench/tracing.py patches it by name, so it stays until the
+    # benchmark traces a layer that sessions run (ROADMAP item 1(b)).
     def measure(self, role, basis: Basis, random_draw: float):
-        fi, qi = self.where[role]
-        outcome, collapsed = measure(self.factors[fi], qi, basis, random_draw)
-        return outcome, self._after_collapse(role, collapsed)
+        """(outcome, register): PLUS iff random_draw < p_plus, as a
+        session compares its draws."""
+        plus, minus = self.branches(role, basis)
+        _, outcome, reg = plus if random_draw < plus[0] else minus
+        if reg is None:
+            raise AssertionError("selected a zero-probability branch")
+        return outcome, reg
 
     def branches(self, role, basis: Basis):
         """Both Born-rule branches [(prob, outcome, register), ...], +

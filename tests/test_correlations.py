@@ -17,20 +17,10 @@ import oracle
 P, M = Outcome.PLUS, Outcome.MINUS
 X, Y, Z = Basis.X, Basis.Y, Basis.Z
 
-_ORACLE_PAIRS = {
-    TwoQubitLabel.PSI_PLUS: oracle.PSI_PLUS,
-    TwoQubitLabel.PSI_MINUS: oracle.PSI_MINUS,
-    TwoQubitLabel.PHI_PLUS: oracle.PHI_PLUS,
-    TwoQubitLabel.PHI_MINUS: oracle.PHI_MINUS,
-    TwoQubitLabel.COMB_PSI_PLUS: oracle.COMB_PSI_PLUS,
-    TwoQubitLabel.COMB_PHI_MINUS: oracle.COMB_PHI_MINUS,
-}
-
-
 def oracle_pair(announcement):
     """(Alice, Bob) pair via the independent projection route."""
     if isinstance(announcement, TwoQubitLabel):
-        return _ORACLE_PAIRS[announcement]
+        return oracle.PAIRS[announcement.value]
     basis, out = announcement
     _, pair = oracle.project(oracle.GHZ3, 3, 0, oracle.EIGEN[(basis.value, out.value)])
     return pair

@@ -17,7 +17,6 @@ from tcqkd.netsim import (
     scenario_from_json_dict,
     scenario_to_json_dict,
     session_seed,
-    verify_identity,
 )
 from tcqkd.protocols import ProtocolId, SessionConfig
 
@@ -99,12 +98,6 @@ class TestRegistry:
         for i in range(10):
             register_user(reg, f"u{i}")
         assert len(reg) == 10
-
-    def test_identity_hook_always_passes_for_registered(self):
-        reg = Registry()
-        register_user(reg, "alice")
-        assert verify_identity(reg, "alice")
-        assert not verify_identity(reg, "mallory")
 
     def test_channel_validation(self):
         with pytest.raises(ValueError):

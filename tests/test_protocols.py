@@ -17,7 +17,6 @@ from tcqkd.protocols import (
     efficiency_bound,
     keep_rule,
     party_bases,
-    prepared_labels,
     run_session,
     summary_csv_row,
     SUMMARY_CSV_HEADER,
@@ -128,10 +127,10 @@ class TestKeepRule:
             entries = derive_correlation_table(scenario).entries
             return tuple(dict.fromkeys(e.announcement for e in entries))
 
-        assert columns(TableScenario.BELL_TABLE_I) == TABLE_I == prepared_labels(ProtocolId.BELL4)
-        assert columns(TableScenario.MIXED_TABLE_II) == TABLE_II == prepared_labels(ProtocolId.BELL5)
+        assert columns(TableScenario.BELL_TABLE_I) == TABLE_I
+        assert columns(TableScenario.MIXED_TABLE_II) == TABLE_II
         assert columns(TableScenario.GHZ_TABLE_III) == TABLE_III
-        for protocol in (ProtocolId.GHZ1, ProtocolId.GHZ2, ProtocolId.GHZ3):
+        for protocol in ProtocolId:
             table = protocols._compile(protocol, NoAttack())
             assert table.announcements == PAPER_RULES[protocol][0]
 

@@ -19,7 +19,6 @@ from tcqkd.qstate import (
     make_cat,
     make_eigenstate,
     make_two_qubit,
-    measure,
     outcome_distribution,
 )
 
@@ -187,17 +186,15 @@ class TestDistributionAndMeasure:
         with pytest.raises(IndexError):
             outcome_distribution(GHZ, 3, Basis.X)
         with pytest.raises(IndexError):
-            measure(GHZ, -1, Basis.X, 0.5)
+            collapse(GHZ, -1, Basis.X, Outcome.PLUS)
 
-    def test_measure_ghz_x_plus_collapse(self):
-        out, pair = measure(GHZ, 0, Basis.X, 0.0)
-        assert out is Outcome.PLUS
+    def test_collapse_ghz_x_plus(self):
+        _, pair = collapse(GHZ, 0, Basis.X, Outcome.PLUS)
         expected = oracle.S * (oracle.kron(oracle.XP, oracle.XP) + oracle.kron(oracle.XM, oracle.XM))
         assert close(vec(pair), expected)
 
-    def test_measure_ghz_x_minus_collapse(self):
-        out, pair = measure(GHZ, 0, Basis.X, 0.999)
-        assert out is Outcome.MINUS
+    def test_collapse_ghz_x_minus(self):
+        _, pair = collapse(GHZ, 0, Basis.X, Outcome.MINUS)
         expected = oracle.S * (oracle.kron(oracle.XP, oracle.XM) + oracle.kron(oracle.XM, oracle.XP))
         assert close(vec(pair), expected)
 
@@ -213,8 +210,7 @@ class TestDistributionAndMeasure:
 
     def test_ghz_y_minus_alice_y_plus_gives_bob_x_plus(self):
         _, pair = collapse(GHZ, 0, Basis.Y, Outcome.MINUS)
-        out, bob = measure(pair, 0, Basis.Y, 0.0)
-        assert out is Outcome.PLUS
+        _, bob = collapse(pair, 0, Basis.Y, Outcome.PLUS)
         p_plus, _ = outcome_distribution(bob, 0, Basis.X)
         assert abs(p_plus - 1.0) <= ATOL
 
@@ -241,16 +237,10 @@ class TestDistributionAndMeasure:
             for form in forms:
                 assert close(vec(pair), oracle.S * form)
 
-    def test_measure_single_qubit_returns_empty_marker(self):
-        out, rest = measure(make_eigenstate(Basis.Z, Outcome.PLUS), 0, Basis.Z, 0.5)
-        assert out is Outcome.PLUS
+    def test_collapse_single_qubit_returns_empty_marker(self):
+        prob, rest = collapse(make_eigenstate(Basis.Z, Outcome.PLUS), 0, Basis.Z, Outcome.PLUS)
+        assert prob == pytest.approx(1.0)
         assert rest is None
-
-    def test_measure_deterministic_in_draw(self):
-        a = measure(GHZ, 1, Basis.Y, 0.42)
-        b = measure(GHZ, 1, Basis.Y, 0.42)
-        assert a[0] is b[0]
-        assert np.array_equal(vec(a[1]), vec(b[1]))
 
 
 @st.composite
@@ -275,12 +265,14 @@ class TestBornProperties:
             assert abs(p_plus + p_minus - 1.0) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(random_states(), st.sampled_from(list(Basis)), st.floats(0, 1, exclude_max=True))
-    def test_collapse_preserves_norm(self, state, basis, draw):
+    @given(random_states(), st.sampled_from(list(Basis)))
+    def test_collapse_preserves_norm(self, state, basis):
         if state.num_qubits == 1:
             return
-        _, collapsed = measure(state, 0, basis, draw)
-        assert abs(float(np.sum(np.abs(collapsed.amplitudes) ** 2)) - 1.0) <= 1e-12
+        for outcome in Outcome:
+            prob, collapsed = collapse(state, 0, basis, outcome)
+            if prob > ATOL:
+                assert abs(float(np.sum(np.abs(collapsed.amplitudes) ** 2)) - 1.0) <= 1e-12
 
 
 class TestRegister:
@@ -302,6 +294,27 @@ class TestRegister:
         out, reg = reg.measure("a", Basis.Y, 0.99)
         assert out is Outcome.MINUS
         assert "a" not in reg.where
+
+    def test_measure_deterministic_in_draw(self):
+        reg = Register.from_state(GHZ, ("c", "a", "b"))
+        a = reg.measure("a", Basis.Y, 0.42)
+        b = reg.measure("a", Basis.Y, 0.42)
+        assert a[0] is b[0]
+        assert np.array_equal(vec(a[1].factors[0]), vec(b[1].factors[0]))
+
+    def test_draw_equal_to_p_plus_gives_minus(self):
+        # The sampler's comparison: MINUS iff draw >= p_plus.
+        reg = Register.from_state(GHZ, ("c", "a", "b"))
+        p_plus = reg.branches("c", Basis.X)[0][0]
+        assert reg.measure("c", Basis.X, p_plus)[0] is Outcome.MINUS
+        assert reg.measure("c", Basis.X, np.nextafter(p_plus, 0.0))[0] is Outcome.PLUS
+
+    def test_zero_probability_branch_raises(self):
+        # p_minus = 1e-14 is below ATOL: that branch has no register.
+        reg = Register.from_state(StateVector(np.array([1.0, 1e-7]) / math.hypot(1.0, 1e-7)), ("a",))
+        assert reg.branches("a", Basis.Z)[1][2] is None
+        with pytest.raises(AssertionError, match="zero-probability branch"):
+            reg.measure("a", Basis.Z, np.nextafter(1.0, 0.0))
 
     def test_duplicate_role_rejected(self):
         reg = Register.from_state(GHZ, ("c", "a", "b"))

@@ -9,8 +9,6 @@ accuracy oracles are recomputed as weighted sums over the same walk's
 leaves and pinned bit for bit.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -29,17 +27,11 @@ from tcqkd.protocols import (
     ProtocolId,
     keep_rule,
     party_bases,
-    prepared_labels,
 )
 from tcqkd.qstate import ATOL, Basis, Outcome, TwoQubitLabel, deterministic_peer_outcome
 
 BASES = (Basis.X, Basis.Y, Basis.Z)
 OUTCOMES = (Outcome.PLUS, Outcome.MINUS)
-PAIRS = {
-    "PsiPlus": oracle.PSI_PLUS, "PsiMinus": oracle.PSI_MINUS,
-    "PhiPlus": oracle.PHI_PLUS, "PhiMinus": oracle.PHI_MINUS,
-    "CombPsiPlus": oracle.COMB_PSI_PLUS, "CombPhiMinus": oracle.COMB_PHI_MINUS,
-}
 GHZ_PROTOCOLS = (ProtocolId.GHZ1, ProtocolId.GHZ2, ProtocolId.GHZ3)
 
 
@@ -64,29 +56,14 @@ PAIRINGS = pairings()
 IDS = [f"{p.value}-{a!r}" for p, a in PAIRINGS]
 
 
-def probed_triplet(coupling):
-    """GHZ with a probe entangled to Alice's x components: the term of
-    Alice's x outcome s carries probe state u (s = +) or v (s = -)."""
-    phi = math.acos(1.0 - coupling) / 2.0
-    probe = {"+": np.array([math.cos(phi), math.sin(phi)]),
-             "-": np.array([math.cos(phi), -math.sin(phi)])}
-    joint = np.zeros((2, 2, 2, 2), dtype=complex)  # (center, alice, bob, probe)
-    for sign in "+-":
-        x = oracle.EIGEN[("X", sign)]
-        p, rest = oracle.project(oracle.GHZ3, 3, 1, x)
-        rest = math.sqrt(p) * rest.reshape(2, 2)
-        joint += np.einsum("cb,a,e->cabe", rest, x, probe[sign])
-    return joint.reshape(-1)
-
-
 def start_states(protocol, attack):
     """(key, vector, roles) per start node, in the table's order; the key
     is the prepared pair's label value, None for the triplet."""
     if protocol in GHZ_PROTOCOLS:
         if isinstance(attack, AncillaEntangle):
-            return [(None, probed_triplet(attack.coupling), ["c", "a", "b", "eve"])]
+            return [(None, oracle.probed_triplet(attack.coupling), ["c", "a", "b", "eve"])]
         return [(None, oracle.GHZ3, ["c", "a", "b"])]
-    return [(label.value, PAIRS[label.value], ["a", "b"]) for label in prepared_labels(protocol)]
+    return [(label, oracle.PAIRS[label], ["a", "b"]) for label in oracle.PREPARED[protocol.value]]
 
 
 def read_path(attack, path):
@@ -227,7 +204,7 @@ def test_oracles_match_projection_walk(protocol, attack):
         if protocol in GHZ_PROTOCOLS:
             _, pair = oracle.project(oracle.GHZ3, 3, 0, oracle.EIGEN[announcement])
         else:
-            pair = PAIRS[announcement]
+            pair = oracle.PAIRS[announcement]
         announcement = announcement_of(protocol, announcement)
         if not keep_rule(protocol, announcement, Basis(alice[0]), Basis(b_basis)):
             continue
@@ -334,7 +311,7 @@ def test_prediction_tables_match_correlation_tables(protocol, attack):
         for i, ann in enumerate(anns):
             assert ann == (BASES[i // 2], OUTCOMES[i % 2])
     else:
-        assert anns == prepared_labels(protocol)
+        assert tuple(a.value for a in anns) == oracle.PREPARED[protocol.value]
     if isinstance(attack, InterceptResend):
         target = attack.target_party
     else:  # the eigenstate a cheating center sent Bob, or the probe in Alice's place
