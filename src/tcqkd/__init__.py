@@ -40,6 +40,7 @@ from .protocols import (
     predict_adversary_accuracy,
     predict_detection_rate,
     run_session,
+    transcript_from_json,
     transcript_to_json,
 )
 from .qstate import (

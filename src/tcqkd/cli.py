@@ -2,20 +2,25 @@
 
 Verbs: tables (derive and print correlation tables), run (one session),
 attack (adversary experiment with oracle comparison), bench (efficiency
-sweep over protocols and loss), network (execute a scenario file).
+sweep over protocols and loss), network (execute a scenario file),
+verify (check a transcript file written by run or attack --out).
 
-Exit codes: 0 success, 1 usage error, 2 session aborted by the
-eavesdrop check.  Every command is deterministic given its --seed, and
-re-runs produce byte-identical output files.  A --config file of
-key=value lines supplies defaults; explicit flags win.
+Exit codes: 0 success, 1 usage error or a transcript that does not
+verify, 2 session aborted by the eavesdrop check.  Every command is
+deterministic given its --seed, and re-runs produce byte-identical
+output files.  A --config file of key=value lines supplies defaults;
+explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import netsim
 from .adversary import (
@@ -26,12 +31,14 @@ from .adversary import (
     Party,
     UnsupportedAttackError,
 )
+from .postproc import final_key_length
 from .protocols import (
     ProtocolId,
     SessionConfig,
     SUMMARY_CSV_HEADER,
     summary_csv_row,
     run_session,
+    transcript_from_json,
     transcript_to_json,
     TIME_RESERVED_EPR_BASELINE,
 )
@@ -115,6 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("scenario", help="scenario JSON path")
     p_net.add_argument("--report", help="aggregate report JSON path")
     p_net.add_argument("--csv", help="per-session summary CSV path")
+
+    p_verify = sub.add_parser("verify", help="check a transcript file from run or attack --out")
+    p_verify.add_argument("file", help="transcript JSON path")
     return parser
 
 
@@ -239,6 +249,84 @@ def cmd_network(args) -> int:
     return 2 if aborted else 0
 
 
+def _short(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _first_difference(found, expected, path: str = "") -> str | None:
+    """Where two JSON values first differ, as one line that names the
+    field (object keys joined by dots) and, in equal-length strings such
+    as the position columns, the first index that differs; or None."""
+    if isinstance(found, dict) and isinstance(expected, dict):
+        for key in dict.fromkeys([*expected, *found]):
+            where = f"{path}.{key}" if path else key
+            if key not in found:
+                return f"{where}: missing from the file"
+            if key not in expected:
+                return f"{where}: not in the re-run's transcript"
+            difference = _first_difference(found[key], expected[key], where)
+            if difference:
+                return difference
+        return None
+    if (isinstance(found, str) and isinstance(expected, str) and len(found) == len(expected)
+            and found != expected):
+        at = next(i for i, (a, b) in enumerate(zip(found, expected)) if a != b)
+        return f"{path}: {found[at]!r} at {at} in the file, {expected[at]!r} in the re-run"
+    if type(found) is not type(expected) or found != expected:
+        return f"{path}: {_short(found)} in the file, {_short(expected)} in the re-run"
+    return None
+
+
+def _recount(transcript, positions: dict) -> str | None:
+    """The first field the file's own position columns contradict, as
+    one line, or None."""
+    def chars(key):
+        return np.frombuffer(positions[key].encode("ascii"), dtype=np.uint8)
+
+    kept, checked = chars("kept") == ord("1"), chars("used_for_check") == ord("1")
+    # An outcome's digit is its key bit: + is 0, - is 1.
+    bob_raw = ("" if transcript.check_report.aborted
+               else chars("bob_outcome")[kept & ~checked].tobytes().decode())
+    pp = transcript.postproc_summary
+    final_length = final_key_length(len(transcript.alice_raw_key), pp.qber_used,
+                                    pp.reconcile_leaked, pp.epsilon)
+    for name, recorded, recomputed in (
+        ("kept_count", transcript.kept_count, int(np.count_nonzero(kept))),
+        ("check_report.checked_count", transcript.check_report.checked_count,
+         int(np.count_nonzero(checked))),
+        ("bob_raw_key", transcript.bob_raw_key, bob_raw),
+        ("postproc.final_length", pp.final_length, final_length),
+        ("efficiency_measured", transcript.efficiency_measured,
+         final_length / transcript.config.num_states),
+    ):
+        if recorded != recomputed:
+            return f"{name}: {_short(recorded)} in the file, {_short(recomputed)} recomputed from it"
+    return None
+
+
+def cmd_verify(args) -> int:
+    """Re-run the file's config and compare the bytes, then recompute
+    what the file's columns determine.  Network sessions are not covered:
+    their per-leg loss is not in the config."""
+    try:
+        text = Path(args.file).read_text(encoding="utf-8")
+        transcript = transcript_from_json(text)
+    except ValueError as exc:  # not UTF-8, not JSON, or malformed
+        raise ValueError(f"{args.file}: {exc}") from None
+    rerun = transcript_to_json(run_session(transcript.config))
+    if rerun != text:
+        difference = _first_difference(json.loads(text), json.loads(rerun)) or (
+            f"bytes differ from the re-run's at offset {len(os.path.commonprefix([text, rerun]))}")
+        raise ValueError(f"{args.file}: {difference}")
+    difference = _recount(transcript, json.loads(text)["positions"])
+    if difference:
+        raise ValueError(f"{args.file}: {difference}")
+    print(f"{args.file}: equals a re-run of its config, and its counts, Bob's raw key and the "
+          "final length agree with its columns")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -257,6 +345,7 @@ def main(argv=None) -> int:
         "attack": cmd_attack,
         "bench": cmd_bench,
         "network": cmd_network,
+        "verify": cmd_verify,
     }
     try:
         return handlers[args.verb](args)

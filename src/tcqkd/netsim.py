@@ -21,8 +21,10 @@ import numpy as np
 from .protocols import (
     SessionConfig,
     SessionTranscript,
+    _config_at,
     _integer,
-    config_from_json_dict,
+    _member,
+    _of_type,
     config_to_json_dict,
     run_session,
     summary_csv_row,
@@ -224,33 +226,11 @@ def scenario_to_json_dict(scenario: NetworkScenario) -> dict:
     }
 
 
-def _of_type(value, kind: type, path: str):
-    if not isinstance(value, kind):
-        expected = {dict: "an object", list: "a list", str: "a string"}[kind]
-        raise ValueError(f"{path}: expected {expected}, got {type(value).__name__}")
-    return value
-
-
-def _member(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ValueError(f"{path}: missing {key!r}")
-    return doc[key]
-
-
 def _number(value, path: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{path}: expected a number, got {value!r}") from None
-
-
-def _session_config(doc, path: str) -> SessionConfig:
-    try:
-        return config_from_json_dict(_of_type(doc, dict, path))
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def scenario_from_json_dict(doc: dict) -> NetworkScenario:
@@ -275,7 +255,7 @@ def scenario_from_json_dict(doc: dict) -> NetworkScenario:
         sessions.append(SessionSpec(
             requester=_of_type(_member(s, "requester", path), str, f"{path}.requester"),
             responder=_of_type(_member(s, "responder", path), str, f"{path}.responder"),
-            config=_session_config(_member(s, "config", path), f"{path}.config"),
+            config=_config_at(_member(s, "config", path), f"{path}.config"),
         ))
     return NetworkScenario(
         users=tuple(_of_type(uid, str, f"users[{i}]") for i, uid

@@ -87,12 +87,11 @@ announcement index, Alice's and Bob's basis and outcome (-1 for None),
 kept and used_for_check (`_Positions`), and the adversary's records as
 position, shown basis, outcome and inferred bit (`_AdversaryRecords`).
 Both are read-only sequences that build a `PositionRecord`, resp. a
-dict, on index, slice or iteration.  `transcript_to_json` writes them
-from a fragment table: each distinct combination of the columns is
-dumped once through `json.dumps`, and an item is its leading
-`{"index":` or `{"position":`, its number, then its combination's
-fragment.  The rest of the document goes through `json.dumps`, so the
-bytes are those of dumping `transcript_to_json_dict` whole.
+dict, on index, slice or iteration.  The JSON document (schema 2) keeps
+them as columns: `positions` holds the legends and one string per
+column with one digit per position (`-` for None), and the adversary's
+`records` one string per column with one digit per arrived position.
+`transcript_from_json` reads a document back into the same columns.
 """
 
 from __future__ import annotations
@@ -304,32 +303,19 @@ class PositionRecord:
     used_for_check: bool
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, separators=(",", ":"))
-
-
 class _Columns(Sequence):
     """A read-only sequence whose items are built on access from
     equal-length columns, never stored.  `first` holds each item's first
-    JSON value, an integer (a range or an integer array); the other
-    columns are small integers with -1 for None.
+    value, an integer (a range or an integer array); the other columns
+    are small integers with -1 for None.  In JSON each of those is one
+    string, named in `names`, of one character per item (`_digits`)."""
 
-    `write_json` writes the compact JSON array of the items' dicts
-    (`_json`) from a fragment table: the items sharing one combination of
-    the other columns differ only in their first value, so each
-    combination is dumped once, through `json.dumps` from its first item,
-    and an item is `head`, its first value, then its combination's
-    text."""
-
-    head = ""  # an item's JSON text up to its first value
+    names: tuple = ()
 
     def __init__(self, lookup, first, *columns):
         self._lookup = lookup  # what `_item` decodes column values with
         self._first = first
         self._columns = columns
-
-    def _json(self, item) -> dict:
-        return item
 
     def __len__(self) -> int:
         return len(self._first)
@@ -351,25 +337,20 @@ class _Columns(Sequence):
                 and all(np.array_equal(a, b) for a, b in
                         zip((self._first, *self._columns), (other._first, *other._columns))))
 
-    def write_json(self, out: list):
-        """Append the array's text to out, in pieces: per item its first
-        value, then its combination's text up to the next item's first
-        value."""
-        if not len(self):
-            out.append("[]")
-            return
-        digits = [c.astype(np.intp) + 1 for c in self._columns]
-        codes = np.ravel_multi_index(digits, [int(d.max()) + 1 for d in digits])
-        _, at, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        glue = "," + self.head
-        tails = [_dumps(self._json(self[i]))[len(self.head) + len(str(self._first[i])):] + glue
-                 for i in at.tolist()]
-        pieces = [None] * (2 * len(self))
-        pieces[0::2] = map(str, self._first_values())
-        pieces[1::2] = np.array(tails, dtype=object)[inverse].tolist()
-        pieces[-1] = pieces[-1][:-len(glue)] + "]"
-        out.append("[" + self.head)
-        out += pieces
+    def _json_columns(self) -> dict:
+        return {name: _digits(c) for name, c in zip(self.names, self._columns)}
+
+
+# A code's character: 0-9 are digits, and -1 indexes the trailing '-'.
+_DIGITS = np.frombuffer(b"0123456789-", dtype=np.uint8)
+# A character's code: the inverse of _DIGITS, 99 for any other byte.
+_CODES = np.full(256, 99, dtype=np.int8)
+_CODES[_DIGITS] = (*range(10), -1)
+
+
+def _digits(column) -> str:
+    """One character per entry of an integer or bool column."""
+    return _DIGITS[np.asarray(column, dtype=np.intp)].tobytes().decode("ascii")
 
 
 # Column value -> object; -1 indexes the trailing None.
@@ -384,38 +365,39 @@ class _Positions(_Columns):
     outcome, kept, used_for_check): the announcement is an index in the
     announcements, a basis one in `Basis` and an outcome its key bit."""
 
-    head = '{"index":'
+    names = ("lost", "center_announcement", "alice_basis", "bob_basis", "alice_outcome",
+             "bob_outcome", "kept", "used_for_check")
 
     def _item(self, index, lost, announcement, a_basis, b_basis, a_out, b_out, kept, checked):
         return PositionRecord(index, lost, self._lookup[announcement],
                               _BASES_OR_NONE[a_basis], _BASES_OR_NONE[b_basis],
                               _OUTCOMES_OR_NONE[a_out], _OUTCOMES_OR_NONE[b_out], kept, checked)
 
-    def _json(self, p: PositionRecord) -> dict:
-        return {
-            "index": p.index,
-            "lost": p.lost,
-            "center_announcement": _announcement_json(p.center_announcement),
-            "alice_basis": None if p.alice_basis is None else p.alice_basis.value,
-            "bob_basis": None if p.bob_basis is None else p.bob_basis.value,
-            "alice_outcome": None if p.alice_outcome is None else p.alice_outcome.value,
-            "bob_outcome": None if p.bob_outcome is None else p.bob_outcome.value,
-            "kept": p.kept,
-            "used_for_check": p.used_for_check,
-        }
+    def to_json(self) -> dict:
+        return {**_legends(self._lookup[:-1]), **self._json_columns()}
+
+
+def _legends(announcements) -> dict:
+    """What the digits of the position columns stand for."""
+    return {"announcements": [_announcement_json(a) for a in announcements],
+            "bases": [b.value for b in _BASES], "outcomes": [o.value for o in _OUTCOMES]}
 
 
 class _AdversaryRecords(_Columns):
     """The adversary's record per arrived position, as a dict built on
     access.  Built as (prefix, position, basis, outcome, inferred bit):
     the basis she shows is an index in `Basis`, named with the prefix,
-    and her outcome is its key bit."""
+    and her outcome is its key bit.  In JSON the position is implied:
+    one character per arrived position, in position order."""
 
-    head = '{"position":'
+    names = ("basis_used", "outcome", "inferred_bit")
 
     def _item(self, position, basis, outcome, bit):
         return {"position": position, "basis_used": self._lookup + _BASES_OR_NONE[basis].value,
                 "outcome": _OUTCOMES_OR_NONE[outcome].value, "inferred_bit": bit}
+
+    def to_json(self) -> dict:
+        return {"basis_prefix": self._lookup, **self._json_columns()}
 
 
 @dataclass
@@ -955,6 +937,21 @@ def _integer(value, path: str) -> int:
         raise ValueError(f"{path}: expected a number, got {value!r}") from None
 
 
+def _of_type(value, kind, path: str):
+    """value, if it has the JSON type kind; true and false are not numbers."""
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        expected = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
+                    int: "an integer", (int, float): "a number"}[kind]
+        raise ValueError(f"{path}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
+def _member(doc: dict, key: str, path: str):
+    if key not in doc:
+        raise ValueError(f"{path}: missing {key!r}")
+    return doc[key]
+
+
 def config_from_json_dict(doc: dict) -> SessionConfig:
     return SessionConfig(
         protocol=ProtocolId(doc["protocol"]),
@@ -967,15 +964,30 @@ def config_from_json_dict(doc: dict) -> SessionConfig:
     )
 
 
-def _document(transcript: SessionTranscript) -> dict:
-    """The transcript document, positions and adversary records still
-    as their column sequences."""
+def _config_at(doc, path: str) -> SessionConfig:
+    """`config_from_json_dict` for the document at path; a malformed one
+    raises one ValueError line that starts with path."""
+    try:
+        return config_from_json_dict(_of_type(doc, dict, path))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+SCHEMA_VERSION = 2
+
+
+def transcript_to_json_dict(transcript: SessionTranscript) -> dict:
     cr = transcript.check_report
+    adversary = transcript.adversary
+    if adversary is not None:
+        adversary = {**adversary, "records": adversary["records"].to_json()}
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "config": config_to_json_dict(transcript.config),
         "events": transcript.events,
-        "positions": transcript.positions,
+        "positions": transcript.positions.to_json(),
         "check_report": {
             "checked_count": cr.checked_count,
             "error_count": cr.error_count,
@@ -994,7 +1006,7 @@ def _document(transcript: SessionTranscript) -> dict:
             "stage_lengths": transcript.postproc_summary.stage_lengths,
             "final_length": transcript.postproc_summary.final_length,
         },
-        "adversary": transcript.adversary,
+        "adversary": adversary,
         "kept_count": transcript.kept_count,
         "kept_fraction": transcript.kept_fraction,
         "efficiency_measured": transcript.efficiency_measured,
@@ -1003,41 +1015,104 @@ def _document(transcript: SessionTranscript) -> dict:
     }
 
 
-def _plain(value):
-    """value with every column sequence in it, at any depth of dicts,
-    replaced by the list of its items' dicts."""
-    if isinstance(value, _Columns):
-        return [value._json(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _plain(v) for key, v in value.items()}
-    return value
-
-
-def _write_json(value, out: list):
-    """Append `_dumps(_plain(value))` to out, in pieces, with column
-    sequences written from their fragment tables.  Keys are strings, as
-    in every transcript dict."""
-    if isinstance(value, _Columns):
-        value.write_json(out)
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (key, v) in enumerate(value.items()):
-            out.append(f"{',' if i else ''}{_dumps(key)}:")
-            _write_json(v, out)
-        out.append("}")
-    else:
-        out.append(_dumps(value))
-
-
-def transcript_to_json_dict(transcript: SessionTranscript) -> dict:
-    return _plain(_document(transcript))
-
-
 def transcript_to_json(transcript: SessionTranscript) -> str:
-    out = []
-    _write_json(_document(transcript), out)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(transcript_to_json_dict(transcript), separators=(",", ":")) + "\n"
+
+
+def _field(doc: dict, key: str, kind, path: str = ""):
+    """doc[key] of the given type, for the document at path ("" for the
+    top level)."""
+    return _of_type(_member(doc, key, path or "transcript"), kind, f"{path}.{key}" if path else key)
+
+
+def _column_at(doc: dict, key: str, path: str, n: int, size: int, none: bool) -> np.ndarray:
+    """The column doc[key] as int8 codes: n characters, each a digit
+    below size or, with none, '-' (-1)."""
+    alphabet = "/".join([*map(str, range(size)), *"-"[:none]])
+    expected = f"{path}.{key}: expected {n} characters of {alphabet}"
+    text = _field(doc, key, str, path)
+    if len(text) != n or not text.isascii():
+        raise ValueError(f"{expected}, got {len(text)}")
+    codes = _CODES[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    bad = np.flatnonzero((codes < (-1 if none else 0)) | (codes >= size))
+    if len(bad):
+        raise ValueError(f"{expected}, got {text[bad[0]]!r} at {bad[0]}")
+    return codes
+
+
+def _positions_from_json(doc: dict, n: int, announcements: tuple) -> _Positions:
+    doc = _field(doc, "positions", dict)
+    for key, legend in _legends(announcements).items():
+        if _member(doc, key, "positions") != legend:
+            raise ValueError(f"positions.{key}: expected {json.dumps(legend)}")
+    # Per column: its number of digits, and whether '-' (None) may appear.
+    shapes = [(2, False), (len(announcements), True), *[(len(_BASES), True)] * 2,
+              *[(len(_OUTCOMES), True)] * 2, (2, False), (2, False)]
+    lost, ann, *parties, kept, checked = (_column_at(doc, key, "positions", n, *shape)
+                                          for key, shape in zip(_Positions.names, shapes))
+    lost, kept, checked = (c.astype(bool) for c in (lost, kept, checked))
+    for key, column in zip(_Positions.names[2:6], parties):
+        at = np.flatnonzero((column < 0) != lost)
+        if len(at):
+            raise ValueError(f"positions.{key}: expected '-' exactly where lost, not at {at[0]}")
+    for key, inner, outer, what in (("kept", kept, ~lost, "arrived"),
+                                    ("used_for_check", checked, kept, "kept")):
+        at = np.flatnonzero(inner & ~outer)
+        if len(at):
+            raise ValueError(f"positions.{key}: position {at[0]} is not {what}")
+    return _Positions((*announcements, None), range(n), lost, ann, *parties, kept, checked)
+
+
+def _records_from_json(doc: dict, present: np.ndarray) -> _AdversaryRecords:
+    """The adversary's records; present are the arrived positions."""
+    path = "adversary.records"
+    doc = _field(doc, "records", dict, "adversary")
+    sizes = (len(_BASES), len(_OUTCOMES), 2)
+    return _AdversaryRecords(_field(doc, "basis_prefix", str, path), present, *(
+        _column_at(doc, key, path, len(present), size, False)
+        for key, size in zip(_AdversaryRecords.names, sizes)))
+
+
+def transcript_from_json(text: str) -> SessionTranscript:
+    """Read back a `transcript_to_json` document: the transcript's
+    columns are rebuilt, so writing it again gives the same bytes.  The
+    fields the writer derives (check_report.qber, kept_fraction and
+    baseline_time_reserved) are not read.  A malformed document raises
+    one ValueError line naming the field, e.g. `positions.kept: expected
+    3000 characters of 0/1, got 2999`."""
+    doc = _of_type(json.loads(text), dict, "transcript")
+    version = _field(doc, "schema_version", int)
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
+    config = _config_at(_member(doc, "config", "transcript"), "config")
+    positions = _positions_from_json(doc, config.num_states,
+                                     _SCHEMES[config.protocol].announcements)
+    cr, pp = _field(doc, "check_report", dict), _field(doc, "postproc", dict)
+    number = (int, float)
+    adversary = _member(doc, "adversary", "transcript")
+    if adversary is not None:
+        adversary = _field(doc, "adversary", dict)
+        present = np.flatnonzero(~positions._columns[0])  # not lost
+        adversary = {**adversary, "records": _records_from_json(adversary, present)}
+    return SessionTranscript(
+        config=config,
+        positions=positions,
+        events=_field(doc, "events", list),
+        check_report=CheckReport(*(_field(cr, key, kind, "check_report") for key, kind in (
+            ("checked_count", int), ("error_count", int), ("aborted", bool),
+            ("empty_check_warning", bool)))),
+        alice_raw_key=_field(doc, "alice_raw_key", str),
+        bob_raw_key=_field(doc, "bob_raw_key", str),
+        alice_final_key=_field(doc, "alice_final_key", str),
+        bob_final_key=_field(doc, "bob_final_key", str),
+        postproc_summary=PostprocSummary(*(_field(pp, key, kind, "postproc") for key, kind in (
+            ("qber_used", number), ("reconcile_leaked", int), ("epsilon", number),
+            ("stage_lengths", dict), ("final_length", int)))),
+        adversary=adversary,
+        kept_count=_field(doc, "kept_count", int),
+        efficiency_measured=_field(doc, "efficiency_measured", number),
+        efficiency_bound=_field(doc, "efficiency_bound", number),
+    )
 
 
 SUMMARY_CSV_HEADER = ("protocol,num_states,loss,attack,kept_fraction,qber,aborted,"

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+from tcqkd import cli
 from tcqkd.cli import main
 from tcqkd.netsim import NetworkScenario, SessionSpec, scenario_to_json_dict
-from tcqkd.protocols import ProtocolId, SessionConfig
+from tcqkd.protocols import ProtocolId, SessionConfig, transcript_from_json
 from test_netsim import MALFORMED_SCENARIOS
 
 
@@ -43,7 +44,7 @@ class TestRun:
                      "--seed", "42", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["kept_fraction"] == 1.0
         summary = capsys.readouterr().out
         assert "protocol=GHZ3" in summary and "bound=1.0" in summary
@@ -192,6 +193,70 @@ class TestDeterminism:
         main(["network", str(scenario), "--report", str(a)])
         main(["network", str(scenario), "--report", str(b)])
         assert sha(a) == sha(b)
+
+
+class TestVerify:
+    RUNS = {
+        "run": ["run", "--protocol", "GHZ2", "--num-states", "3000", "--loss", "0.1",
+                "--seed", "3"],
+        "attack_reconciles": ["attack", "GHZ3", "ancilla", "--coupling", "0.2", "--threshold",
+                              "0.3", "--num-states", "3000", "--seed", "4"],
+        "attack_aborts": ["attack", "BELL5", "intercept-resend", "--num-states", "2000",
+                          "--seed", "5"],
+    }
+
+    def _file(self, tmp_path, name):
+        out = tmp_path / f"{name}.json"
+        assert main(self.RUNS[name] + ["--out", str(out)]) in (0, 2)
+        return out
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_run_and_attack_files_verify(self, name, tmp_path, capsys):
+        out = self._file(tmp_path, name)
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"{out}: equals a re-run of its config")
+
+    def test_flipped_kept_digit_names_the_column(self, tmp_path, capsys):
+        out = self._file(tmp_path, "run")
+        doc = json.loads(out.read_text())
+        lost, kept = doc["positions"]["lost"], doc["positions"]["kept"]
+        at = next(i for i, (l, k) in enumerate(zip(lost, kept)) if l == k == "0")  # arrived
+        doc["positions"]["kept"] = kept[:at] + "1" + kept[at + 1:]
+        out.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}: positions.kept: '1' at {at} in the file, '0' in the re-run\n")
+
+    def test_counts_are_recomputed_from_the_columns(self, tmp_path, capsys, monkeypatch):
+        """A file whose kept_count its own kept column contradicts fails,
+        even where the re-run agrees with it byte for byte."""
+        out = self._file(tmp_path, "attack_reconciles")
+        doc = json.loads(out.read_text())
+        doc["kept_count"] += 1
+        doc["kept_fraction"] = doc["kept_count"] / doc["config"]["num_states"]
+        text = json.dumps(doc, separators=(",", ":")) + "\n"
+        out.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(cli, "run_session", lambda config: transcript_from_json(text))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        kept = doc["positions"]["kept"].count("1")
+        assert capsys.readouterr().err == (
+            f"error: {out}: kept_count: {kept + 1} in the file, {kept} recomputed from it\n")
+
+    @pytest.mark.parametrize("content,message", [
+        (b'{"schema_version":', "Expecting value: line 1 column 19 (char 18)"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b'{"schema_version":1}', "schema_version: expected 2, got 1"),
+    ], ids=["not_json", "not_utf8", "schema_1"])
+    def test_malformed_file_one_line(self, content, message, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_bytes(content)
+        assert main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n"
+        assert captured.out == ""
 
 
 class TestConfigFile:

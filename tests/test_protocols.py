@@ -345,20 +345,29 @@ class TestDeterminismAndSerialization:
         assert transcript_to_json(a) != transcript_to_json(b)
 
     def test_json_document_shape(self):
-        cfg = SessionConfig(ProtocolId.BELL5, 300, rng_seed=6)
+        cfg = SessionConfig(ProtocolId.BELL5, 300, loss_probability=0.1, rng_seed=6)
         doc = transcript_to_json_dict(run_session(cfg))
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["config"]["protocol"] == "BELL5"
-        assert len(doc["positions"]) == 300
-        announced = [p for p in doc["positions"] if not p["lost"]][0]
-        assert "label" in announced["center_announcement"]
+        positions = doc["positions"]
+        assert positions["bases"] == ["X", "Y", "Z"] and positions["outcomes"] == ["+", "-"]
+        assert all(set(a) == {"label"} for a in positions["announcements"])
+        columns = {key: positions[key] for key in protocols._Positions.names}
+        assert all(len(column) == 300 for column in columns.values())
+        assert set(columns["lost"]) == {"0", "1"}
+        # A prepared pair's label is announced whether or not it arrived.
+        assert set(columns["center_announcement"]) <= set("0123")
+        lost = [i for i, c in enumerate(columns["lost"]) if c == "1"]
+        assert all(columns["alice_basis"][i] == columns["bob_outcome"][i] == "-" for i in lost)
         assert doc["baseline_time_reserved"] == 0.125
         json.dumps(doc)  # round-trippable
 
     def test_ghz_announcement_shape(self):
         doc = transcript_to_json_dict(run_session(SessionConfig(ProtocolId.GHZ2, 50, rng_seed=6)))
-        announced = [p for p in doc["positions"] if not p["lost"]][0]
-        assert set(announced["center_announcement"]) == {"basis", "outcome"}
+        positions = doc["positions"]
+        assert positions["announcements"] == [{"basis": b, "outcome": o}
+                                              for b in "XY" for o in "+-"]
+        assert set(positions["center_announcement"]) <= set("0123")
 
     def test_summary_csv(self):
         tr = run_session(SessionConfig(ProtocolId.GHZ1, 500, rng_seed=11))

@@ -9,7 +9,6 @@ registers, reconciliation and the Toeplitz hash.
 
 import hashlib
 import json
-import os
 
 import pytest
 
@@ -20,8 +19,8 @@ from tcqkd.protocols import (
     ProtocolId,
     SessionConfig,
     run_session,
+    transcript_from_json,
     transcript_to_json,
-    transcript_to_json_dict,
 )
 from tcqkd.qstate import GHZ, Basis, Outcome, TwoQubitLabel, make_eigenstate, make_two_qubit
 
@@ -31,33 +30,33 @@ CASES = {
     "ghz3_ancilla": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=0.5, rng_seed=11,
                       attack=AncillaEntangle(0.05)),
-        "bc16e3826bb856b6de5cf1fdc22d5570d597a1eb07082f43a3de36d4c954168a",
+        "2052bfe2cbb092fb7c5ebfeb66b26dc11c162d7465106b5a73eee34707b00ff9",
     ),
     # The ancilla attack is defined for the triplet protocols only, so
     # BELL5 is pinned under intercept-resend.
     "bell5_intercept_alice": (
         SessionConfig(ProtocolId.BELL5, N, qber_abort_threshold=0.5, rng_seed=12,
                       attack=InterceptResend(Party.ALICE)),
-        "f605b3f0b83ad8f76162d9e048bd79e71e0f78c1d18fdbfd0a1a8e4f796e990f",
+        "68843ed4c5bf307fa47989eecb0599a9bace7d4bc6fde1a6c51bc7db5a4249ff",
     ),
     "ghz1_cheating_center": (
         SessionConfig(ProtocolId.GHZ1, N, qber_abort_threshold=0.5, rng_seed=13,
                       attack=CheatingCenterMeasureAll(Basis.X)),
-        "47b6bd3dd9d97db11d5840d3eb3089c165d34a4b8aa8888d96e68b4229d9f0b5",
+        "6159935815061e62dca0c1962ee388361a8fff5fe1a767441e0bbdb502da72f0",
     ),
     "bell4_intercept_bob": (
         SessionConfig(ProtocolId.BELL4, N, qber_abort_threshold=0.5, rng_seed=14,
                       attack=InterceptResend(Party.BOB)),
-        "7608a503e9ac54b0e49381f8467912345cad0e84620daeb1064c4f1c1e7b33b4",
+        "34b0f4fd846b1e192b740f47f20702872a64b2d2e49b6411f1d23e4451ad08c6",
     ),
     "ghz2_intercept_alice": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=0.5, rng_seed=15,
                       attack=InterceptResend(Party.ALICE)),
-        "5db31356c279b60f16ed008fa8e293ee4db366e159d05017639d7d0256277477",
+        "42bc94aed2031c4e3b9354fedec6cd2b1638cd520cf052f24f63a29db607ba75",
     ),
     "ghz1_loss": (
         SessionConfig(ProtocolId.GHZ1, N, loss_probability=0.05, rng_seed=16),
-        "e9b8c8886fdf7cfb3f179eb16d1f948f39d71ab0263248fac337c655f8cc6137",
+        "bcb85f27aa3263573def339aaa7a8c82812597a04f799ace436e17293b25923e",
     ),
 }
 
@@ -68,85 +67,85 @@ CASES = {
 T = 0.5
 MORE_CASES = {
     "ghz2_none": (SessionConfig(ProtocolId.GHZ2, N, rng_seed=21), None,
-                  "e0587b83c03b470165ed43c59308c75a9a3ae43ae07dcc8ec3ea9e9b031c6392"),
+                  "c438354e5b8e80e5d031159b398ca51c88deef5e3b1c489fc4ee1c5f1b237ced"),
     "ghz3_none": (SessionConfig(ProtocolId.GHZ3, N, rng_seed=22), None,
-                  "c63d4a884fe12c029bfc25182402ffa919a51b6be2b569ad1bebb2daad2a1f6e"),
+                  "bfe7776ca231048d6950c535763802c13801c844f2220970d5a627d1879d7164"),
     "bell4_none": (SessionConfig(ProtocolId.BELL4, N, rng_seed=23), None,
-                   "314f987412ef8ae34be09d5517e2a5e500c8bd7cddf34e3655288f40227ba981"),
+                   "7050f9cfc3807fbdafdffbbfbad72e4454662f95f7a71100e7a482680f1b8d7f"),
     "bell5_none": (SessionConfig(ProtocolId.BELL5, N, rng_seed=24), None,
-                   "ad1e3a1511611de47aefb43a681a84c489f827ef9edc64866f8eee495f7e7043"),
+                   "fabfce59196c07d49f701ad22d4ba59242ace0c4ae02ce584bec12dea718a3df"),
     "ghz1_intercept_alice": (
         SessionConfig(ProtocolId.GHZ1, N, qber_abort_threshold=T, rng_seed=25,
                       attack=InterceptResend(Party.ALICE)), None,
-        "3b96e48c1d51be61efcdf3d2f53dde2bc7fb02fce6eb9b52ecc3f36536df37ca"),
+        "f6326e4b90e55609682cb700adbf8da6d722a52e4ec90cabb340e0839874c149"),
     "ghz3_intercept_alice": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=T, rng_seed=26,
                       attack=InterceptResend(Party.ALICE)), None,
-        "57171d4f28555506482f2dfabf1cdb44d26a9f64deb0ded2165e7d6d898d8f1b"),
+        "e73adaa75b13b082a1e1900a98c708517663b65b1ba43cf365fffb79a5011ca8"),
     "bell4_intercept_alice": (
         SessionConfig(ProtocolId.BELL4, N, qber_abort_threshold=T, rng_seed=27,
                       attack=InterceptResend(Party.ALICE)), None,
-        "590ce84eb962c5c3be51cc5a490597285780f2d278cc21d7215f712409cd5fe3"),
+        "28b0b42ad07964cf8ad28fb0c8341dfdd1da3621ce794113a2b7698cce0295b4"),
     "ghz1_intercept_bob": (
         SessionConfig(ProtocolId.GHZ1, N, qber_abort_threshold=T, rng_seed=28,
                       attack=InterceptResend(Party.BOB)), None,
-        "528e747b61aa1177ea6804720b7f598f8528c9bdf0598036449a3b8539efe156"),
+        "5e45839efb5c39d9aa3b0745f1603a7262a99abbc78998851ce98d28464dc41a"),
     "ghz2_intercept_bob": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=29,
                       attack=InterceptResend(Party.BOB)), None,
-        "1f3ab60691dff822ef9de0ede1f58db294b324069b6a2056dce0bccfd533b64e"),
+        "e9f35cf23ba87dcf7c3397ace16c616aab8b47f5245889fa91eb18b01975addf"),
     "ghz3_intercept_bob": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=T, rng_seed=30,
                       attack=InterceptResend(Party.BOB)), None,
-        "63c5d99159aaceea3f2964b766e5ba5781f4b53ffe255f88ee425fb772867f7f"),
+        "4018eb44af630b54ec2ad995caf66edf62f2267929e73662fe33d3b89133bc87"),
     "bell5_intercept_bob": (
         SessionConfig(ProtocolId.BELL5, N, qber_abort_threshold=T, rng_seed=31,
                       attack=InterceptResend(Party.BOB)), None,
-        "583418ae193950bb4f8569ab1278340abbc46cdd6ce494a0891b54de8ec394b3"),
+        "b0bc86dbbe635592025a491db6b3a0c76d0a5d559305e5db7b9146b6be7e30ec"),
     "ghz2_cheating_x": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=32,
                       attack=CheatingCenterMeasureAll(Basis.X)), None,
-        "830253759988b0aba9d34608cd4ab8ce28a458bd3c8fe1123d7900c62c3ad289"),
+        "075694303ad0f5b56addbdf466a0fb07589a26b5ec9fd4eb222421787305aacc"),
     "ghz2_cheating_y": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=33,
                       attack=CheatingCenterMeasureAll(Basis.Y)), None,
-        "e60ea3d06f4a77a18adf3336e018d81dbee721af3d57356000d911b5bc8c667d"),
+        "b16bd04ba13a1b5be18a11b2ba1fe67cf0f47ec85e41ae3bc57da982f989f4d1"),
     "ghz1_ancilla_1": (
         SessionConfig(ProtocolId.GHZ1, N, qber_abort_threshold=T, rng_seed=34,
                       attack=AncillaEntangle(1.0)), None,
-        "914ba854a791f60a3247c3cff2142d46e9e1eab71252494d0e3037c215388463"),
+        "940ca57f8711bc3e5a3d4e6d261bf998b2ede893fa2f571031ab5deae8a12c4e"),
     "ghz2_ancilla_0": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=35,
                       attack=AncillaEntangle(0.0)), None,
-        "ff8104593b0e32e9573dfe695bcf7f91463f2fb2079f2e0a66585e41ff4086f9"),
+        "72bdd6dc6089447f3343fbad4f5bf5df5222332aaa7e5c26639e90e1eeee9b91"),
     "ghz3_ancilla_1": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=T, rng_seed=36,
                       attack=AncillaEntangle(1.0)), None,
-        "1dba3565df2bacfa8c4545058f027cf1840286bbfeaad01b6624967e43ab5c94"),
+        "744fa0f275dbbb8bf70eaa86e8ec250fbba2fe6bec9d7fce0330b95fdf53cf7f"),
     "ghz2_pool_1": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=37,
                       attack=InterceptResend(Party.ALICE, (Basis.Y,))), None,
-        "312348d7e5557e9aff5d8e4797e93e50e7a93da725f5fd3d9af5ca3da322b847"),
+        "19f0055f8c030d9e2262e5587bca98b78ca37dffb6966eac7802c21413251465"),
     "bell4_pool_3": (
         SessionConfig(ProtocolId.BELL4, N, qber_abort_threshold=T, rng_seed=38,
                       attack=InterceptResend(Party.ALICE, (Basis.X, Basis.Y, Basis.Z))), None,
-        "2142bb4ac2fbdc65ed1cc4cf31421b7f3bb271c7af0a57b58cd81ed4d4882bde"),
+        "de397daa07058f7aedba7ae50629850411f8fcd6743a11ca02338b7bdc53083d"),
     "ghz3_pool_3_bob": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=T, rng_seed=39,
                       attack=InterceptResend(Party.BOB, (Basis.Z, Basis.X, Basis.Y))), None,
-        "e8a0249758bfad86b530531d0f04d68eff864f31c8342e1770b79984045683cd"),
+        "7ba4af6240651eddbfd49089d257531b43301a8664008545d1dea0100bf26522"),
     "bell5_odd_n": (SessionConfig(ProtocolId.BELL5, 3001, loss_probability=0.1, rng_seed=40), None,
-                    "c9a65555536809eb1fa452f5eb20f6af17ea17216e42f183495055d673627ae4"),
+                    "593be820bde19b46e27b019289ceb4855b457aaf3c7d03b7e7781f3c2687ac03"),
     "ghz2_total_loss": (SessionConfig(ProtocolId.GHZ2, N, loss_probability=1.0, rng_seed=41), None,
-                        "85a0ef09908e67e9ffa733332cd770816170d22ebf9a51e9bff070a170c2a356"),
+                        "13557bf28f211e194f1851c9ca0e9286dd13554cbcdaa910135be09cd522dfda"),
     "ghz3_empty_check": (SessionConfig(ProtocolId.GHZ3, 20, check_fraction=0.01, rng_seed=42), None,
-                         "61df768efe80b32a724d9d54428e11092b62b449baa2c122eecba1c8d6069d54"),
+                         "d78f02f8204f3c5f335a580b76773170f29265bde8b7760eab33eec22ee8109f"),
     "ghz2_leg_loss": (
         SessionConfig(ProtocolId.GHZ2, 3001, qber_abort_threshold=T, rng_seed=43,
                       attack=AncillaEntangle(0.3)), (0.02, 0.2),
-        "46d02a218a6376d8ad313ba999dd72fc76fca8d16a7938f663251c10bc1bc14d"),
+        "3e1a3b9fc4983bed708170df0869c7702bab3d0a9baf246c098eabf326f8e6c6"),
     "bell4_leg_loss": (SessionConfig(ProtocolId.BELL4, N, rng_seed=44), (0.3, 0.0),
-                       "29b40b343d20b8d18875e08172b01ae3a22c7002494a6d372e249dc64d5484f2"),
+                       "1e590667a60848b1f298f0f2476044084711133fb5412352c2c4815d89e2aa0a"),
 }
 
 NETWORK_SCENARIO = {
@@ -184,35 +183,31 @@ def test_more_transcript_digests_pinned(name):
     assert digest(run_session(config, leg_loss=leg_loss)) == expected
 
 
-def assert_exact_route(transcript):
-    """transcript_to_json equals the document dumped whole by
-    `json.dumps`, positions and adversary records as lists of dicts built
-    from their items.  A difference is reported by its offset: a diff of
-    two long documents would take minutes."""
-    fast = transcript_to_json(transcript)
-    exact = json.dumps(transcript_to_json_dict(transcript), separators=(",", ":")) + "\n"
-    if fast != exact:
-        at = len(os.path.commonprefix([fast, exact]))
-        pytest.fail(f"first difference at offset {at}: "
-                    f"{fast[at - 80:at + 80]!r} != {exact[at - 80:at + 80]!r}")
+def assert_round_trip(transcript):
+    """Reading the document back gives the transcript, and writing that
+    again gives the same bytes."""
+    text = transcript_to_json(transcript)
+    back = transcript_from_json(text)
+    assert back == transcript
+    assert transcript_to_json(back) == text
 
 
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(MORE_CASES))
-def test_fragment_writer_is_the_exact_route(name):
+def test_document_reads_back(name):
     if name in CASES:
         transcript = run_session(CASES[name][0])
     else:
         config, leg_loss, _ = MORE_CASES[name]
         transcript = run_session(config, leg_loss=leg_loss)
-    assert_exact_route(transcript)
+    assert_round_trip(transcript)
 
 
-def test_fragment_writer_is_the_exact_route_at_scale():
+def test_document_reads_back_at_scale():
     transcript = run_session(SessionConfig(ProtocolId.GHZ1, 10**5, loss_probability=0.05,
                                            qber_abort_threshold=T, rng_seed=45,
                                            attack=AncillaEntangle(0.5)))
     assert transcript.adversary is not None
-    assert_exact_route(transcript)
+    assert_round_trip(transcript)
 
 
 def test_network_csv_pinned(tmp_path, capsys):
