@@ -91,7 +91,11 @@ dict, on index, slice or iteration.  The JSON document (schema 2) keeps
 them as columns: `positions` holds the legends and one string per
 column with one digit per position (`-` for None), and the adversary's
 `records` one string per column with one digit per arrived position.
-`transcript_from_json` reads a document back into the same columns.
+
+A transcript stores only what the session decided (`SessionTranscript`);
+everything else it reports is derived from that on access, by the same
+code for a session just run and one read back by `transcript_from_json`,
+which reads the decided fields only.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -337,6 +341,10 @@ class _Columns(Sequence):
                 and all(np.array_equal(a, b) for a, b in
                         zip((self._first, *self._columns), (other._first, *other._columns))))
 
+    def column(self, name: str) -> np.ndarray:
+        """The column called name in JSON."""
+        return self._columns[self.names.index(name)]
+
     def _json_columns(self) -> dict:
         return {name: _digits(c) for name, c in zip(self.names, self._columns)}
 
@@ -376,6 +384,10 @@ class _Positions(_Columns):
     def to_json(self) -> dict:
         return {**_legends(self._lookup[:-1]), **self._json_columns()}
 
+    def in_key(self) -> np.ndarray:
+        """Per position, whether it is key material: kept and not checked."""
+        return self.column("kept") & ~self.column("used_for_check")
+
 
 def _legends(announcements) -> dict:
     """What the digits of the position columns stand for."""
@@ -402,17 +414,26 @@ class _AdversaryRecords(_Columns):
 
 @dataclass
 class CheckReport:
+    """How many kept positions the check disclosed, and how many disagreed."""
+
     checked_count: int
     error_count: int
-    aborted: bool
-    empty_check_warning: bool = False
+    qber_abort_threshold: float
 
     @property
     def qber(self) -> float:
         return self.error_count / self.checked_count if self.checked_count else 0.0
 
+    @property
+    def aborted(self) -> bool:
+        return self.qber > self.qber_abort_threshold
 
-@dataclass
+    @property
+    def empty_check_warning(self) -> bool:
+        return self.checked_count == 0
+
+
+@dataclass(frozen=True)
 class PostprocSummary:
     qber_used: float
     reconcile_leaked: int
@@ -423,23 +444,91 @@ class PostprocSummary:
 
 @dataclass
 class SessionTranscript:
+    """What a session decided: the config, the position columns, the
+    check's error count (its checked count is the used_for_check
+    column's), Alice's raw key, both final keys, the parity bits
+    reconciliation disclosed and the adversary's records.  Every
+    property is derived from these on access."""
+
     config: SessionConfig
     positions: _Positions
-    events: list
     check_report: CheckReport
     alice_raw_key: str
-    bob_raw_key: str
     alice_final_key: str
     bob_final_key: str
-    postproc_summary: PostprocSummary
-    adversary: dict | None
-    kept_count: int
-    efficiency_measured: float
-    efficiency_bound: float
+    reconcile_leaked: int
+    adversary_records: _AdversaryRecords | None
+
+    @property
+    def events(self) -> list:
+        return _events(self.config.protocol, self.config.attack)
+
+    @property
+    def kept_count(self) -> int:
+        return int(np.count_nonzero(self.positions.column("kept")))
 
     @property
     def kept_fraction(self) -> float:
         return self.kept_count / self.config.num_states
+
+    @property
+    def bob_raw_key(self) -> str:
+        return _bob_raw_key(self.positions, self.check_report)
+
+    @property
+    def postproc_summary(self) -> PostprocSummary:
+        # Reconciliation keeps the length: the reconciled key is as long as the sifted one.
+        sifted, final = len(self.alice_raw_key), len(self.alice_final_key)
+        return PostprocSummary(
+            self.check_report.qber, self.reconcile_leaked, DEFAULT_EPSILON,
+            {"raw": self.kept_count, "sifted": sifted, "reconciled": sifted, "final": final}, final)
+
+    @property
+    def adversary(self) -> dict | None:
+        """Her section: the attack, the oracles' predictions next to what
+        the check and her records show, and the records; None without her."""
+        records = self.adversary_records
+        if records is None:
+            return None
+        protocol, attack = self.config.protocol, self.config.attack
+        params = _attack_json(replace(attack, basis_pool=_intercept_pool(protocol, attack))
+                              if isinstance(attack, InterceptResend) else attack)
+        return {
+            "kind": params.pop("kind"),
+            "params": params,
+            "predicted_detection_rate": predict_detection_rate(protocol, attack),
+            "observed_check_error_rate": self.check_report.qber,
+            "predicted_accuracy": predict_adversary_accuracy(protocol, attack),
+            "observed_accuracy": _observed_accuracy(self.positions, records),
+            "records": records,
+        }
+
+    @property
+    def efficiency_measured(self) -> float:
+        return len(self.alice_final_key) / self.config.num_states
+
+    @property
+    def efficiency_bound(self) -> float:
+        return efficiency_bound(self.config.protocol)
+
+
+def _bob_raw_key(positions: _Positions, report: CheckReport) -> str:
+    """Bob's outcomes at the key positions, empty when the check aborted."""
+    if report.aborted:
+        return ""
+    return postproc.bits_to_str(positions.column("bob_outcome")[positions.in_key()])
+
+
+def _observed_accuracy(positions: _Positions, records: _AdversaryRecords) -> float | None:
+    """How often her inferred bit is Bob's over the key positions, None
+    without one; her records are per arrived position."""
+    arrived = records._first
+    in_key = positions.in_key()[arrived]
+    total = int(np.count_nonzero(in_key))
+    if not total:
+        return None
+    hits = records.column("inferred_bit") == positions.column("bob_outcome")[arrived]
+    return int(np.count_nonzero(hits[in_key])) / total
 
 
 def _stream(seed: int, key: int) -> np.random.Generator:
@@ -478,11 +567,8 @@ def eavesdrop_check(mismatch: np.ndarray, check_fraction: float, rng: np.random.
     prediction.  Returns the report and the indices, among the kept
     positions, of those checked; they are excluded from key material."""
     k = int(check_fraction * len(mismatch))
-    if k == 0:
-        return CheckReport(0, 0, aborted=False, empty_check_warning=True), np.zeros(0, np.intp)
-    chosen = rng.choice(len(mismatch), size=k, replace=False)
-    errors = int(np.count_nonzero(mismatch[chosen]))
-    return CheckReport(k, errors, aborted=(errors / k) > qber_abort_threshold), chosen
+    chosen = rng.choice(len(mismatch), size=k, replace=False) if k else np.zeros(0, np.intp)
+    return CheckReport(k, int(np.count_nonzero(mismatch[chosen])), qber_abort_threshold), chosen
 
 
 def _start_registers(protocol: ProtocolId, probe) -> dict:
@@ -764,23 +850,28 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     (ann, a_basis, b_basis, a_out, b_out, keep, key_bit, shown_basis, shown_out,
      guess) = table.leaves[:, nodes - len(table.p_plus)]
 
-    # -- sift -----------------------------------------------------------------
+    # -- sift and check ----------------------------------------------------------
     kept_at = np.flatnonzero(keep)
-    kept_count = len(kept_at)
-
-    # -- eavesdrop check -------------------------------------------------------
     report, checked = eavesdrop_check(key_bit[kept_at] != b_out[kept_at], config.check_fraction,
                                       rngs[_STREAM_BOB], config.qber_abort_threshold)
-    in_key = np.zeros(m, dtype=bool)
-    in_key[kept_at] = True
-    in_key[kept_at[checked]] = False
+
+    # -- transcript columns, one entry per prepared state, -1 where lost ---------------
+    columns = np.full((5, n), -1, dtype=np.int8)
+    columns[:, present] = ann, a_basis, b_basis, a_out, b_out
+    if is_bell:
+        columns[0] = labels  # the center announced every prepared pair's label
+    kept = np.zeros(n, dtype=bool)
+    kept[present[kept_at]] = True
+    used_for_check = np.zeros(n, dtype=bool)
+    used_for_check[present[kept_at[checked]]] = True
+    lost = columns[1] < 0  # Alice measured every arrived position
+    positions = _Positions((*table.announcements, None), range(n), lost, *columns,
+                           kept, used_for_check)
 
     # -- key material -----------------------------------------------------------
-    if report.aborted:
-        alice_raw = bob_raw = ""
-    else:
-        alice_raw = postproc.bits_to_str(key_bit[in_key])
-        bob_raw = postproc.bits_to_str(b_out[in_key])
+    alice_raw = "" if report.aborted else postproc.bits_to_str(
+        key_bit[positions.in_key()[present]])
+    bob_raw = _bob_raw_key(positions, report)
 
     # -- post-processing ---------------------------------------------------------
     qber_used = report.qber
@@ -798,76 +889,14 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
             bob_rec, reconcile_leaked, qber_used, DEFAULT_EPSILON, pa_seed)
     else:
         alice_final = bob_final = ""
-    summary = PostprocSummary(
-        qber_used=qber_used,
-        reconcile_leaked=reconcile_leaked,
-        epsilon=DEFAULT_EPSILON,
-        stage_lengths={
-            "raw": kept_count,
-            "sifted": len(alice_raw),
-            "reconciled": len(bob_rec),
-            "final": len(alice_final),
-        },
-        final_length=len(alice_final),
-    )
 
-    adversary_section = None
+    records = None
     if not isinstance(attack, NoAttack):
         inferred = np.where(guess < 0, coins, guess).astype(np.int8)
-        total = int(np.count_nonzero(in_key))
-        hits = int(np.count_nonzero(inferred[in_key] == b_out[in_key]))
         records = _AdversaryRecords("probe-" if isinstance(attack, AncillaEntangle) else "", present,
                                     shown_basis, shown_out, inferred)
-        adversary_section = _adversary_section(config, report, records,
-                                                hits / total if total else None)
-
-    # -- transcript columns, one entry per prepared state, -1 where lost ---------------
-    columns = np.full((5, n), -1, dtype=np.int8)
-    columns[:, present] = ann, a_basis, b_basis, a_out, b_out
-    if is_bell:
-        columns[0] = labels  # the center announced every prepared pair's label
-    kept = np.zeros(n, dtype=bool)
-    kept[present[kept_at]] = True
-    used_for_check = np.zeros(n, dtype=bool)
-    used_for_check[present[kept_at[checked]]] = True
-    lost = columns[1] < 0  # Alice measured every arrived position
-    positions = _Positions((*table.announcements, None), range(n), lost, *columns,
-                           kept, used_for_check)
-
-    transcript = SessionTranscript(
-        config=config,
-        positions=positions,
-        events=_events(protocol, attack),
-        check_report=report,
-        alice_raw_key=alice_raw,
-        bob_raw_key=bob_raw,
-        alice_final_key=alice_final,
-        bob_final_key=bob_final,
-        postproc_summary=summary,
-        adversary=adversary_section,
-        kept_count=kept_count,
-        efficiency_measured=len(alice_final) / n,
-        efficiency_bound=scheme.efficiency_bound,
-    )
-    return transcript
-
-
-def _adversary_section(config, report, records, observed_accuracy):
-    attack = config.attack
-    resolved = attack
-    if isinstance(attack, InterceptResend):
-        resolved = replace(attack, basis_pool=_intercept_pool(config.protocol, attack))
-    params = _attack_json(resolved)
-    del params["kind"]
-    return {
-        "kind": attack.kind,
-        "params": params,
-        "predicted_detection_rate": predict_detection_rate(config.protocol, attack),
-        "observed_check_error_rate": report.qber,
-        "predicted_accuracy": predict_adversary_accuracy(config.protocol, attack),
-        "observed_accuracy": observed_accuracy,
-        "records": records,
-    }
+    return SessionTranscript(config, positions, report, alice_raw, alice_final, bob_final,
+                             reconcile_leaked, records)
 
 
 # --- serialization -----------------------------------------------------------
@@ -893,25 +922,36 @@ def _attack_json(attack: AttackModel) -> dict:
     return doc
 
 
+def _known_keys(doc: dict, keys, prefix: str = ""):
+    """Refuse a key of doc that is not one of keys."""
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"{prefix}unknown key {key!r}")
+
+
 def attack_from_json(doc) -> AttackModel:
+    """The attack `_attack_json` wrote; a key it does not write is refused."""
     if not isinstance(doc, dict):
         raise ValueError(f"attack: expected an object, got {type(doc).__name__}")
     kind = doc.get("kind", "none")
     if kind == "none":
-        return NoAttack()
-    if kind == "intercept_resend":
+        attack = NoAttack()
+    elif kind == "intercept_resend":
         pool = doc.get("basis_pool")
         if pool is not None and not isinstance(pool, list):
             raise ValueError(f"basis_pool: expected a list, got {type(pool).__name__}")
-        return InterceptResend(
+        attack = InterceptResend(
             target_party=Party(doc.get("target_party", "alice")),
             basis_pool=None if pool is None else tuple(Basis(b) for b in pool),
         )
-    if kind == "cheating_center":
-        return CheatingCenterMeasureAll(basis=Basis(doc.get("basis", "X")))
-    if kind == "ancilla":
-        return AncillaEntangle(coupling=float(doc.get("coupling", 1.0)))
-    raise ValueError(f"unknown attack kind {kind!r}")
+    elif kind == "cheating_center":
+        attack = CheatingCenterMeasureAll(basis=Basis(doc.get("basis", "X")))
+    elif kind == "ancilla":
+        attack = AncillaEntangle(coupling=float(doc.get("coupling", 1.0)))
+    else:
+        raise ValueError(f"unknown attack kind {kind!r}")
+    _known_keys(doc, _attack_json(attack), "attack: ")
+    return attack
 
 
 def config_to_json_dict(config: SessionConfig) -> dict:
@@ -953,6 +993,9 @@ def _member(doc: dict, key: str, path: str):
 
 
 def config_from_json_dict(doc: dict) -> SessionConfig:
+    """The config `config_to_json_dict` wrote; a key it does not write
+    is refused."""
+    _known_keys(doc, [f.name for f in fields(SessionConfig)])
     return SessionConfig(
         protocol=ProtocolId(doc["protocol"]),
         num_states=_integer(doc["num_states"], "num_states"),
@@ -979,33 +1022,21 @@ SCHEMA_VERSION = 2
 
 
 def transcript_to_json_dict(transcript: SessionTranscript) -> dict:
-    cr = transcript.check_report
     adversary = transcript.adversary
     if adversary is not None:
-        adversary = {**adversary, "records": adversary["records"].to_json()}
+        adversary["records"] = adversary["records"].to_json()
     return {
         "schema_version": SCHEMA_VERSION,
         "config": config_to_json_dict(transcript.config),
         "events": transcript.events,
         "positions": transcript.positions.to_json(),
-        "check_report": {
-            "checked_count": cr.checked_count,
-            "error_count": cr.error_count,
-            "qber": cr.qber,
-            "aborted": cr.aborted,
-            "empty_check_warning": cr.empty_check_warning,
-        },
+        "check_report": {key: getattr(transcript.check_report, key) for key in (
+            "checked_count", "error_count", "qber", "aborted", "empty_check_warning")},
         "alice_raw_key": transcript.alice_raw_key,
         "bob_raw_key": transcript.bob_raw_key,
         "alice_final_key": transcript.alice_final_key,
         "bob_final_key": transcript.bob_final_key,
-        "postproc": {
-            "qber_used": transcript.postproc_summary.qber_used,
-            "reconcile_leaked": transcript.postproc_summary.reconcile_leaked,
-            "epsilon": transcript.postproc_summary.epsilon,
-            "stage_lengths": transcript.postproc_summary.stage_lengths,
-            "final_length": transcript.postproc_summary.final_length,
-        },
+        "postproc": asdict(transcript.postproc_summary),
         "adversary": adversary,
         "kept_count": transcript.kept_count,
         "kept_fraction": transcript.kept_fraction,
@@ -1074,12 +1105,14 @@ def _records_from_json(doc: dict, present: np.ndarray) -> _AdversaryRecords:
 
 
 def transcript_from_json(text: str) -> SessionTranscript:
-    """Read back a `transcript_to_json` document: the transcript's
-    columns are rebuilt, so writing it again gives the same bytes.  The
-    fields the writer derives (check_report.qber, kept_fraction and
-    baseline_time_reserved) are not read.  A malformed document raises
-    one ValueError line naming the field, e.g. `positions.kept: expected
-    3000 characters of 0/1, got 2999`."""
+    """Read back a `transcript_to_json` document, so that writing it
+    again gives the same bytes.  Only what the session decided is read:
+    config, positions, check_report.error_count, alice_raw_key, both
+    final keys, postproc.reconcile_leaked and adversary.records; the
+    other fields are derived from those, as for a session just run.
+    Each final key must be as long as `final_key_length` makes it.  A
+    malformed document raises one ValueError line naming the field,
+    e.g. `positions.kept: expected 3000 characters of 0/1, got 2999`."""
     doc = _of_type(json.loads(text), dict, "transcript")
     version = _field(doc, "schema_version", int)
     if version != SCHEMA_VERSION:
@@ -1087,32 +1120,23 @@ def transcript_from_json(text: str) -> SessionTranscript:
     config = _config_at(_member(doc, "config", "transcript"), "config")
     positions = _positions_from_json(doc, config.num_states,
                                      _SCHEMES[config.protocol].announcements)
-    cr, pp = _field(doc, "check_report", dict), _field(doc, "postproc", dict)
-    number = (int, float)
-    adversary = _member(doc, "adversary", "transcript")
-    if adversary is not None:
-        adversary = _field(doc, "adversary", dict)
-        present = np.flatnonzero(~positions._columns[0])  # not lost
-        adversary = {**adversary, "records": _records_from_json(adversary, present)}
-    return SessionTranscript(
-        config=config,
-        positions=positions,
-        events=_field(doc, "events", list),
-        check_report=CheckReport(*(_field(cr, key, kind, "check_report") for key, kind in (
-            ("checked_count", int), ("error_count", int), ("aborted", bool),
-            ("empty_check_warning", bool)))),
-        alice_raw_key=_field(doc, "alice_raw_key", str),
-        bob_raw_key=_field(doc, "bob_raw_key", str),
-        alice_final_key=_field(doc, "alice_final_key", str),
-        bob_final_key=_field(doc, "bob_final_key", str),
-        postproc_summary=PostprocSummary(*(_field(pp, key, kind, "postproc") for key, kind in (
-            ("qber_used", number), ("reconcile_leaked", int), ("epsilon", number),
-            ("stage_lengths", dict), ("final_length", int)))),
-        adversary=adversary,
-        kept_count=_field(doc, "kept_count", int),
-        efficiency_measured=_field(doc, "efficiency_measured", number),
-        efficiency_bound=_field(doc, "efficiency_bound", number),
-    )
+    records = None
+    if not isinstance(config.attack, NoAttack):
+        records = _records_from_json(_field(doc, "adversary", dict),
+                                     np.flatnonzero(~positions.column("lost")))
+    report = CheckReport(int(np.count_nonzero(positions.column("used_for_check"))),
+                         _field(_field(doc, "check_report", dict), "error_count", int,
+                                "check_report"), config.qber_abort_threshold)
+    transcript = SessionTranscript(
+        config, positions, report, *(_field(doc, key, str) for key in (
+            "alice_raw_key", "alice_final_key", "bob_final_key")),
+        _field(_field(doc, "postproc", dict), "reconcile_leaked", int, "postproc"), records)
+    length = postproc.final_key_length(len(transcript.alice_raw_key), report.qber,
+                                       transcript.reconcile_leaked, DEFAULT_EPSILON)
+    for key in ("alice_final_key", "bob_final_key"):
+        if len(getattr(transcript, key)) != length:
+            raise ValueError(f"{key}: expected {length} bits, got {len(getattr(transcript, key))}")
+    return transcript
 
 
 SUMMARY_CSV_HEADER = ("protocol,num_states,loss,attack,kept_fraction,qber,aborted,"

@@ -229,21 +229,41 @@ class TestVerify:
         assert capsys.readouterr().err == (
             f"error: {out}: positions.kept: '1' at {at} in the file, '0' in the re-run\n")
 
-    def test_counts_are_recomputed_from_the_columns(self, tmp_path, capsys, monkeypatch):
-        """A file whose kept_count its own kept column contradicts fails,
-        even where the re-run agrees with it byte for byte."""
+    # A derived field, how a transcript gives it, and an edit of its JSON value.
+    DERIVED = {
+        "kept_count": (lambda t: t.kept_count, lambda v: v + 1),
+        "bob_raw_key": (lambda t: t.bob_raw_key, lambda v: "10"[int(v[0])] + v[1:]),
+        "events": (lambda t: t.events, lambda v: v[::-1]),
+        "postproc.final_length": (lambda t: t.postproc_summary.final_length, lambda v: v + 1),
+        "efficiency_measured": (lambda t: t.efficiency_measured, lambda v: v + 1),
+        "adversary.observed_accuracy": (lambda t: t.adversary["observed_accuracy"],
+                                        lambda v: v + 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DERIVED))
+    def test_derived_fields_come_from_the_columns(self, name, tmp_path, capsys, monkeypatch):
+        """A file whose derived field contradicts its columns reads back
+        with the derived value, and fails verify naming that field, even
+        where the re-run is the file's own transcript."""
+        value, edit = self.DERIVED[name]
         out = self._file(tmp_path, "attack_reconciles")
         doc = json.loads(out.read_text())
-        doc["kept_count"] += 1
-        doc["kept_fraction"] = doc["kept_count"] / doc["config"]["num_states"]
+        *parents, key = name.split(".")
+        inner = doc
+        for parent in parents:
+            inner = inner[parent]
+        derived = value(transcript_from_json(out.read_text()))
+        assert inner[key] == derived
+        inner[key] = edit(inner[key])
         text = json.dumps(doc, separators=(",", ":")) + "\n"
         out.write_text(text, encoding="utf-8")
+        assert value(transcript_from_json(text)) == derived
         monkeypatch.setattr(cli, "run_session", lambda config: transcript_from_json(text))
         capsys.readouterr()
         assert main(["verify", str(out)]) == 1
-        kept = doc["positions"]["kept"].count("1")
-        assert capsys.readouterr().err == (
-            f"error: {out}: kept_count: {kept + 1} in the file, {kept} recomputed from it\n")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: {name}: ") and err.endswith(" in the re-run\n")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("content,message", [
         (b'{"schema_version":', "Expecting value: line 1 column 19 (char 18)"),

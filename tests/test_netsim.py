@@ -72,6 +72,18 @@ MALFORMED_SCENARIOS = {
          "sessions": [{"requester": "a", "responder": "b",
                        "config": {"protocol": "GHZ1", "num_states": 2000, "attack": "none"}}]},
         "sessions[0].config: attack: expected an object, got str"),
+    "config_unknown_key": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": 2000,
+                                  "check_fracton": 0.3}}]},
+        "sessions[0].config: unknown key 'check_fracton'"),
+    "attack_unknown_key": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": 2000,
+                                  "attack": {"kind": "ancilla", "basis": "X"}}}]},
+        "sessions[0].config: attack: unknown key 'basis'"),
     "seed_fraction": ({"users": ["a"], "seed": 7.8}, "seed: expected an integer, got 7.8"),
     "seed_infinite": ({"users": ["a"], "seed": float("inf")}, "seed: expected an integer, got inf"),
 }

@@ -246,6 +246,18 @@ class TestSessions:
         assert tr.alice_raw_key == "" and tr.alice_final_key == ""
         assert tr.efficiency_measured == 0.0
 
+    def test_derived_fields_follow_a_replaced_field(self):
+        tr = run_session(SessionConfig(ProtocolId.GHZ1, 2000, rng_seed=4,
+                                       attack=InterceptResend()))
+        assert tr.check_report.aborted and tr.bob_raw_key == ""
+        forged = replace(tr, check_report=replace(tr.check_report, error_count=0),
+                         alice_final_key="0" * 10)
+        assert not forged.check_report.aborted
+        assert len(forged.bob_raw_key) == forged.kept_count - forged.check_report.checked_count
+        assert forged.adversary["observed_check_error_rate"] == 0.0
+        assert forged.postproc_summary.final_length == 10
+        assert forged.efficiency_measured == 10 / 2000
+
 
 class TestEventOrdering:
     def _index(self, events, name):

@@ -108,9 +108,14 @@ MALFORMED = {
                             "positions.kept: expected a string, got list"),
     "config": (edit(["config", "protocol"], "GHZ9"),
                "config: 'GHZ9' is not a valid ProtocolId"),
-    "count_not_an_integer": (edit(["check_report", "checked_count"], "12"),
-                             "check_report.checked_count: expected an integer, got str"),
-    "count_a_boolean": (edit(["kept_count"], True), "kept_count: expected an integer, got bool"),
+    "config_unknown_key": (edit(["config", "check_fracton"], 0.3),
+                           "config: unknown key 'check_fracton'"),
+    "attack_unknown_key": (edit(["config", "attack", "coupling"], 0.5),
+                           "config: attack: unknown key 'coupling'"),
+    "count_not_an_integer": (edit(["check_report", "error_count"], "12"),
+                             "check_report.error_count: expected an integer, got str"),
+    "count_a_boolean": (edit(["postproc", "reconcile_leaked"], True),
+                        "postproc.reconcile_leaked: expected an integer, got bool"),
     "records_prefix": (lambda doc: doc["adversary"]["records"].pop("basis_prefix"),
                        "adversary.records: missing 'basis_prefix'"),
 }
@@ -128,6 +133,22 @@ def test_malformed_document_one_line(name):
     with pytest.raises(ValueError) as info:
         transcript_from_json(json.dumps(doc))
     assert str(info.value) == message
+
+
+KEYED = transcript_to_json(run_session(SessionConfig(ProtocolId.GHZ3, 1000, rng_seed=5)))
+
+
+@pytest.mark.parametrize("key", ["alice_final_key", "bob_final_key"])
+def test_final_key_off_the_length_formula_one_line(key):
+    """A final key one bit shorter than `final_key_length` gives from
+    the file is refused, even though no derived field is read."""
+    doc = json.loads(KEYED)
+    length = len(doc[key])
+    assert length > 0
+    doc[key] = doc[key][:-1]
+    with pytest.raises(ValueError) as info:
+        transcript_from_json(json.dumps(doc))
+    assert str(info.value) == f"{key}: expected {length} bits, got {length - 1}"
 
 
 @pytest.mark.parametrize("text,message", [
