@@ -78,7 +78,13 @@ Each run of consecutive steps on one stream is drawn in bulk in exactly
 the order of one scalar call per position and step
 (`replay.replay_draws`), so transcripts are the same bytes as
 position-by-position sampling gives, and a stream left for a later
-phase (Bob's check sample) is in the same state.  The tests hold every
+phase (Bob's check sample) is in the same state.  A run passes its
+per-position slots: a basis choice and an outcome draw per level, the
+same at every position, or the adversary's coin, an array over the
+positions.  A run of fixed slots repeats every one or two positions and
+is read as strided columns of one raw draw; a run with a coin takes
+replay's flat layout; either falls back to the scalar calls when a
+word would be rejected.  The tests hold every
 field of a session against `scalar_session` in tests/oracle.py, which
 samples that way.
 
@@ -836,8 +842,7 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
         slots = []
         for k in run:
             slots += [np.where(table.coin[nodes], 2, 1)] if k is None else [k, 0] if k > 1 else [0]
-        bounds = np.column_stack([np.broadcast_to(slot, m) for slot in slots])
-        draws = iter(replay_draws(rngs[stream], bounds.reshape(-1)).reshape(m, len(slots)).T)
+        draws = iter(replay_draws(rngs[stream], slots, m))
         for k in run:
             if k is None:
                 coins = next(draws)
@@ -1110,7 +1115,11 @@ def transcript_from_json(text: str) -> SessionTranscript:
     config, positions, check_report.error_count, alice_raw_key, both
     final keys, postproc.reconcile_leaked and adversary.records; the
     other fields are derived from those, as for a session just run.
-    Each final key must be as long as `final_key_length` makes it.  A
+    A decided field that contradicts the rest is refused: an error count
+    outside [0, checked], a raw key that is not empty when the check
+    aborted nor one bit per key position otherwise, a key character
+    other than 0/1, a negative leak count, or a final key not as long as
+    `final_key_length` makes it.  A
     malformed document raises one ValueError line naming the field,
     e.g. `positions.kept: expected 3000 characters of 0/1, got 2999`."""
     doc = _of_type(json.loads(text), dict, "transcript")
@@ -1124,19 +1133,30 @@ def transcript_from_json(text: str) -> SessionTranscript:
     if not isinstance(config.attack, NoAttack):
         records = _records_from_json(_field(doc, "adversary", dict),
                                      np.flatnonzero(~positions.column("lost")))
-    report = CheckReport(int(np.count_nonzero(positions.column("used_for_check"))),
-                         _field(_field(doc, "check_report", dict), "error_count", int,
-                                "check_report"), config.qber_abort_threshold)
-    transcript = SessionTranscript(
-        config, positions, report, *(_field(doc, key, str) for key in (
-            "alice_raw_key", "alice_final_key", "bob_final_key")),
-        _field(_field(doc, "postproc", dict), "reconcile_leaked", int, "postproc"), records)
-    length = postproc.final_key_length(len(transcript.alice_raw_key), report.qber,
-                                       transcript.reconcile_leaked, DEFAULT_EPSILON)
-    for key in ("alice_final_key", "bob_final_key"):
-        if len(getattr(transcript, key)) != length:
-            raise ValueError(f"{key}: expected {length} bits, got {len(getattr(transcript, key))}")
-    return transcript
+    checked = int(np.count_nonzero(positions.column("used_for_check")))
+    errors = _field(_field(doc, "check_report", dict), "error_count", int, "check_report")
+    if not 0 <= errors <= checked:
+        raise ValueError(f"check_report.error_count: expected 0 to {checked}, got {errors}")
+    report = CheckReport(checked, errors, config.qber_abort_threshold)
+    raw = 0 if report.aborted else int(np.count_nonzero(positions.in_key()))
+    alice_raw = _key_at(doc, "alice_raw_key", raw, " (the check aborted)" if report.aborted else "")
+    leaked = _field(_field(doc, "postproc", dict), "reconcile_leaked", int, "postproc")
+    if leaked < 0:
+        raise ValueError(f"postproc.reconcile_leaked: expected a count >= 0, got {leaked}")
+    length = postproc.final_key_length(raw, report.qber, leaked, DEFAULT_EPSILON)
+    return SessionTranscript(config, positions, report, alice_raw, *(
+        _key_at(doc, key, length) for key in ("alice_final_key", "bob_final_key")), leaked, records)
+
+
+def _key_at(doc: dict, key: str, length: int, why: str = "") -> str:
+    """doc[key]: length characters, each 0 or 1."""
+    text = _field(doc, key, str)
+    if len(text) != length:
+        raise ValueError(f"{key}: expected {length} bits{why}, got {len(text)}")
+    if text.count("0") + text.count("1") != length:
+        at = next(i for i, bit in enumerate(text) if bit not in "01")
+        raise ValueError(f"{key}: expected bits 0/1, got {text[at]!r} at {at}")
+    return text
 
 
 SUMMARY_CSV_HEADER = ("protocol,num_states,loss,attack,kept_fraction,qber,aborted,"

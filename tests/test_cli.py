@@ -217,17 +217,38 @@ class TestVerify:
         assert main(["verify", str(out)]) == 0
         assert capsys.readouterr().out.startswith(f"{out}: equals a re-run of its config")
 
-    def test_flipped_kept_digit_names_the_column(self, tmp_path, capsys):
+    def _flip_kept(self, tmp_path, columns):
+        """The attack-free run's file with an arrived, unkept position set
+        to '1' in each of columns; the position's index and the file."""
         out = self._file(tmp_path, "run")
         doc = json.loads(out.read_text())
         lost, kept = doc["positions"]["lost"], doc["positions"]["kept"]
         at = next(i for i, (l, k) in enumerate(zip(lost, kept)) if l == k == "0")  # arrived
-        doc["positions"]["kept"] = kept[:at] + "1" + kept[at + 1:]
+        for key in columns:
+            column = doc["positions"][key]
+            doc["positions"][key] = column[:at] + "1" + column[at + 1:]
         out.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+        return at, out
+
+    def test_flipped_kept_digit_names_the_column(self, tmp_path, capsys):
+        """Kept and checked: no key position more, so the file reads and
+        differs from the re-run first in the kept column."""
+        at, out = self._flip_kept(tmp_path, ["kept", "used_for_check"])
         capsys.readouterr()
         assert main(["verify", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"error: {out}: positions.kept: '1' at {at} in the file, '0' in the re-run\n")
+
+    def test_contradictory_decided_field_one_line(self, tmp_path, capsys):
+        """Kept alone: one key position more than Alice's raw key has
+        bits, which the reader refuses."""
+        _, out = self._flip_kept(tmp_path, ["kept"])
+        bits = len(json.loads(out.read_text())["alice_raw_key"])
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: alice_raw_key: expected {bits + 1} bits, got {bits}\n"
+        assert captured.out == ""
 
     # A derived field, how a transcript gives it, and an edit of its JSON value.
     DERIVED = {

@@ -7,7 +7,8 @@ position column, the check sample, both raw keys and the adversary's
 records, for every protocol, attack, per-leg loss and seed.
 """
 
-import numpy as np
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -132,12 +133,15 @@ def test_scalar_fallback_equals_reference(protocol, attack, monkeypatch):
     bulk = transcript_to_json(run_session(config, leg_loss))
     calls = []
 
-    def scalar_draws(rng, bounds):
-        calls.append(len(bounds))
-        return replay._scalar_draws(rng, np.asarray(bounds, dtype=np.int64))
+    def scalar_draws(rng, slots, m):
+        calls.append(m)
+        return replay._scalar_draws(rng, slots, m)
 
     monkeypatch.setattr(protocols, "replay_draws", scalar_draws)
     transcript = run_session(config, leg_loss)
-    assert calls
+    # Every stream run of the session, each over every arrived position.
+    runs = itertools.groupby(protocols._compile(protocol, attack).steps, key=lambda step: step[0])
+    arrived = config.num_states - sum(p.lost for p in transcript.positions)
+    assert calls == [arrived] * len(list(runs))
     assert session_fields(transcript) == reference_fields(config, leg_loss)
     assert transcript_to_json(transcript) == bulk

@@ -158,3 +158,35 @@ def test_final_key_off_the_length_formula_one_line(key):
 def test_not_a_transcript(text, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         transcript_from_json(text)
+
+
+# Decided fields that contradict the columns or each other, in the
+# attack-free GHZ3 document (100 checked, 0 errors, threshold 0, a
+# 900-bit raw key): each is refused with one line that names it.
+CONTRADICTORY = {
+    "errors_above_checked": (edit(["check_report", "error_count"], 300),
+                             "check_report.error_count: expected 0 to 100, got 300"),
+    "negative_errors": (edit(["check_report", "error_count"], -5),
+                        "check_report.error_count: expected 0 to 100, got -5"),
+    "raw_key_when_aborted": (edit(["check_report", "error_count"], 1),
+                             "alice_raw_key: expected 0 bits (the check aborted), got 900"),
+    "raw_key_short": (lambda doc: doc.update(alice_raw_key=doc["alice_raw_key"][:-1]),
+                      "alice_raw_key: expected 900 bits, got 899"),
+    "raw_key_not_bits": (lambda doc: doc.update(alice_raw_key=set_char(doc["alice_raw_key"], 4, "2")),
+                         "alice_raw_key: expected bits 0/1, got '2' at 4"),
+    "final_key_not_bits": (lambda doc: doc.update(
+        bob_final_key=set_char(doc["bob_final_key"], 0, "x")),
+        "bob_final_key: expected bits 0/1, got 'x' at 0"),
+    "negative_leak": (edit(["postproc", "reconcile_leaked"], -3),
+                      "postproc.reconcile_leaked: expected a count >= 0, got -3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRADICTORY))
+def test_contradictory_decided_field_one_line(name):
+    mutate, message = CONTRADICTORY[name]
+    doc = json.loads(KEYED)
+    mutate(doc)
+    with pytest.raises(ValueError) as info:
+        transcript_from_json(json.dumps(doc))
+    assert str(info.value) == message
