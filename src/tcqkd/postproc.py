@@ -7,9 +7,14 @@ pipeline; the final key length follows
 m = floor(n*(1-h2(qber))) - leaked - ceil(2*log2(1/epsilon)).
 Reconciliation keeps each pass's block parity mismatches and toggles
 them on every flip of Bob's bits, so no parity is ever recomputed.
+A pass's first-round blocks are disjoint and searched before any
+cascade, so they are binary searched together, one array step per
+halving; cascades are searched one block at a time.
 
 The Toeplitz hash is evaluated as a float64 FFT convolution in
 O(n log n) and rounded to the integer sums it approximates.  The
+transform length is the smallest 2^a 3^b 5^c >= m + n - 1: the kept
+slice of the convolution is then free of circular wrap-around.  The
 rounded result is used only if every entry lay within 0.25 of an
 integer; otherwise the hash falls back to the exact integer
 `np.convolve`, so floating-point error never reaches a key bit
@@ -62,6 +67,25 @@ def _binary_search(diff: list[int]) -> tuple[int, int]:
     return lo, disclosed
 
 
+def _search_blocks(diff: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_binary_search` on every block diff[lo:hi] at once.
+
+    Each block has odd weight.  Returns (index of the located error in
+    diff, parities disclosed) per block.
+    """
+    prefix = np.concatenate((np.zeros(1, dtype=diff.dtype), np.bitwise_xor.accumulate(diff)))
+    disclosed = np.zeros(len(lo), dtype=np.int64)
+    while True:
+        active = hi - lo > 1
+        if not active.any():
+            return lo, disclosed
+        mid = lo + (hi - lo) // 2
+        first_odd = prefix[mid] != prefix[lo]  # the parity of diff[lo:mid]
+        disclosed += active
+        hi = np.where(active & first_odd, mid, hi)
+        lo = np.where(active & ~first_odd, mid, lo)
+
+
 def reconcile(alice: str, bob: str, passes: int = 2, initial_block: int = 8, seed: int = 0):
     """Parity-exchange reconciliation with cascading back-search.
 
@@ -73,7 +97,12 @@ def reconcile(alice: str, bob: str, passes: int = 2, initial_block: int = 8, see
     so corrections cascade until all disclosed parities agree.
 
     Block parity mismatches are computed once per pass and kept: a flip
-    toggles its block's flag in every pass set up so far.
+    toggles its block's flag in every pass set up so far.  The queue is
+    first in, first out, so a pass's own mismatched blocks are all
+    searched before any cascade they cause; they are disjoint, so
+    `_search_blocks` searches them together on the pass's unchanged
+    diff, and their flips are then applied in block order, queueing
+    exactly the cascades one-by-one searches would.
 
     Returns (corrected_bob, leaked) where leaked counts every disclosed
     parity.  Residual errors (even-weight patterns aligned in all
@@ -92,21 +121,34 @@ def reconcile(alice: str, bob: str, passes: int = 2, initial_block: int = 8, see
         return bob, 0
     rng = np.random.default_rng(seed)
     starts = np.arange(0, n, initial_block)
+    ends = np.minimum(starts + initial_block, n)
     leaked = 0
     orders: list[np.ndarray] = []
-    block_of: list[list[int]] = []  # per pass: position -> block index
+    block_of: list[np.ndarray] = []  # per pass: position -> block index
     mismatch: list[list[int]] = []  # per pass: block -> parities differ
     queue: deque[tuple[int, int]] = deque()
     for p in range(passes):
         order = np.arange(n) if p == 0 else rng.permutation(n)
+        ordered = diff[order]
+        odd = np.flatnonzero(np.add.reduceat(ordered, starts) & 1)
+        leaked += len(starts)
+        # The first round: every odd block of this pass, searched at once.
+        # Each flip toggles its blocks in the earlier passes, in block
+        # order; this pass's blocks all end even.
+        at, disclosed = _search_blocks(ordered, starts[odd], ends[odd])
+        leaked += int(disclosed.sum())
+        found = order[at]
+        diff[found] ^= 1
+        for qbs in zip(*(q_block_of[found].tolist() for q_block_of in block_of)):
+            for qi, qb in enumerate(qbs):
+                mismatch[qi][qb] ^= 1
+                if mismatch[qi][qb]:
+                    queue.append((qi, qb))
         lookup = np.empty(n, dtype=np.int64)
         lookup[order] = np.arange(n) // initial_block
-        flags = (np.add.reduceat(diff[order], starts) & 1).tolist()
         orders.append(order)
-        block_of.append(lookup.tolist())
-        mismatch.append(flags)
-        leaked += len(flags)
-        queue.extend((p, bi) for bi, odd in enumerate(flags) if odd)
+        block_of.append(lookup)
+        mismatch.append([0] * len(starts))  # one flip in each odd block
         while queue:
             pi, bi = queue.popleft()
             if not mismatch[pi][bi]:
@@ -117,7 +159,7 @@ def reconcile(alice: str, bob: str, passes: int = 2, initial_block: int = 8, see
             pos = int(block[offset])
             diff[pos] ^= 1
             for qi, (q_block_of, q_mismatch) in enumerate(zip(block_of, mismatch)):
-                qb = q_block_of[pos]
+                qb = int(q_block_of[pos])
                 q_mismatch[qb] ^= 1
                 if qi != pi and q_mismatch[qb]:
                     queue.append((qi, qb))
@@ -154,20 +196,40 @@ def privacy_amplify(key: str, leaked: int, qber: float, epsilon: float, seed: in
     return bits_to_str(toeplitz_hash(diagonals, bits.astype(np.int64)))
 
 
+def _fft_size(length: int) -> int:
+    """The smallest 2^a 3^b 5^c >= length (length >= 1)."""
+    best = 1 << (length - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # 3^b 5^c times the least power of two reaching length
+            size = p35 << ((length - 1) // p35).bit_length()
+            if size < best:
+                best = size
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def toeplitz_hash(diagonals: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """T @ bits mod 2 for the Toeplitz matrix T[i, j] = diagonals[i - j + n - 1].
 
     With n = len(bits) and m = len(diagonals) - n + 1 output bits, the
     product is the slice [n-1, n-1+m) of the full convolution of
-    diagonals with bits.  It is computed as a float64 FFT convolution,
-    padded to a power of two >= m + 2n - 2, and rounded with rint.  The
-    guard: the rounded sums are used only when every entry lies within
-    0.25 of an integer; otherwise the exact integer convolution (valid
-    mode, which is the same slice) is taken.
+    diagonals with bits, of length m + 2n - 2.  It is computed as a
+    float64 FFT convolution of length N, the smallest 5-smooth number
+    >= m + n - 1, and rounded with rint.  That N is enough: an index k
+    of the kept slice could only alias k + N > m + 2n - 3, past the end
+    of the convolution.  The guard: the rounded sums are used only when
+    every entry lies within 0.25 of an integer; otherwise the exact
+    integer convolution (valid mode, which is the same slice) is taken.
     """
     n = len(bits)
     m = len(diagonals) - n + 1
-    size = 1 << (m + 2 * n - 3).bit_length()
+    if n < 1 or m < 1:
+        raise ValueError(f"toeplitz_hash needs 1 <= len(bits) <= len(diagonals), "
+                         f"got {n} bits and {len(diagonals)} diagonals")
+    size = _fft_size(len(diagonals))
     spectrum = np.fft.rfft(diagonals, size) * np.fft.rfft(bits, size)
     x = np.fft.irfft(spectrum, size)[n - 1:n - 1 + m]
     rounded = np.rint(x)

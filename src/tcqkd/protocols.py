@@ -816,10 +816,13 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     n = config.num_states
     loss_a, loss_b = leg_loss if leg_loss is not None else (
         config.loss_probability, config.loss_probability)
-    rngs = [_stream(config.rng_seed, key) for key in range(_STREAM_POSTPROC)]
+    table = _compile(protocol, attack)
+    # Only the streams something draws from: no adversary's stream
+    # without an intercept or a probe.
+    rngs = {key: _stream(config.rng_seed, key) for key in
+            {_STREAM_CENTER, _STREAM_BOB, _STREAM_CHANNEL, *(stream for stream, _ in table.steps)}}
     pp_seed_seq = np.random.SeedSequence(config.rng_seed, spawn_key=(_STREAM_POSTPROC,))
     pa_seed, rec_seed = (int(x) for x in pp_seed_seq.generate_state(2, dtype=np.uint64))
-    table = _compile(protocol, attack)
 
     # -- prepare, then transmit (loss) ----------------------------------------
     # Every array below has one entry per position that arrived.

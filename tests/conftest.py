@@ -1,12 +1,13 @@
 """Hypothesis profiles.
 
-``--hypothesis-profile=replay-ci`` raises the bulk-draw replay
-properties of test_replay.py to 5000 examples each, with no deadline.
-Their layout depends on numpy's PCG64 stream, so CI runs it on both
-numpy versions it tests.  Without the option every test keeps the
-budget it sets.
+``--hypothesis-profile=deep-ci`` raises every property to 5000
+examples, with no deadline.  CI runs it on test_replay.py, whose bulk
+draws follow numpy's PCG64 stream layout, and on test_postproc.py,
+whose FFT hash rounds differently under each numpy's pocketfft; both
+on each numpy version it tests.  Without the option every test keeps
+the budget it sets.
 """
 
 from hypothesis import settings
 
-settings.register_profile("replay-ci", max_examples=5000, deadline=None)
+settings.register_profile("deep-ci", max_examples=5000, deadline=None)

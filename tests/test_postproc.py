@@ -20,6 +20,11 @@ from tcqkd.postproc import (
 )
 
 
+# 200 examples per new property, or the loaded profile's count when it
+# is larger (CI runs this file with --hypothesis-profile=deep-ci).
+PROPERTY = settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+
+
 def random_bits(rng, n):
     return "".join("01"[v] for v in rng.integers(0, 2, n))
 
@@ -105,6 +110,30 @@ class TestReconcileMatchesReference:
                 seed = 4 * passes + qi
                 assert reconcile(alice, bob, passes, block, seed) == \
                     oracle.reconcile(alice, bob, passes, block, seed), (passes, qber)
+
+    @PROPERTY
+    @given(st.data(), st.integers(min_value=1, max_value=600), st.integers(min_value=1, max_value=4),
+           st.floats(min_value=0.0, max_value=0.5), st.integers(min_value=0, max_value=2**64 - 1))
+    def test_equals_reference_any_shape(self, data, n, passes, qber, seed):
+        block = data.draw(st.integers(min_value=1, max_value=n + 3), label="block")
+        rng = np.random.default_rng(seed)
+        alice = random_bits(rng, n)
+        bob = flip(alice, np.flatnonzero(rng.random(n) < qber))
+        assert reconcile(alice, bob, passes, block, seed) == oracle.reconcile(alice, bob, passes, block, seed)
+
+    @PROPERTY
+    @given(st.data(), st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_batched_search_equals_binary_search(self, data, n, seed):
+        # Every odd-weight block of one partition, searched at once.
+        block = data.draw(st.integers(min_value=1, max_value=n + 3), label="block")
+        diff = (np.random.default_rng(seed).random(n) < data.draw(st.floats(0.0, 1.0), label="p")
+                ).astype(np.uint8)
+        starts = np.arange(0, n, block)
+        ends = np.minimum(starts + block, n)
+        odd = np.flatnonzero(np.add.reduceat(diff, starts) & 1)
+        found, disclosed = postproc._search_blocks(diff, starts[odd], ends[odd])
+        expected = [postproc._binary_search(diff[lo:hi].tolist()) for lo, hi in zip(starts[odd], ends[odd])]
+        assert [(int(f - lo), int(d)) for f, lo, d in zip(found, starts[odd], disclosed)] == expected
 
 
 def count_hashes(monkeypatch):
@@ -270,3 +299,65 @@ class TestToeplitzHash:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
+
+
+def smooth(size):
+    for p in (2, 3, 5):
+        while size % p == 0:
+            size //= p
+    return size == 1
+
+
+def record_fft(monkeypatch):
+    """The transform lengths rfft/irfft are asked for, and every np.convolve call."""
+    sizes, convolve = [], []
+    real_rfft, real_irfft, real_convolve = np.fft.rfft, np.fft.irfft, np.convolve
+    monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, *r, **k: sizes.append(n) or real_rfft(a, n, *r, **k))
+    monkeypatch.setattr(np.fft, "irfft", lambda a, n=None, *r, **k: sizes.append(n) or real_irfft(a, n, *r, **k))
+    monkeypatch.setattr(np, "convolve", lambda *a, **k: convolve.append(1) or real_convolve(*a, **k))
+    return sizes, convolve
+
+
+class TestToeplitzHashSize:
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 9), (9, 1), (7, 5), (1000, 333), (2000, 1700)])
+    def test_smallest_5_smooth_length(self, monkeypatch, n, m):
+        sizes, _ = record_fft(monkeypatch)
+        toeplitz_hash(*hash_inputs(n + m, n, m))
+        size = sizes[0]
+        assert sizes == [size] * 3
+        assert size >= m + n - 1 and smooth(size)
+        assert not any(smooth(k) for k in range(m + n - 1, size))
+
+    @PROPERTY
+    @given(st.integers(min_value=1, max_value=2000), st.integers(min_value=1, max_value=2000),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_any_shape_takes_the_fft_route(self, n, m, seed):
+        diagonals, bits = hash_inputs(seed, n, m)
+        expected = convolve_slice(diagonals, bits)
+        with pytest.MonkeyPatch.context() as mp:
+            sizes, convolve = record_fft(mp)
+            out = toeplitz_hash(diagonals, bits)
+        assert convolve == []
+        assert sizes[0] >= m + n - 1 and smooth(sizes[0])
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("n, m, ones", [(40_500, 34_209, False), (100_003, 129, True)])
+    def test_long_keys_take_the_fft_route(self, monkeypatch, n, m, ones):
+        # The distill_long benchmark's shape, and the largest sums (all
+        # ones): a guard that fell back here would make the hash quadratic.
+        diagonals, bits = hash_inputs(7, n, m)
+        if ones:
+            diagonals[:] = 1
+            bits[:] = 1
+        sizes, convolve = record_fft(monkeypatch)
+        out = toeplitz_hash(diagonals, bits)
+        assert out.shape == (m,)
+        assert convolve == []
+        assert sizes[0] >= m + n - 1 and smooth(sizes[0])
+        assert sizes[0] < 1 << (m + 2 * n - 3).bit_length()
+
+    @pytest.mark.parametrize("d, b", [(5, 6), (0, 1), (3, 0), (0, 0)])
+    def test_shape_it_cannot_hash_rejected(self, d, b):
+        with pytest.raises(ValueError, match=r"^toeplitz_hash needs 1 <= len\(bits\) <= len\(diagonals\), "
+                                             rf"got {b} bits and {d} diagonals$"):
+            toeplitz_hash(np.ones(d, dtype=np.int64), np.ones(b, dtype=np.int64))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tcqkd import protocols
-from tcqkd.adversary import InterceptResend, NoAttack
+from tcqkd.adversary import AncillaEntangle, CheatingCenterMeasureAll, InterceptResend, NoAttack
 from tcqkd.protocols import (
     ProtocolId,
     SessionConfig,
@@ -257,6 +257,19 @@ class TestSessions:
         assert forged.adversary["observed_check_error_rate"] == 0.0
         assert forged.postproc_summary.final_length == 10
         assert forged.efficiency_measured == 10 / 2000
+
+    @pytest.mark.parametrize("attack, eve", [
+        (NoAttack(), False), (CheatingCenterMeasureAll(), False),
+        (InterceptResend(), True), (AncillaEntangle(coupling=0.3), True)],
+        ids=["no-attack", "cheating-center", "intercept-resend", "ancilla"])
+    @pytest.mark.parametrize("protocol", [ProtocolId.GHZ1, ProtocolId.GHZ2])
+    def test_adversary_stream_built_only_when_drawn(self, monkeypatch, protocol, attack, eve):
+        keys = []
+        real = protocols._stream
+        monkeypatch.setattr(protocols, "_stream", lambda seed, key: keys.append(key) or real(seed, key))
+        run_session(SessionConfig(protocol, 200, qber_abort_threshold=0.99, rng_seed=3, attack=attack))
+        assert (protocols._STREAM_EVE in keys) == eve
+        assert len(keys) == len(set(keys)) == 4 + eve
 
 
 class TestEventOrdering:

@@ -12,7 +12,7 @@ from tcqkd.replay import replay_draws
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 # 200 examples per property, or the loaded profile's count when it is
-# larger (CI runs this file with --hypothesis-profile=replay-ci).
+# larger (CI runs this file with --hypothesis-profile=deep-ci).
 PROPERTY = settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 
 BOUNDS = st.sampled_from([0, 1, 2, 3, 4, 5, 7])
