@@ -74,29 +74,27 @@ every leaf by its Born probability and basis choices and stores both
 weighted sums on the table, so the sampler and the oracles cannot
 disagree on what a position does.
 
-Each run of consecutive steps on one stream is drawn in bulk in exactly
-the order of one scalar call per position and step
-(`replay.replay_draws`), so transcripts are the same bytes as
-position-by-position sampling gives, and a stream left for a later
-phase (Bob's check sample) is in the same state.  A run passes its
-per-position slots: a basis choice and an outcome draw per level, the
-same at every position, or the adversary's coin, an array over the
-positions.  A run of fixed slots repeats every one or two positions and
-is read as strided columns of one raw draw; a run with a coin takes
-replay's flat layout; either falls back to the scalar calls when a
-word would be rejected.  The tests hold every
-field of a session against `scalar_session` in tests/oracle.py, which
-samples that way.
+Each stream is drawn slot-major, in plain bulk calls: per level, every
+arrived position's basis choice (`integers(k, size=m)`, nothing for one
+choice), then every position's outcome draw (`random(m)`); after the
+levels, the adversary's coins (`integers(2, size=c)`) at the arrived
+positions whose leaf leaves her a guess, in position order.  Channel
+loss draws `random(n)` for Alice's leg, then `random(n)` for Bob's.
+Exactness rests on the Born probabilities the draws are compared
+against, not on the order, which only has to be fixed.  A bulk call
+returns what as many scalar calls would, so the tests hold every field
+of a session against `scalar_session` in tests/oracle.py, which makes
+one scalar call per draw in the same order.
 
 A transcript stores its positions as columns, never as objects: lost,
 announcement index, Alice's and Bob's basis and outcome (-1 for None),
 kept and used_for_check (`_Positions`), and the adversary's records as
 position, shown basis, outcome and inferred bit (`_AdversaryRecords`).
 Both are read-only sequences that build a `PositionRecord`, resp. a
-dict, on index, slice or iteration.  The JSON document (schema 2) keeps
-them as columns: `positions` holds the legends and one string per
-column with one digit per position (`-` for None), and the adversary's
-`records` one string per column with one digit per arrived position.
+dict, on index, slice or iteration.  The JSON document keeps them as
+columns: `positions` holds the legends and one string per column with
+one digit per position (`-` for None), and the adversary's `records`
+one string per column with one digit per arrived position.
 
 A transcript stores only what the session decided (`SessionTranscript`);
 everything else it reports is derived from that on access, by the same
@@ -139,7 +137,6 @@ from .qstate import (
     make_two_qubit,
     scenario_announcements,
 )
-from .replay import replay_draws
 
 TIME_RESERVED_EPR_BASELINE = 0.125
 DEFAULT_EPSILON = 2.0**-32
@@ -646,16 +643,14 @@ class _Table:
     Alice's, -1 where it does not), the basis and outcome the adversary
     shows (-1 without one) and her guess of Bob's bit
     (`infer_bob_outcome` from her record; -1 for a coin or without
-    her).  Her record is her
-    intercept, the probe's x read-out in Alice's place, or the
-    eigenstate a cheating center sent Bob; a cheating center shows its
-    own triplet measurement.  coin[node] says she tosses a coin at every
-    leaf below node.
+    her).  Her record is her intercept, the probe's x read-out in Alice's
+    place, or the eigenstate a cheating center sent Bob; a cheating
+    center shows its own triplet measurement.
 
-    steps lists what a session draws, in order: (stream, number of
-    basis choices) per level, then, with an adversary, (her stream,
-    None) for her coins.  Per level a position draws its choice, which
-    draws nothing for one choice, then its outcome.
+    steps lists what a session draws per level, in order: (stream,
+    number of basis choices).  Per level a session draws every
+    position's choice, nothing for one choice, then every position's
+    outcome.
 
     detection_rate and adversary_accuracy are the exact oracles: sums
     over the leaves in order, weighted by their probability when every
@@ -669,7 +664,6 @@ class _Table:
     basis_of: np.ndarray
     p_plus: np.ndarray
     next: np.ndarray
-    coin: np.ndarray
     leaves: np.ndarray
     announcements: tuple
     detection_rate: float
@@ -723,8 +717,6 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
     target = attack.target_party if isinstance(attack, InterceptResend) else (
         Party.BOB if cheating else Party.ALICE)
     adversary = not isinstance(attack, NoAttack)
-    if adversary:  # her coins
-        steps.append((_STREAM_CENTER if cheating else _STREAM_EVE, None))
     rows = []
     for _, _, seen in level:
         ann, (a, a_out), (b, b_out) = seen["c"], seen["a"], seen["b"]
@@ -749,11 +741,7 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
         elif guess == b_out:
             correct += weight
 
-    coin = np.concatenate([np.zeros(len(p_plus), dtype=bool), leaves[-1] < 0])  # guess -1
-    nxt = np.array(nxt)
-    for node in reversed(range(len(p_plus))):
-        coin[node] = coin[nxt[node][nxt[node] >= 0]].all()
-    arrays = [np.array(basis_of), np.array(p_plus), nxt, coin, leaves]
+    arrays = [np.array(basis_of), np.array(p_plus), np.array(nxt), leaves]
     for a in arrays:
         a.flags.writeable = False
     return _Table(tuple(steps), *arrays, scheme.announcements, errors / kept,
@@ -785,25 +773,6 @@ def predict_adversary_accuracy(protocol: ProtocolId, attack: AttackModel) -> flo
     return accuracy
 
 
-def _channel_losses(rng: np.random.Generator, n: int, loss_a: float, loss_b: float) -> np.ndarray:
-    """Per-position erasure.  Alice's leg draws first and Bob's leg draws
-    only when her particle arrived, so a position takes one or two draws:
-    draw 2n and walk them in that order.
-
-    The walk j -> j + 1 + (not lost_a[j]) visits draw 0 and every draw
-    right after one below loss_a: after a visited one Alice's particle
-    was lost, and a skipped draw is always followed by a visited one.
-    Between such restarts it strides by two, so it visits draw j exactly
-    when j lies an even distance past the last restart at or before it.
-    Position i starts at the i-th visited draw."""
-    draws = rng.random(2 * n)
-    lost_a, lost_b = draws < loss_a, draws < loss_b
-    j = np.arange(2 * n)
-    restart = np.where(np.concatenate(([True], lost_a[:-1])), j, 0)
-    start = np.flatnonzero((j - np.maximum.accumulate(restart)) % 2 == 0)[:n]
-    return lost_a[start] | lost_b[start + 1]
-
-
 def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = None) -> SessionTranscript:
     """Execute one full session and return its transcript.
 
@@ -825,36 +794,26 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     pa_seed, rec_seed = (int(x) for x in pp_seed_seq.generate_state(2, dtype=np.uint64))
 
     # -- prepare, then transmit (loss) ----------------------------------------
-    # Every array below has one entry per position that arrived.
     scheme = _SCHEMES[protocol]
     is_bell = not scheme.center_bases
     if is_bell:
         labels = rngs[_STREAM_CENTER].integers(len(table.announcements), size=n)
-    present = np.flatnonzero(~_channel_losses(rngs[_STREAM_CHANNEL], n, loss_a, loss_b))
+    channel = rngs[_STREAM_CHANNEL]
+    lost = channel.random(n) < loss_a  # Alice's leg
+    lost |= channel.random(n) < loss_b  # Bob's leg
+    present = np.flatnonzero(~lost)
+    # Every array below has one entry per position that arrived.
     m = len(present)
     nodes = labels[present] if is_bell else np.zeros(m, dtype=np.intp)
 
-    # -- measure: the compiled steps, in order -----------------------------------
-    # Consecutive draws on one stream are made position by position: per
-    # level the basis choice, integers(choices), unless there is one
-    # choice, then the outcome; the adversary's coin is integers(2) where
-    # she tosses one, and nothing elsewhere.
-    coins = None
-    for stream, run in itertools.groupby(table.steps, key=lambda step: step[0]):
-        run = [choices for _, choices in run]
-        slots = []
-        for k in run:
-            slots += [np.where(table.coin[nodes], 2, 1)] if k is None else [k, 0] if k > 1 else [0]
-        draws = iter(replay_draws(rngs[stream], slots, m))
-        for k in run:
-            if k is None:
-                coins = next(draws)
-                continue
-            basis = table.basis_of[nodes, next(draws).astype(np.intp) if k > 1 else 0]
-            minus = (next(draws) >= table.p_plus[nodes, basis]).astype(np.intp)
-            nodes = table.next[nodes, basis, minus]
-            if np.any(nodes < 0):
-                raise AssertionError("selected a zero-probability branch")
+    # -- measure: the compiled levels, in order -----------------------------------
+    for stream, k in table.steps:
+        rng = rngs[stream]
+        basis = table.basis_of[nodes, rng.integers(k, size=m) if k > 1 else 0]
+        minus = (rng.random(m) >= table.p_plus[nodes, basis]).astype(np.intp)
+        nodes = table.next[nodes, basis, minus]
+        if np.any(nodes < 0):
+            raise AssertionError("selected a zero-probability branch")
     (ann, a_basis, b_basis, a_out, b_out, keep, key_bit, shown_basis, shown_out,
      guess) = table.leaves[:, nodes - len(table.p_plus)]
 
@@ -872,7 +831,6 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     kept[present[kept_at]] = True
     used_for_check = np.zeros(n, dtype=bool)
     used_for_check[present[kept_at[checked]]] = True
-    lost = columns[1] < 0  # Alice measured every arrived position
     positions = _Positions((*table.announcements, None), range(n), lost, *columns,
                            kept, used_for_check)
 
@@ -888,7 +846,7 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     if alice_raw and qber_used > 0.0:
         block = max(8, min(len(alice_raw), math.ceil(0.73 / qber_used)))
         bob_rec, reconcile_leaked = postproc.reconcile(
-            alice_raw, bob_raw, passes=2, initial_block=block, seed=rec_seed)
+            alice_raw, bob_raw, passes=3, initial_block=block, seed=rec_seed)
     if alice_raw:
         alice_final = postproc.privacy_amplify(alice_raw, reconcile_leaked, qber_used,
                                                DEFAULT_EPSILON, pa_seed)
@@ -900,9 +858,12 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
 
     records = None
     if not isinstance(attack, NoAttack):
-        inferred = np.where(guess < 0, coins, guess).astype(np.int8)
+        # Her coins where her record leaves a guess, on her stream (a cheating center's own).
+        coin = guess < 0
+        guess[coin] = rngs[_STREAM_CENTER if isinstance(attack, CheatingCenterMeasureAll)
+                           else _STREAM_EVE].integers(2, size=np.count_nonzero(coin))
         records = _AdversaryRecords("probe-" if isinstance(attack, AncillaEntangle) else "", present,
-                                    shown_basis, shown_out, inferred)
+                                    shown_basis, shown_out, guess)
     return SessionTranscript(config, positions, report, alice_raw, alice_final, bob_final,
                              reconcile_leaked, records)
 
@@ -1026,7 +987,7 @@ def _config_at(doc, path: str) -> SessionConfig:
         raise ValueError(f"{path}: {exc}") from None
 
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def transcript_to_json_dict(transcript: SessionTranscript) -> dict:

@@ -1,11 +1,10 @@
 """Hypothesis profiles.
 
 ``--hypothesis-profile=deep-ci`` raises every property to 5000
-examples, with no deadline.  CI runs it on test_replay.py, whose bulk
-draws follow numpy's PCG64 stream layout, and on test_postproc.py,
-whose FFT hash rounds differently under each numpy's pocketfft; both
-on each numpy version it tests.  Without the option every test keeps
-the budget it sets.
+examples, with no deadline.  CI runs it on test_postproc.py, whose FFT
+hash rounds differently under each numpy's pocketfft, on each numpy
+version it tests.  Without the option every test keeps the budget it
+sets.
 """
 
 from hypothesis import settings

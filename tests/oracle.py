@@ -146,23 +146,30 @@ class _Particles:
 
 
 def scalar_session(config, leg_loss=None):
-    """The session `run_session` runs for config, one position at a time.
+    """The session `run_session` runs for config, one particle at a time.
 
     Each random choice is one rng.random() (a measurement or a leg's
     loss) or rng.integers(k) (a basis or a coin) call on its actor's
-    stream, SeedSequence(seed, spawn_key=(key,)), in this order:
+    stream, SeedSequence(seed, spawn_key=(key,)).  A stream is drawn
+    slot-major: one kind of draw for every position before the next, in
+    this order:
 
     * center: a BELL pair label for each of the n positions;
-    * per position, channel: Alice's leg lost, and only if not, Bob's;
-      then, where both arrived, a cheating center measures c, a and b
-      and sends eigenstates (center), or an interceptor draws her basis
-      and measures (eve);
-    * GHZ1/GHZ2: the center's basis (GHZ2 only) and outcome per arrived
-      position; then Alice's basis and outcome per arrived position,
-      then Bob's; GHZ3: then the center, in x for equal bases, else y;
-    * per arrived position, the probe's x read-out (eve), then a coin
-      where the adversary's record does not fix Bob's bit (eve, or
-      center for a cheating center);
+    * channel: Alice's leg lost, for each of the n positions, then Bob's
+      leg lost, for each; a position arrives when neither leg lost it;
+    * per measurement, on the measuring actor's stream: its basis for
+      every arrived position (no call for one basis), then its sign for
+      every arrived position.  The measurements, in order:
+      - a cheating center's of c, a and b in its basis, sending Bob and
+        Alice eigenstates (center), or an interceptor's, which resends
+        (eve);
+      - GHZ1/GHZ2: the center's, in x, or x or y for GHZ2;
+      - Alice's, then Bob's;
+      - GHZ3: the center's, in x for equal bases, else y;
+      - the probe's x read-out (eve);
+    * a coin for every arrived position where the adversary's record
+      does not fix Bob's bit, in position order (eve, or center for a
+      cheating center);
     * bob: his check sample, choice(kept, k, replace=False).
 
     A position is kept when the announced state fixes Bob's sign from
@@ -180,13 +187,15 @@ def scalar_session(config, leg_loss=None):
         for key in (CENTER, ALICE, BOB, EVE, CHANNEL))
     labels = PREPARED.get(protocol)
     announcement = [labels[center.integers(len(labels))] if labels else None for _ in range(n)]
+    lost_a = [channel.random() < loss_a for _ in range(n)]
+    lost_b = [channel.random() < loss_b for _ in range(n)]
     # Whether the adversary's record is Bob's particle, else Alice's.
     on_bob = kind == "cheating_center" or (kind == "intercept_resend"
                                            and attack.target_party.value == "bob")
 
-    arrived = {}  # position -> {"state": its particles, role: (basis, sign), ...}
+    arrived = {}  # position -> {"state": its particles, key: (basis, sign), ...}
     for i in range(n):
-        if channel.random() < loss_a or channel.random() < loss_b:
+        if lost_a[i] or lost_b[i]:
             continue
         if labels:
             state = _Particles(["a", "b"], PAIRS[announcement[i]])
@@ -194,33 +203,36 @@ def scalar_session(config, leg_loss=None):
             state = _Particles(["c", "a", "b", "eve"], probed_triplet(attack.coupling))
         else:
             state = _Particles(["c", "a", "b"], GHZ3)
-        pos = arrived[i] = {"state": state}
-        if kind == "cheating_center":
-            basis = attack.basis.value
-            c, a, b = [state.measure(role, basis, center.random()) for role in "cab"]
-            pos["state"] = _Particles(["a", "b"], kron(EIGEN[(basis, a)], EIGEN[(basis, b)]))
-            pos["c"] = pos["shown"] = (basis, c)
-            pos["hers"] = (basis, b)  # the eigenstate it sent Bob
-        elif kind == "intercept_resend":
-            role = "b" if on_bob else "a"
-            pool = [b.value for b in attack.basis_pool] if attack.basis_pool else bases
-            basis = pool[eve.integers(len(pool))]
-            sign = state.measure(role, basis, eve.random())
-            state.add(role, basis, sign)
-            pos["shown"] = pos["hers"] = (basis, sign)
+        arrived[i] = {"state": state}
 
+    def measure(key, role, rng, pool, resend=False):
+        """role's measurement at every arrived position, filed under key:
+        a basis from pool (a string, or a function of the position) for
+        each, then a sign for each; with resend a fresh eigenstate of
+        the sign replaces the particle."""
+        pools = [pool(pos) if callable(pool) else pool for pos in arrived.values()]
+        chosen = [p[rng.integers(len(p))] if len(p) > 1 else p for p in pools]
+        for pos, basis in zip(arrived.values(), chosen):
+            sign = pos["state"].measure(role, basis, rng.random())
+            if resend:
+                pos["state"].add(role, basis, sign)
+            pos[key] = (basis, sign)
+
+    if kind == "cheating_center":
+        for role in "cab":  # it shows c and knows the eigenstate it sent Bob
+            measure({"c": "c", "a": "sent", "b": "hers"}[role], role, center, attack.basis.value,
+                    resend=role != "c")
+    elif kind == "intercept_resend":
+        pool = "".join(b.value for b in attack.basis_pool) if attack.basis_pool else bases
+        measure("hers", "b" if on_bob else "a", eve, pool, resend=True)
     if protocol in ("GHZ1", "GHZ2") and kind != "cheating_center":
-        for pos in arrived.values():
-            basis = "XY"[center.integers(2)] if protocol == "GHZ2" else "X"
-            pos["c"] = (basis, pos["state"].measure("c", basis, center.random()))
-    for role, rng in (("a", alice), ("b", bob)):
-        for pos in arrived.values():
-            basis = bases[rng.integers(2)]
-            pos[role] = (basis, pos["state"].measure(role, basis, rng.random()))
+        measure("c", "c", center, "XY" if protocol == "GHZ2" else "X")
+    measure("a", "a", alice, bases)
+    measure("b", "b", bob, bases)
     if protocol == "GHZ3":
-        for pos in arrived.values():
-            basis = "X" if pos["a"][0] == pos["b"][0] else "Y"
-            pos["c"] = (basis, pos["state"].measure("c", basis, center.random()))
+        measure("c", "c", center, lambda pos: "X" if pos["a"][0] == pos["b"][0] else "Y")
+    if kind == "ancilla":
+        measure("hers", "eve", eve, "X")
     for i, pos in arrived.items():
         announcement[i] = pos.get("c", announcement[i])
 
@@ -229,8 +241,6 @@ def scalar_session(config, leg_loss=None):
         records = []
         coins = center if kind == "cheating_center" else eve
         for i, pos in arrived.items():
-            if kind == "ancilla":
-                pos["shown"] = pos["hers"] = ("X", pos["state"].measure("eve", "X", eve.random()))
             (basis, sign), bob_basis = pos["hers"], pos["b"][0]
             if on_bob:
                 guess = sign if basis == bob_basis else None
@@ -238,9 +248,10 @@ def scalar_session(config, leg_loss=None):
                 guess = peer_sign(announcement[i], basis, sign, bob_basis)
             if guess is None:
                 guess = "+-"[coins.integers(2)]
+            shown = pos["c"] if kind == "cheating_center" else pos["hers"]
             prefix = "probe-" if kind == "ancilla" else ""
-            records.append({"position": i, "basis_used": prefix + pos["shown"][0],
-                            "outcome": pos["shown"][1], "inferred_bit": BIT[guess]})
+            records.append({"position": i, "basis_used": prefix + shown[0],
+                            "outcome": shown[1], "inferred_bit": BIT[guess]})
 
     key_sign = {}  # kept position -> Alice's key bit, as Bob's sign
     for i, pos in arrived.items():

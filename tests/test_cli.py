@@ -44,7 +44,7 @@ class TestRun:
                      "--seed", "42", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["kept_fraction"] == 1.0
         summary = capsys.readouterr().out
         assert "protocol=GHZ3" in summary and "bound=1.0" in summary
@@ -289,7 +289,7 @@ class TestVerify:
     @pytest.mark.parametrize("content,message", [
         (b'{"schema_version":', "Expecting value: line 1 column 19 (char 18)"),
         (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-        (b'{"schema_version":1}', "schema_version: expected 2, got 1"),
+        (b'{"schema_version":1}', "schema_version: expected 3, got 1"),
     ], ids=["not_json", "not_utf8", "schema_1"])
     def test_malformed_file_one_line(self, content, message, tmp_path, capsys):
         path = tmp_path / "t.json"

@@ -151,9 +151,16 @@ class TestSingleHash:
         assert tr.alice_final_key and tr.bob_final_key == tr.alice_final_key
 
     def test_unequal_keys_are_hashed_each(self, monkeypatch):
-        # Two-pass reconciliation leaves residual errors in this session,
-        # so the keys differ before and after hashing.
+        # Reconciliation is patched to leave one residual error in Bob's
+        # key, so the keys differ before and after hashing.
         calls = count_hashes(monkeypatch)
+        real = postproc.reconcile
+
+        def one_error_left(*args, **kwargs):
+            bob, leaked = real(*args, **kwargs)
+            return bob[:-1] + "10"[int(bob[-1])], leaked
+
+        monkeypatch.setattr(postproc, "reconcile", one_error_left)
         tr = run_session(SessionConfig(ProtocolId.GHZ1, 5000, qber_abort_threshold=0.3, rng_seed=1,
                                        attack=AncillaEntangle(coupling=0.1)))
         assert len(calls) == 2

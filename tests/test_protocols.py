@@ -3,7 +3,6 @@ import json
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from tcqkd import protocols
@@ -294,34 +293,25 @@ class TestEventOrdering:
         assert [e["seq"] for e in tr.events] == list(range(len(tr.events)))
 
 
-def scalar_channel_losses(draws, n, loss_a, loss_b):
-    """The erasure walk one position at a time: Bob's leg draws only
-    when Alice's particle arrived."""
-    lost, j = [], 0
-    for _ in range(n):
-        if draws[j] < loss_a:
-            lost.append(True)
-            j += 1
-        else:
-            lost.append(bool(draws[j + 1] < loss_b))
-            j += 2
-    return lost
-
-
 class TestChannelLosses:
     @pytest.mark.parametrize("loss_a, loss_b", [
         (0.0, 0.0), (1.0, 1.0), (0.0, 0.3), (0.3, 0.3), (0.5, 0.5), (0.02, 0.2), (0.3, 0.0),
         (1.0, 0.0), (0.0, 1.0), (0.9, 0.1)])
-    def test_equals_the_scalar_walk(self, loss_a, loss_b):
-        for seed, n in enumerate([1, 2, 3, 17, 1000, 4001]):
-            draws = np.random.default_rng(seed).random(2 * n)
-            lost = protocols._channel_losses(np.random.default_rng(seed), n, loss_a, loss_b)
+    def test_lost_where_either_leg_lost(self, loss_a, loss_b):
+        """The channel stream draws random(n) for Alice's leg, then
+        random(n) for Bob's; a position is lost where either leg's draw
+        falls under its loss."""
+        for seed, n in enumerate([2, 3, 4, 17, 1000, 4001]):
+            channel = protocols._stream(seed, protocols._STREAM_CHANNEL)
+            alice, bob = channel.random(n), channel.random(n)
+            config = SessionConfig(ProtocolId.GHZ3, n, check_fraction=0.01, rng_seed=seed)
+            lost = run_session(config, (loss_a, loss_b)).positions.column("lost")
             assert lost.dtype == bool
-            assert lost.tolist() == scalar_channel_losses(draws, n, loss_a, loss_b)
+            assert lost.tolist() == [a < loss_a or b < loss_b for a, b in zip(alice, bob)]
 
 
 class TestPositions:
-    CONFIG = SessionConfig(ProtocolId.GHZ2, 500, loss_probability=0.2, rng_seed=5,
+    CONFIG =SessionConfig(ProtocolId.GHZ2, 500, loss_probability=0.2, rng_seed=5,
                            qber_abort_threshold=0.5, attack=InterceptResend())
 
     def test_sequence_behaviour(self):
@@ -372,7 +362,7 @@ class TestDeterminismAndSerialization:
     def test_json_document_shape(self):
         cfg = SessionConfig(ProtocolId.BELL5, 300, loss_probability=0.1, rng_seed=6)
         doc = transcript_to_json_dict(run_session(cfg))
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["config"]["protocol"] == "BELL5"
         positions = doc["positions"]
         assert positions["bases"] == ["X", "Y", "Z"] and positions["outcomes"] == ["+", "-"]

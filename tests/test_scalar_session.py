@@ -1,20 +1,20 @@
 """Whole sessions against `oracle.scalar_session`, the protocol read one
-position at a time with one scalar generator call per random choice.
+particle at a time with one scalar generator call per random choice.
 
-`run_session` draws each actor's stream in bulk and walks compiled
-tables; the reference walks amplitude vectors.  They must agree on every
-position column, the check sample, both raw keys and the adversary's
-records, for every protocol, attack, per-leg loss and seed.
+`run_session` draws each actor's stream in plain bulk calls and walks
+compiled tables; the reference makes the same draws one scalar call at a
+time and walks amplitude vectors.  They must agree on every position
+column, the check sample, both raw keys and the adversary's records, for
+every protocol, attack, per-leg loss and seed.  The premise that makes
+this possible, a bulk `integers(k, size=m)` or `random(m)` returning
+what m scalar calls would, is checked on its own in test_bulk_draws.py.
 """
-
-import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from tcqkd import protocols, replay
 from tcqkd.adversary import (
     AncillaEntangle,
     CheatingCenterMeasureAll,
@@ -112,10 +112,10 @@ def test_session_equals_scalar_reference(data):
             assert session_fields(run_session(config, leg_loss)) == fields, (config, leg_loss)
 
 
-# One session per protocol whose every stream goes through the scalar
-# route of `replay`, which a batch takes only when a 32-bit word would be
-# rejected (about 2**-32 per word).
-FALLBACK_CASES = [
+# One session per protocol, each with an asymmetric per-leg loss; the
+# intercept pools of three bases draw integers(3), a range that is not a
+# power of two.
+FIXED_CASES = [
     (ProtocolId.GHZ1, CheatingCenterMeasureAll(X)),
     (ProtocolId.GHZ2, InterceptResend(Party.ALICE, (Z, X, Y))),
     (ProtocolId.GHZ3, AncillaEntangle(0.4)),
@@ -124,24 +124,13 @@ FALLBACK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("protocol,attack", FALLBACK_CASES,
-                         ids=[f"{p.value}-{a.kind}" for p, a in FALLBACK_CASES])
-def test_scalar_fallback_equals_reference(protocol, attack, monkeypatch):
+@pytest.mark.parametrize("protocol,attack", FIXED_CASES,
+                         ids=[f"{p.value}-{a.kind}" for p, a in FIXED_CASES])
+def test_fixed_session_equals_reference(protocol, attack):
     config = SessionConfig(protocol, 300, check_fraction=0.2, qber_abort_threshold=0.5,
                            loss_probability=0.1, rng_seed=11, attack=attack)
     leg_loss = (0.05, 0.2)
-    bulk = transcript_to_json(run_session(config, leg_loss))
-    calls = []
-
-    def scalar_draws(rng, slots, m):
-        calls.append(m)
-        return replay._scalar_draws(rng, slots, m)
-
-    monkeypatch.setattr(protocols, "replay_draws", scalar_draws)
     transcript = run_session(config, leg_loss)
-    # Every stream run of the session, each over every arrived position.
-    runs = itertools.groupby(protocols._compile(protocol, attack).steps, key=lambda step: step[0])
-    arrived = config.num_states - sum(p.lost for p in transcript.positions)
-    assert calls == [arrived] * len(list(runs))
     assert session_fields(transcript) == reference_fields(config, leg_loss)
-    assert transcript_to_json(transcript) == bulk
+    assert transcript_to_json(transcript) == transcript_to_json(run_session(config, leg_loss))
+

@@ -101,8 +101,8 @@ def columns(record):
 
 def walk_tree(protocol, attack):
     """Follow the compiled table's next links along `oracle.project`
-    projections, checking every basis_of, p_plus, next and coin entry on
-    the way and, per leaf, the columns of its row that its path fixes.
+    projections, checking every basis_of, p_plus and next entry on the
+    way and, per leaf, the columns of its row that its path fixes.
 
     Returns the table, the visited node ids and the leaves as (weight,
     path, row).  weight is the leaf's probability when every choice is
@@ -117,7 +117,6 @@ def walk_tree(protocol, attack):
     leaves = []
 
     def walk(node, level, vec, roles, weight, path):
-        """Returns, per leaf below node, whether the adversary tosses a coin there."""
         visited.add(node)
         if level == len(steps):
             assert node >= inner
@@ -128,9 +127,8 @@ def walk_tree(protocol, attack):
             b_basis, b_bit = columns(bob)
             assert row[:5].tolist() == [ann, a_basis, b_basis, a_bit, b_bit]
             assert row[7:9].tolist() == columns(shown)
-            assert table.coin[node] == (row[-1] < 0)
             leaves.append((weight, path, row))
-            return [row[-1] < 0]
+            return
         role, bases, resend, _ = steps[level]
         q = roles.index(role)
         rest_roles = roles[:q] + roles[q + 1:]
@@ -140,7 +138,6 @@ def walk_tree(protocol, attack):
             followed = [Basis.X if a_basis == b_basis else Basis.Y]
         assert table.basis_of[node].tolist() == [BASES.index(b) for b in followed] + [-1] * (
             len(BASES) - len(followed))
-        coins = []
         for b, basis in enumerate(BASES):
             if basis not in followed:
                 # The GHZ3 center's off-rule basis included: never measured.
@@ -162,10 +159,7 @@ def walk_tree(protocol, attack):
                     reduced, child_roles = np.kron(reduced, eigen), rest_roles + [role]
                 else:
                     child_roles = rest_roles
-                coins += walk(child, level + 1, reduced, child_roles, weight * p / len(followed),
-                              child_path)
-        assert table.coin[node] == all(coins)
-        return coins
+                walk(child, level + 1, reduced, child_roles, weight * p / len(followed), child_path)
 
     starts = start_states(protocol, attack)
     for node, (key, vec, roles) in enumerate(starts):
@@ -316,7 +310,6 @@ def test_prediction_tables_match_correlation_tables(protocol, attack):
         target = attack.target_party
     else:  # the eigenstate a cheating center sent Bob, or the probe in Alice's place
         target = Party.BOB if isinstance(attack, CheatingCenterMeasureAll) else Party.ALICE
-    coin_after_probe = {}
     for _, path, row in leaves:
         ann, a, b, a_out, b_out, kept, bit, _, _, guess = row.tolist()
         ann, a, b, a_out = anns[ann], BASES[a], BASES[b], OUTCOMES[a_out]
@@ -331,17 +324,12 @@ def test_prediction_tables_match_correlation_tables(protocol, attack):
             continue
         expected = infer_bob_outcome(ann, Basis(hers[0]), Outcome(hers[1]), target, b)
         assert guess == (-1 if expected is None else expected.bit)
-        if isinstance(attack, AncillaEntangle):
-            coin_after_probe.setdefault(tuple(path[:-1]), set()).add(guess < 0)
-    # The session draws the probe read-out and the coin from one stream,
-    # so whether she tosses one must not depend on the read-out.
-    assert all(len(coins) == 1 for coins in coin_after_probe.values())
 
 
 def test_tables_are_read_only_and_shared():
     a = protocols._compile(ProtocolId.GHZ2, AncillaEntangle(0.5))
     assert a is protocols._compile(ProtocolId.GHZ2, AncillaEntangle(0.5))
-    for arr in (a.basis_of, a.p_plus, a.next, a.coin, a.leaves):
+    for arr in (a.basis_of, a.p_plus, a.next, a.leaves):
         assert not arr.flags.writeable
 
 

@@ -30,33 +30,33 @@ CASES = {
     "ghz3_ancilla": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=0.5, rng_seed=11,
                       attack=AncillaEntangle(0.05)),
-        "2052bfe2cbb092fb7c5ebfeb66b26dc11c162d7465106b5a73eee34707b00ff9",
+        "dfc99cffc01b870b5bf217098e4bc49b66d88abe86651b316f840cf706acef5b",
     ),
     # The ancilla attack is defined for the triplet protocols only, so
     # BELL5 is pinned under intercept-resend.
     "bell5_intercept_alice": (
         SessionConfig(ProtocolId.BELL5, N, qber_abort_threshold=0.5, rng_seed=12,
                       attack=InterceptResend(Party.ALICE)),
-        "68843ed4c5bf307fa47989eecb0599a9bace7d4bc6fde1a6c51bc7db5a4249ff",
+        "4d98ebdb506a3fb95b9ae95bf375584c9dcf171b28a3632646b77eec11fddd4a",
     ),
     "ghz1_cheating_center": (
         SessionConfig(ProtocolId.GHZ1, N, qber_abort_threshold=0.5, rng_seed=13,
                       attack=CheatingCenterMeasureAll(Basis.X)),
-        "6159935815061e62dca0c1962ee388361a8fff5fe1a767441e0bbdb502da72f0",
+        "eb673412bad1d5f0e6041b9cd9bf473f3828254a36ff3a04ba6084c5bf2ca8e1",
     ),
     "bell4_intercept_bob": (
         SessionConfig(ProtocolId.BELL4, N, qber_abort_threshold=0.5, rng_seed=14,
                       attack=InterceptResend(Party.BOB)),
-        "34b0f4fd846b1e192b740f47f20702872a64b2d2e49b6411f1d23e4451ad08c6",
+        "f967b59cd2448c4bf96d4181976726d0ecdb0413e6453574061d4196fdf5956c",
     ),
     "ghz2_intercept_alice": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=0.5, rng_seed=15,
                       attack=InterceptResend(Party.ALICE)),
-        "42bc94aed2031c4e3b9354fedec6cd2b1638cd520cf052f24f63a29db607ba75",
+        "23c26935d25a8521e8b82c6c0d4967e467f7c2caa7f4b79630479eb809f730ac",
     ),
     "ghz1_loss": (
         SessionConfig(ProtocolId.GHZ1, N, loss_probability=0.05, rng_seed=16),
-        "bcb85f27aa3263573def339aaa7a8c82812597a04f799ace436e17293b25923e",
+        "4943b111f43f6d281808744c3cce4fa7f371ebe98f705bb7fb0dcbf37570ad06",
     ),
 }
 
@@ -67,85 +67,85 @@ CASES = {
 T = 0.5
 MORE_CASES = {
     "ghz2_none": (SessionConfig(ProtocolId.GHZ2, N, rng_seed=21), None,
-                  "c438354e5b8e80e5d031159b398ca51c88deef5e3b1c489fc4ee1c5f1b237ced"),
+                  "0478df0dc4bd26716cbf51048bd40bc828c030c7ef50e4bdaf064ceb44db028a"),
     "ghz3_none": (SessionConfig(ProtocolId.GHZ3, N, rng_seed=22), None,
-                  "bfe7776ca231048d6950c535763802c13801c844f2220970d5a627d1879d7164"),
+                  "9da51cf477155f0ceed2b443fe38a92b970551b7077f097cb5970b568c5c48bd"),
     "bell4_none": (SessionConfig(ProtocolId.BELL4, N, rng_seed=23), None,
-                   "7050f9cfc3807fbdafdffbbfbad72e4454662f95f7a71100e7a482680f1b8d7f"),
+                   "49ea0e5b21ee46f90dcf18d90d15e56878f185a6775035645bbdbeba3811243f"),
     "bell5_none": (SessionConfig(ProtocolId.BELL5, N, rng_seed=24), None,
-                   "fabfce59196c07d49f701ad22d4ba59242ace0c4ae02ce584bec12dea718a3df"),
+                   "f05b20aa643088609b32901c873d7522d95099fa4756dd26b247590081965f8f"),
     "ghz1_intercept_alice": (
         SessionConfig(ProtocolId.GHZ1, N, qber_abort_threshold=T, rng_seed=25,
                       attack=InterceptResend(Party.ALICE)), None,
-        "f6326e4b90e55609682cb700adbf8da6d722a52e4ec90cabb340e0839874c149"),
+        "75298bf01a9e7988ba0eef8b0bb4cda1cb97af9154c3506e49f50af32cbcc627"),
     "ghz3_intercept_alice": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=T, rng_seed=26,
                       attack=InterceptResend(Party.ALICE)), None,
-        "e73adaa75b13b082a1e1900a98c708517663b65b1ba43cf365fffb79a5011ca8"),
+        "986c6cfe4451ea89229dcad8bc3c91eb1f5e26611b2064d9cadf9dbfcef4681e"),
     "bell4_intercept_alice": (
         SessionConfig(ProtocolId.BELL4, N, qber_abort_threshold=T, rng_seed=27,
                       attack=InterceptResend(Party.ALICE)), None,
-        "28b0b42ad07964cf8ad28fb0c8341dfdd1da3621ce794113a2b7698cce0295b4"),
+        "113c46ecb0bf63f5cc71da7eff49119352d7c0accdf2277101742ed69e2731d4"),
     "ghz1_intercept_bob": (
         SessionConfig(ProtocolId.GHZ1, N, qber_abort_threshold=T, rng_seed=28,
                       attack=InterceptResend(Party.BOB)), None,
-        "5e45839efb5c39d9aa3b0745f1603a7262a99abbc78998851ce98d28464dc41a"),
+        "9e3c7f5ceb737bcfdfdc3c17f67f4f860cec73ac872faa43867e52c79d335c8b"),
     "ghz2_intercept_bob": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=29,
                       attack=InterceptResend(Party.BOB)), None,
-        "e9f35cf23ba87dcf7c3397ace16c616aab8b47f5245889fa91eb18b01975addf"),
+        "01903c2a03943370061dd391a9cb4f4affe863de41f393013d0f77ef93cfc8a6"),
     "ghz3_intercept_bob": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=T, rng_seed=30,
                       attack=InterceptResend(Party.BOB)), None,
-        "4018eb44af630b54ec2ad995caf66edf62f2267929e73662fe33d3b89133bc87"),
+        "4427a80b9710a197de740deaca5a4b8fd4cc0524d95182c925d5fcb2999e5f58"),
     "bell5_intercept_bob": (
         SessionConfig(ProtocolId.BELL5, N, qber_abort_threshold=T, rng_seed=31,
                       attack=InterceptResend(Party.BOB)), None,
-        "b0bc86dbbe635592025a491db6b3a0c76d0a5d559305e5db7b9146b6be7e30ec"),
+        "896e05283883ae3d1238b6cc5b59563bb140726e8ead6144b4651f948aeec818"),
     "ghz2_cheating_x": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=32,
                       attack=CheatingCenterMeasureAll(Basis.X)), None,
-        "075694303ad0f5b56addbdf466a0fb07589a26b5ec9fd4eb222421787305aacc"),
+        "933826973892011ed90327c618065035236b0f141a0fb99bb1010999aae3344a"),
     "ghz2_cheating_y": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=33,
                       attack=CheatingCenterMeasureAll(Basis.Y)), None,
-        "b16bd04ba13a1b5be18a11b2ba1fe67cf0f47ec85e41ae3bc57da982f989f4d1"),
+        "d1b43795be73c4aee416723f9f7ab2906334c1ee82cd195220e54b353b7b45c3"),
     "ghz1_ancilla_1": (
         SessionConfig(ProtocolId.GHZ1, N, qber_abort_threshold=T, rng_seed=34,
                       attack=AncillaEntangle(1.0)), None,
-        "940ca57f8711bc3e5a3d4e6d261bf998b2ede893fa2f571031ab5deae8a12c4e"),
+        "57ac76d21cafbefb49f5fb0f8a4ab483cf4ea2d9413a7d6e55f9f930cfa02c37"),
     "ghz2_ancilla_0": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=35,
                       attack=AncillaEntangle(0.0)), None,
-        "72bdd6dc6089447f3343fbad4f5bf5df5222332aaa7e5c26639e90e1eeee9b91"),
+        "c11f84bf3a1185f7deea323fe5894f1d3f5432c285fbdbd1053776d908ca75e4"),
     "ghz3_ancilla_1": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=T, rng_seed=36,
                       attack=AncillaEntangle(1.0)), None,
-        "744fa0f275dbbb8bf70eaa86e8ec250fbba2fe6bec9d7fce0330b95fdf53cf7f"),
+        "f407d8f00ea3b5be3325db4ca29fb8265ce256e40860fe8871ffc9c9efb7b8a8"),
     "ghz2_pool_1": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=37,
                       attack=InterceptResend(Party.ALICE, (Basis.Y,))), None,
-        "19f0055f8c030d9e2262e5587bca98b78ca37dffb6966eac7802c21413251465"),
+        "874fd40668a185783c0ce6cad184176060a4fcf3ce23a68a323353c7d5c0be07"),
     "bell4_pool_3": (
         SessionConfig(ProtocolId.BELL4, N, qber_abort_threshold=T, rng_seed=38,
                       attack=InterceptResend(Party.ALICE, (Basis.X, Basis.Y, Basis.Z))), None,
-        "de397daa07058f7aedba7ae50629850411f8fcd6743a11ca02338b7bdc53083d"),
+        "ac293776481ee20038ff6e0d062eb6cdc6134be55bc1837d22a1b9152925f9bd"),
     "ghz3_pool_3_bob": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=T, rng_seed=39,
                       attack=InterceptResend(Party.BOB, (Basis.Z, Basis.X, Basis.Y))), None,
-        "7ba4af6240651eddbfd49089d257531b43301a8664008545d1dea0100bf26522"),
+        "9a4157e8b04657637ce6f709642f5d47acb0e293469438086245a43c666347e7"),
     "bell5_odd_n": (SessionConfig(ProtocolId.BELL5, 3001, loss_probability=0.1, rng_seed=40), None,
-                    "593be820bde19b46e27b019289ceb4855b457aaf3c7d03b7e7781f3c2687ac03"),
+                    "87646df9011f425bf9debb8ef72b22e9c415cbcde7a98c76b689ec2d30bf3019"),
     "ghz2_total_loss": (SessionConfig(ProtocolId.GHZ2, N, loss_probability=1.0, rng_seed=41), None,
-                        "13557bf28f211e194f1851c9ca0e9286dd13554cbcdaa910135be09cd522dfda"),
+                        "2a1f769e1b2122f899b4e8aa30bed843a1cb41ebe43d70c2221d9c39d523e060"),
     "ghz3_empty_check": (SessionConfig(ProtocolId.GHZ3, 20, check_fraction=0.01, rng_seed=42), None,
-                         "d78f02f8204f3c5f335a580b76773170f29265bde8b7760eab33eec22ee8109f"),
+                         "7e1fda574167af1263540e965a8c13e125897a944b84b938dff82ebebd32baa7"),
     "ghz2_leg_loss": (
         SessionConfig(ProtocolId.GHZ2, 3001, qber_abort_threshold=T, rng_seed=43,
                       attack=AncillaEntangle(0.3)), (0.02, 0.2),
-        "3e1a3b9fc4983bed708170df0869c7702bab3d0a9baf246c098eabf326f8e6c6"),
+        "4b2050d8bb6d409bdf2790f28c1dcf217eeed04dbe96d9e45abc62021a4b3779"),
     "bell4_leg_loss": (SessionConfig(ProtocolId.BELL4, N, rng_seed=44), (0.3, 0.0),
-                       "1e590667a60848b1f298f0f2476044084711133fb5412352c2c4815d89e2aa0a"),
+                       "c269a0ce64e9eaa63c2703b2d989d53e0d734be1da21f36061898be94b8014d5"),
 }
 
 NETWORK_SCENARIO = {
@@ -164,7 +164,7 @@ NETWORK_SCENARIO = {
                     "attack": {"kind": "intercept_resend", "target_party": "bob"}}},
     ],
 }
-NETWORK_CSV_DIGEST = "41899da750491e899408a58adb195adfd24950f7fde91813f715e310084ef2d7"
+NETWORK_CSV_DIGEST = "cc52d06b8be91527d758e0f0cf00ba4ce968a0f43abd2e611076eab24e12cb00"
 
 
 def digest(transcript) -> str:

@@ -99,7 +99,7 @@ MALFORMED = {
         f"positions.used_for_check: position {NOT_KEPT_AT} is not kept"),
     "kept_but_lost": (edit_positions("kept", lambda c: set_char(c, LOST_AT, "1")),
                       f"positions.kept: position {LOST_AT} is not arrived"),
-    "schema_version_1": (edit(["schema_version"], 1), "schema_version: expected 2, got 1"),
+    "schema_version_1": (edit(["schema_version"], 1), "schema_version: expected 3, got 1"),
     "legend": (edit(["positions", "bases"], ["X", "Y"]),
                'positions.bases: expected ["X", "Y", "Z"]'),
     "missing_column": (lambda doc: doc["positions"].pop("bob_outcome"),
