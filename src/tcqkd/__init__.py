@@ -13,9 +13,7 @@ from .adversary import (
     NoAttack,
     Party,
     UnsupportedAttackError,
-    ancilla_attack,
     ancilla_guess_probability,
-    eve_projection,
 )
 from .netsim import (
     ChannelModel,

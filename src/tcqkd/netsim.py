@@ -23,7 +23,9 @@ from .protocols import (
     SessionTranscript,
     _config_at,
     _integer,
+    _known_keys,
     _member,
+    _number,
     _of_type,
     config_to_json_dict,
     run_session,
@@ -72,8 +74,11 @@ def request_session(registry: Registry, requester: str, responder: str,
     """Run one protocol session between two registered users.
 
     The requester plays Alice and the responder Bob; each leg applies
-    that user's channel loss independently per particle.
+    that user's channel loss independently per particle.  Loss is set
+    per user, so a config with its own loss_probability is refused.
     """
+    if config.loss_probability != 0.0:
+        raise ValueError("loss_probability: set per user under channels, not in a session config")
     if requester == responder:
         raise ValueError("a user cannot open a session with itself")
     for uid in (requester, responder):
@@ -226,22 +231,20 @@ def scenario_to_json_dict(scenario: NetworkScenario) -> dict:
     }
 
 
-def _number(value, path: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{path}: expected a number, got {value!r}") from None
-
-
 def scenario_from_json_dict(doc: dict) -> NetworkScenario:
     """Parse a scenario document.  A malformed document raises a
     ValueError naming where it is malformed, e.g.
     ``sessions[0]: missing 'responder'``."""
     doc = _of_type(doc, dict, "scenario")
+    _known_keys(doc, ("schema_version", "seed", "users", "channels", "sessions"), "scenario: ")
+    version = _integer(doc.get("schema_version", 1), "schema_version")
+    if version != 1:
+        raise ValueError(f"schema_version: expected 1, got {version}")
     channels = {}
     for uid, ch in _of_type(doc.get("channels", {}), dict, "channels").items():
         path = f"channels.{uid}"
         ch = _of_type(ch, dict, path)
+        _known_keys(ch, ("loss_probability", "latency_ticks"), f"{path}: ")
         loss = _number(ch.get("loss_probability", 0.0), f"{path}.loss_probability")
         latency = _integer(ch.get("latency_ticks", 0), f"{path}.latency_ticks")
         try:
@@ -252,6 +255,7 @@ def scenario_from_json_dict(doc: dict) -> NetworkScenario:
     for i, s in enumerate(_of_type(doc.get("sessions", []), list, "sessions")):
         path = f"sessions[{i}]"
         s = _of_type(s, dict, path)
+        _known_keys(s, ("requester", "responder", "config"), f"{path}: ")
         sessions.append(SessionSpec(
             requester=_of_type(_member(s, "requester", path), str, f"{path}.requester"),
             responder=_of_type(_member(s, "responder", path), str, f"{path}.responder"),

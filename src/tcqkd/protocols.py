@@ -916,7 +916,7 @@ def attack_from_json(doc) -> AttackModel:
     elif kind == "cheating_center":
         attack = CheatingCenterMeasureAll(basis=Basis(doc.get("basis", "X")))
     elif kind == "ancilla":
-        attack = AncillaEntangle(coupling=float(doc.get("coupling", 1.0)))
+        attack = AncillaEntangle(coupling=_number(doc.get("coupling", 1.0), "attack.coupling"))
     else:
         raise ValueError(f"unknown attack kind {kind!r}")
     _known_keys(doc, _attack_json(attack), "attack: ")
@@ -935,15 +935,21 @@ def config_to_json_dict(config: SessionConfig) -> dict:
     }
 
 
-def _integer(value, path: str) -> int:
-    """int(value) for a config or scenario field at path, refusing to
-    truncate a fractional number or to read an infinite one."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{path}: expected an integer, got {value!r}")
+def _number(value, path: str) -> float:
+    """float(value) for a number field at path of a config or scenario
+    document; true, false and strings are not numbers."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
+        return float(_of_type(value, (int, float), path))
+    except (OverflowError, ValueError):
         raise ValueError(f"{path}: expected a number, got {value!r}") from None
+
+
+def _integer(value, path: str) -> int:
+    """`_number` for an integer field, refusing to truncate a fractional
+    number or to read an infinite one."""
+    if not _number(value, path).is_integer():
+        raise ValueError(f"{path}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def _of_type(value, kind, path: str):
@@ -968,9 +974,9 @@ def config_from_json_dict(doc: dict) -> SessionConfig:
     return SessionConfig(
         protocol=ProtocolId(doc["protocol"]),
         num_states=_integer(doc["num_states"], "num_states"),
-        check_fraction=float(doc.get("check_fraction", 0.1)),
-        qber_abort_threshold=float(doc.get("qber_abort_threshold", 0.0)),
-        loss_probability=float(doc.get("loss_probability", 0.0)),
+        check_fraction=_number(doc.get("check_fraction", 0.1), "check_fraction"),
+        qber_abort_threshold=_number(doc.get("qber_abort_threshold", 0.0), "qber_abort_threshold"),
+        loss_probability=_number(doc.get("loss_probability", 0.0), "loss_probability"),
         rng_seed=_integer(doc.get("rng_seed", 0), "rng_seed"),
         attack=attack_from_json(doc.get("attack", {"kind": "none"})),
     )

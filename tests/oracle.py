@@ -93,6 +93,26 @@ def probed_triplet(coupling):
     return joint.reshape(-1)
 
 
+def eve_pair_projection(coupling):
+    """Project the (Alice, Bob) pair of `probed_triplet` onto
+    (1/2) sum_ij |x_i x_j>, then the center onto x+ and x-: the two
+    (prior, probe state) branches Eve must tell apart."""
+    phi = 0.5 * (kron(XP, XP) + kron(XM, XM) + kron(XP, XM) + kron(XM, XP)).reshape(2, 2)
+    unnorm = np.einsum("ab,cabe->ce", np.conj(phi),
+                       probed_triplet(coupling).reshape(2, 2, 2, 2)).reshape(-1)
+    post = unnorm / np.linalg.norm(unnorm)
+    return [project(post, 2, 0, EIGEN[("X", sign)]) for sign in "+-"]
+
+
+def ancilla_guess(coupling):
+    """Helstrom's optimal probability of naming the center's x branch
+    from the probe, over `eve_pair_projection`'s branches: 1/2 plus half
+    the trace norm of p|a><a| - q|b><b|."""
+    (p, a), (q, b) = eve_pair_projection(coupling)
+    diff = p * np.outer(a, np.conj(a)) - q * np.outer(b, np.conj(b))
+    return 0.5 * (1 + float(np.sum(np.abs(np.linalg.eigvalsh(diff)))))
+
+
 # --- a whole session, one position at a time ---------------------------------
 #
 # The paper's schemes as plain strings: the bases Alice and Bob draw

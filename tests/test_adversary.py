@@ -10,9 +10,7 @@ from tcqkd.adversary import (
     NoAttack,
     Party,
     UnsupportedAttackError,
-    ancilla_attack,
     ancilla_guess_probability,
-    eve_projection,
     infer_bob_outcome,
     probe_vectors,
 )
@@ -23,7 +21,7 @@ from tcqkd.protocols import (
     predict_detection_rate,
     run_session,
 )
-from tcqkd.qstate import GHZ, Basis, Outcome, TwoQubitLabel
+from tcqkd.qstate import GHZ, Basis, Outcome, apply_x_probe
 
 import oracle
 
@@ -48,73 +46,35 @@ class TestProbeAlgebra:
             + oracle.kron(oracle.XM, oracle.XP, oracle.XM, u)
             + oracle.kron(oracle.XM, oracle.XM, oracle.XP, v)
         )
-        joint = ancilla_attack(GHZ, coupling)
+        joint = apply_x_probe(GHZ, 1, u, v)
         assert np.max(np.abs(joint.amplitudes - expected)) <= 1e-12
 
     def test_zero_coupling_factorizes(self):
-        joint = ancilla_attack(GHZ, 0.0)
+        joint = apply_x_probe(GHZ, 1, *probe_vectors(0.0))
         expected = np.kron(oracle.GHZ3, np.array([1, 0], complex))
         assert np.max(np.abs(joint.amplitudes - expected)) <= TOL
 
-    def test_requires_triplet(self):
-        with pytest.raises(ValueError):
-            ancilla_attack(oracle_state_pair(), 0.5)
 
+class TestGuessProbability:
+    @pytest.mark.parametrize("coupling", [0.0, 0.05, 0.3, 0.7, 1.0])
+    def test_matches_literal_projection(self, coupling):
+        assert abs(ancilla_guess_probability(coupling) - oracle.ancilla_guess(coupling)) <= TOL
+        assert abs(oracle.ancilla_guess(coupling) - 0.5) <= TOL
 
-def oracle_state_pair():
-    from tcqkd.qstate import make_two_qubit
-
-    return make_two_qubit(TwoQubitLabel.PSI_PLUS)
-
-
-class TestEveProjection:
-    def test_post_state_matches_literal_projection(self):
-        coupling = 0.7
-        alphas = (0.5, 0.5, 0.5, 0.5)
+    @pytest.mark.parametrize("coupling", [0.3, 1.0])
+    def test_branch_probe_states_coincide(self, coupling):
+        # Either x result of the center leaves the probe in (u + v)/|u + v|
+        # with prior 1/2: the probe holds nothing about the branch.
         u, v = probe_vectors(coupling)
-        joint = ancilla_attack(GHZ, coupling)
-        phi = (
-            alphas[0] * oracle.kron(oracle.XP, oracle.XP)
-            + alphas[1] * oracle.kron(oracle.XM, oracle.XM)
-            + alphas[2] * oracle.kron(oracle.XP, oracle.XM)
-            + alphas[3] * oracle.kron(oracle.XM, oracle.XP)
-        ).reshape(2, 2)
-        shaped = joint.amplitudes.reshape(2, 2, 2, 2)
-        unnorm = np.einsum("ab,cabe->ce", np.conj(phi), shaped).reshape(-1)
-        norm = np.linalg.norm(unnorm)
-        proj = eve_projection(joint, alphas)
-        assert abs(proj.success_probability - norm**2) <= TOL
-        assert np.max(np.abs(proj.post_state.amplitudes - unnorm / norm)) <= 1e-12
-
-    def test_branch_superpositions(self):
-        # Conditioned on the center's x result, the probe holds the
-        # fixed superposition (a1*u + a2*v) resp. (a3*u + a4*v); the
-        # key-bit identity of the projected pair is not recorded.
-        coupling = 1.0
-        u, v = probe_vectors(coupling)
-        proj = eve_projection(ancilla_attack(GHZ, coupling), (0.5, 0.5, 0.5, 0.5))
-        e_plus = proj.branch_ancillas[0].amplitudes
-        e_minus = proj.branch_ancillas[1].amplitudes
         target = (u + v) / np.linalg.norm(u + v)
-        assert np.max(np.abs(e_plus - target)) <= 1e-12
-        assert np.max(np.abs(e_minus - target)) <= 1e-12
+        for prior, probe in oracle.eve_pair_projection(coupling):
+            assert abs(prior - 0.5) <= TOL
+            assert np.max(np.abs(probe - target)) <= 1e-12
 
-    def test_guess_probability_coupling_zero(self):
-        assert abs(ancilla_guess_probability(0.0) - 0.5) <= TOL
-
-    def test_guess_probability_coupling_one_equal_alphas(self):
-        # Orthogonal probe states, yet the balanced superpositions in
-        # the two branches coincide: Eve still learns nothing.
-        assert abs(ancilla_guess_probability(1.0) - 0.5) <= TOL
-
-    def test_unnormalized_alphas_rejected(self):
-        with pytest.raises(ValueError):
-            eve_projection(ancilla_attack(GHZ, 0.5), (1.0, 1.0, 0.0, 0.0))
-
-    def test_branch_priors_balanced(self):
-        proj = eve_projection(ancilla_attack(GHZ, 0.5), (0.5, 0.5, 0.5, 0.5))
-        assert abs(proj.branch_priors[0] - 0.5) <= TOL
-        assert abs(proj.branch_priors[1] - 0.5) <= TOL
+    @pytest.mark.parametrize("coupling", [-0.1, 1.5])
+    def test_coupling_outside_unit_interval_refused(self, coupling):
+        with pytest.raises(ValueError, match=r"coupling must be in \[0, 1\]"):
+            ancilla_guess_probability(coupling)
 
 
 class TestDetectionOracle:

@@ -86,6 +86,39 @@ MALFORMED_SCENARIOS = {
         "sessions[0].config: attack: unknown key 'basis'"),
     "seed_fraction": ({"users": ["a"], "seed": 7.8}, "seed: expected an integer, got 7.8"),
     "seed_infinite": ({"users": ["a"], "seed": float("inf")}, "seed: expected an integer, got inf"),
+    "sessions_misspelt": (
+        {"users": ["a", "b"], "channels": {"a": {"loss": 0.3}},
+         "sesions": [{"requester": "a", "responder": "b",
+                      "config": {"protocol": "GHZ1", "num_states": 100}}]},
+        "scenario: unknown key 'sesions'"),
+    "channel_unknown_key": ({"users": ["a"], "channels": {"a": {"loss": 0.3}}},
+                            "channels.a: unknown key 'loss'"),
+    "session_unknown_key": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b", "priority": 1,
+                       "config": {"protocol": "GHZ1", "num_states": 100}}]},
+        "sessions[0]: unknown key 'priority'"),
+    "schema_version_2": ({"schema_version": 2, "users": ["a"]},
+                         "schema_version: expected 1, got 2"),
+    "num_states_string": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": "400"}}]},
+        "sessions[0].config: num_states: expected a number, got '400'"),
+    "check_fraction_string": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": 400,
+                                  "check_fraction": "0.2"}}]},
+        "sessions[0].config: check_fraction: expected a number, got '0.2'"),
+    "coupling_string": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": 400,
+                                  "attack": {"kind": "ancilla", "coupling": "0.5"}}}]},
+        "sessions[0].config: attack.coupling: expected a number, got '0.5'"),
+    "loss_true": ({"users": ["a"], "channels": {"a": {"loss_probability": True}}},
+                  "channels.a.loss_probability: expected a number, got True"),
 }
 
 
@@ -205,6 +238,19 @@ class TestScenarios:
         result = run_network_scenario(scenario)
         assert result.transcripts[0] is None and result.errors[0]
         assert result.transcripts[1] is not None
+
+    def test_config_loss_recorded_as_session_error(self):
+        # Loss is set per user under channels; a config's own would go unapplied.
+        scenario = NetworkScenario(
+            users=("a", "b"),
+            sessions=(SessionSpec("a", "b", make_config(n=400, loss_probability=0.5)),),
+            seed=9,
+        )
+        result = run_network_scenario(scenario)
+        assert result.transcripts == [None]
+        assert result.errors == [
+            "loss_probability: set per user under channels, not in a session config"]
+        assert report_csv(result).strip().count("\n") == 0
 
     def test_session_seeds_differ_by_index(self):
         assert session_seed(7, 0) != session_seed(7, 1)
