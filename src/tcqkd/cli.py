@@ -5,8 +5,9 @@ attack (adversary experiment with oracle comparison), bench (efficiency
 sweep over protocols and loss), network (execute a scenario file),
 verify (check a transcript file written by run or attack --out).
 
-Exit codes: 0 success, 1 usage error or a transcript that does not
-verify, 2 session aborted by the eavesdrop check.  Every command is
+Exit codes: 0 success, 1 usage error, a transcript that does not
+verify or a network session that could not run, 2 session aborted by
+the eavesdrop check.  Every command is
 deterministic given its --seed, and re-runs produce byte-identical
 output files.  A --config file of key=value lines supplies defaults;
 explicit flags win.
@@ -235,15 +236,15 @@ def cmd_network(args) -> int:
             json.dumps(result.report, separators=(",", ":")) + "\n", encoding="utf-8")
     if args.csv:
         Path(args.csv).write_text(netsim.report_csv(result), encoding="utf-8")
-    aborted = 0
     for row in result.report["sessions"]:
         status = "error: " + row["error"] if row["error"] else (
             f"kept={row['kept_fraction']:.4f} qber={row['qber']:.4f} "
             f"aborted={row['aborted']} key_bits={row['key_bits']}")
         print(f"[{row['session_index']}] {row['requester']}->{row['responder']} "
               f"{row['protocol']}: {status}")
-        aborted += int(bool(row["error"] is None and row["aborted"]))
-    return 2 if aborted else 0
+    if any(result.errors):  # a session that could not run outranks an abort
+        return 1
+    return 2 if any(row["aborted"] for row in result.report["sessions"]) else 0
 
 
 def _short(value) -> str:

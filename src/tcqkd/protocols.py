@@ -56,17 +56,18 @@ the center, Alice and Bob in protocol order, then the probe read-out.
 Each step names its role, the bases it may use and the actor stream it
 draws from.  `_compile` walks that sequence once per (protocol, attack)
 pairing from the start registers with the exact Born-rule branches and
-stores integer tables: basis_of[node, choice], the basis a step's
-choice selects (the GHZ3 center has one choice, the rule's basis),
-p_plus[node, basis], the probability a draw is compared against, and
-next[node, basis, outcome].  It also says once what each path means,
-one row per leaf: the announcement, both parties' bases and outcomes,
-whether it is kept, Alice's key bit, the adversary's shown record and
-her guess of Bob's bit.  A session draws per level the choices and
-outcomes from the step's stream, advances the node ids, and gathers
-its transcript columns, check mismatches, key bits and adversary
-records from the leaf rows it reached.  Compiled tables are built on
-first use and kept (up to 64 pairings).
+stores, per node and choice of a step, p_plus[node, choice], the
+probability a draw is compared against, next[node, choice, outcome]
+and basis_of[node, choice], the basis the choice measures in (the GHZ3
+center has one choice, the rule's basis).  It also says once what each
+path means, one row per leaf: the announcement, both parties' bases
+and outcomes, whether it is kept, Alice's key bit, the adversary's
+shown record and her guess of Bob's bit, then a lost column for a
+position that did not arrive.  A session advances its node ids per
+level with one take of the thresholds and one of the children, then
+takes its position columns from the leaf rows; its check mismatches,
+key bits and adversary records are read off them.  Compiled tables
+are built on first use and kept (up to 64 pairings).
 
 The exact oracles `predict_detection_rate` and
 `predict_adversary_accuracy` read the same rows: `_compile` weighs
@@ -108,7 +109,7 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -476,7 +477,10 @@ class SessionTranscript:
 
     @property
     def bob_raw_key(self) -> str:
-        return _bob_raw_key(self.positions, self.check_report)
+        """Bob's outcomes at the key positions, empty when the check aborted."""
+        if self.check_report.aborted:
+            return ""
+        return postproc.bits_to_str(self.positions.column("bob_outcome")[self.positions.in_key()])
 
     @property
     def postproc_summary(self) -> PostprocSummary:
@@ -513,13 +517,6 @@ class SessionTranscript:
     @property
     def efficiency_bound(self) -> float:
         return efficiency_bound(self.config.protocol)
-
-
-def _bob_raw_key(positions: _Positions, report: CheckReport) -> str:
-    """Bob's outcomes at the key positions, empty when the check aborted."""
-    if report.aborted:
-        return ""
-    return postproc.bits_to_str(positions.column("bob_outcome")[positions.in_key()])
 
 
 def _observed_accuracy(positions: _Positions, records: _AdversaryRecords) -> float | None:
@@ -628,12 +625,14 @@ class _Table:
     Nodes are the registers reachable along `_steps`, numbered level by
     level from the start registers (one per prepared label, else the
     triplet); the last level are the leaves, one per path.  For the
-    other nodes, basis_of[node, choice] is the basis index a step's
-    choice selects (-1 past its choices), p_plus[node, basis] the
+    other nodes, per choice a step's draw selects: basis_of[node,
+    choice] is the basis index it measures in, p_plus[node, choice] the
     probability a draw is compared against (outcome + iff draw <
-    p_plus, as in `Register.measure`; NaN for a basis not measured
-    there) and next[node, basis, outcome] the node that outcome leads
-    to, -1 for a zero-probability branch.
+    p_plus, as in `Register.measure`) and next[node, choice, outcome]
+    the node that outcome leads to, -1 for a zero-probability branch.
+    Past a step's choices they hold -1, NaN and -1.  A session reads
+    p_plus and next raveled: choice row node * width + choice, outcome
+    entry 2 * row + bit.
 
     leaves[column, node - len(p_plus)] says what a path means, in the
     columns: announcement (an index in announcements), Alice's basis,
@@ -645,7 +644,9 @@ class _Table:
     (`infer_bob_outcome` from her record; -1 for a coin or without
     her).  Her record is her intercept, the probe's x read-out in Alice's
     place, or the eigenstate a cheating center sent Bob; a cheating
-    center shows its own triplet measurement.
+    center shows its own triplet measurement.  A trailing lost column,
+    -1 everywhere and kept 0, is what a position that did not arrive
+    shows; no path leads to it.
 
     steps lists what a session draws per level, in order: (stream,
     number of basis choices).  Per level a session draws every
@@ -693,14 +694,13 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
                 followed = (center_basis_rule_p3(seen["a"][0], seen["b"][0]),)
             p_row = np.full(len(_BASES), np.nan)
             next_row = np.full((len(_BASES), 2), -1)
-            for basis in followed:
-                b = _BASES.index(basis)
+            for choice, basis in enumerate(followed):
                 branches = reg.branches(role, basis)
-                p_row[b] = branches[0][0]
+                p_row[choice] = branches[0][0]
                 for p, outcome, child in branches:
                     if child is None:
                         continue
-                    next_row[b, outcome.bit] = first_child + len(children)
+                    next_row[choice, outcome.bit] = first_child + len(children)
                     if resend:
                         child = child.add_eigenstate(role, basis, outcome)
                     record = {**seen, "eve" if resend else role: (basis, outcome)}
@@ -725,7 +725,8 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
         bit = deterministic_peer_outcome(ann, a, a_out, b)
         rows.append([scheme.announcements.index(ann), *map(_code, (a, b, a_out, b_out)),
                      keep_rule(protocol, ann, a, b), *map(_code, (bit, *shown, guess))])
-    leaves = np.array(rows, dtype=np.int8).T
+    lost = [-1] * 5 + [0] + [-1] * 4  # what a position that did not arrive shows
+    leaves = np.ascontiguousarray(np.array([*rows, lost], dtype=np.int8).T)
 
     # Sequential sums in leaf order; the oracle floats are pinned bit
     # for bit, and a pairwise (np.sum) order would move their last bits.
@@ -802,42 +803,48 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
     lost = channel.random(n) < loss_a  # Alice's leg
     lost |= channel.random(n) < loss_b  # Bob's leg
     present = np.flatnonzero(~lost)
-    # Every array below has one entry per position that arrived.
+    # Until the leaves, every array has one entry per position that arrived.
     m = len(present)
     nodes = labels[present] if is_bell else np.zeros(m, dtype=np.intp)
 
-    # -- measure: the compiled levels, in order -----------------------------------
+    # -- measure: the compiled levels, in order, on the raveled tables --------------
+    width = table.p_plus.shape[1]
     for stream, k in table.steps:
         rng = rngs[stream]
-        basis = table.basis_of[nodes, rng.integers(k, size=m) if k > 1 else 0]
-        minus = (rng.random(m) >= table.p_plus[nodes, basis]).astype(np.intp)
-        nodes = table.next[nodes, basis, minus]
-        if np.any(nodes < 0):
+        row = nodes * width  # the node's row for choice 0
+        if k > 1:
+            row += rng.integers(k, size=m)
+        minus = rng.random(m) >= table.p_plus.take(row)
+        nodes = table.next.take(2 * row + minus)
+        if m and nodes.min() < 0:
             raise AssertionError("selected a zero-probability branch")
-    (ann, a_basis, b_basis, a_out, b_out, keep, key_bit, shown_basis, shown_out,
-     guess) = table.leaves[:, nodes - len(table.p_plus)]
+
+    # -- per position its leaf, the lost column where lost ---------------------------
+    # The transcript keeps what it is given: the six rows it shows, taken apart.
+    arrived = nodes - len(table.p_plus)
+    leaf = np.full(n, table.leaves.shape[1] - 1)
+    leaf[present] = arrived
+    ann, a_basis, b_basis, a_out, b_out, keep = table.leaves[:6].take(leaf, axis=1)
+    key_bit = table.leaves[6].take(leaf)
+    if is_bell:
+        ann[:] = labels  # the center announced every prepared pair's label
+    kept = keep.view(bool)
 
     # -- sift and check ----------------------------------------------------------
-    kept_at = np.flatnonzero(keep)
+    kept_at = np.flatnonzero(kept)
     report, checked = eavesdrop_check(key_bit[kept_at] != b_out[kept_at], config.check_fraction,
                                       rngs[_STREAM_BOB], config.qber_abort_threshold)
-
-    # -- transcript columns, one entry per prepared state, -1 where lost ---------------
-    columns = np.full((5, n), -1, dtype=np.int8)
-    columns[:, present] = ann, a_basis, b_basis, a_out, b_out
-    if is_bell:
-        columns[0] = labels  # the center announced every prepared pair's label
-    kept = np.zeros(n, dtype=bool)
-    kept[present[kept_at]] = True
     used_for_check = np.zeros(n, dtype=bool)
-    used_for_check[present[kept_at[checked]]] = True
-    positions = _Positions((*table.announcements, None), range(n), lost, *columns,
-                           kept, used_for_check)
+    used_for_check[kept_at[checked]] = True
+    positions = _Positions((*table.announcements, None), range(n), lost, ann, a_basis, b_basis,
+                           a_out, b_out, kept, used_for_check)
 
     # -- key material -----------------------------------------------------------
-    alice_raw = "" if report.aborted else postproc.bits_to_str(
-        key_bit[positions.in_key()[present]])
-    bob_raw = _bob_raw_key(positions, report)
+    alice_raw = bob_raw = ""
+    if not report.aborted:
+        in_key = kept & ~used_for_check
+        alice_raw = postproc.bits_to_str(key_bit[in_key])
+        bob_raw = postproc.bits_to_str(b_out[in_key])
 
     # -- post-processing ---------------------------------------------------------
     qber_used = report.qber
@@ -858,6 +865,7 @@ def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = No
 
     records = None
     if not isinstance(attack, NoAttack):
+        shown_basis, shown_out, guess = table.leaves[7:].take(arrived, axis=1)
         # Her coins where her record leaves a guess, on her stream (a cheating center's own).
         coin = guess < 0
         guess[coin] = rngs[_STREAM_CENTER if isinstance(attack, CheatingCenterMeasureAll)
@@ -1011,7 +1019,7 @@ def transcript_to_json_dict(transcript: SessionTranscript) -> dict:
         "bob_raw_key": transcript.bob_raw_key,
         "alice_final_key": transcript.alice_final_key,
         "bob_final_key": transcript.bob_final_key,
-        "postproc": asdict(transcript.postproc_summary),
+        "postproc": vars(transcript.postproc_summary),  # a fresh summary per access
         "adversary": adversary,
         "kept_count": transcript.kept_count,
         "kept_fraction": transcript.kept_fraction,

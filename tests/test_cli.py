@@ -147,6 +147,33 @@ class TestNetwork:
         path = self._scenario_file(tmp_path, attacked=True)
         assert main(["network", str(path)]) == 2
 
+    @pytest.mark.parametrize("attacked", [False, True], ids=["error_only", "error_and_abort"])
+    def test_network_session_error_exit_1(self, tmp_path, capsys, attacked):
+        """A session naming an unregistered user is an error: exit 1, also
+        when another session aborted, after every row is printed and the
+        report and CSV are written."""
+        from tcqkd.adversary import InterceptResend, NoAttack
+
+        attack = InterceptResend() if attacked else NoAttack()
+        sessions = (
+            SessionSpec("u1", "u2", SessionConfig(ProtocolId.GHZ3, 500, attack=attack,
+                                                  qber_abort_threshold=0.05)),
+            SessionSpec("u1", "u3", SessionConfig(ProtocolId.GHZ3, 500)),
+        )
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_to_json_dict(
+            NetworkScenario(users=("u1", "u2"), sessions=sessions, seed=4))), encoding="utf-8")
+        report, csv = tmp_path / "report.json", tmp_path / "sessions.csv"
+        code = main(["network", str(path), "--report", str(report), "--csv", str(csv)])
+        assert code == 1
+        rows = json.loads(report.read_text())["sessions"]
+        assert rows[0]["aborted"] is attacked
+        assert rows[1]["error"] == "user id 'u3' is not registered"
+        assert csv.read_text().count("\n") == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2
+        assert out[1] == "[1] u1->u3 GHZ3: error: user id 'u3' is not registered"
+
     def test_missing_file_usage_error(self, capsys):
         assert main(["network", "/nonexistent/scenario.json"]) == 1
 

@@ -101,11 +101,12 @@ class TestKeepRule:
 
     @pytest.mark.parametrize("protocol", list(ProtocolId))
     def test_keep_rule_is_the_compiled_table_on_the_pool(self, protocol):
-        """Every compiled leaf's kept flag is the paper's rule; off the
-        pool keep_rule refuses."""
+        """Every compiled leaf's kept flag is the paper's rule (the
+        trailing lost column is no path's leaf); off the pool keep_rule
+        refuses."""
         table = protocols._compile(protocol, NoAttack())
         rule = PAPER_RULES[protocol][1]
-        for ann, a, b, _, _, kept in table.leaves[:6].T.tolist():
+        for ann, a, b, _, _, kept in table.leaves[:6, :-1].T.tolist():
             assert kept == rule(table.announcements[ann], list(Basis)[a], list(Basis)[b])
         pool = party_bases(protocol)
         names = "/".join(b.value.lower() for b in pool)

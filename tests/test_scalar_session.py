@@ -100,7 +100,15 @@ def draw_session(data, protocol, attacks):
     return config, data.draw(st.none() | st.tuples(loss, loss))
 
 
-@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# Five examples (about 1.2 s), or the loaded profile's count when it
+# raises hypothesis's default (CI runs this file with
+# --hypothesis-profile=session-ci, 150 examples).
+EXAMPLES = settings.default.max_examples
+if EXAMPLES <= settings.get_profile("default").max_examples:
+    EXAMPLES = 5
+
+
+@settings(max_examples=EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_session_equals_scalar_reference(data):
     """Each example runs one session of every family in ATTACKS."""

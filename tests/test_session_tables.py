@@ -9,6 +9,8 @@ accuracy oracles are recomputed as weighted sums over the same walk's
 leaves and pinned bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,10 @@ from tcqkd.adversary import (
 )
 from tcqkd.protocols import (
     ProtocolId,
+    SessionConfig,
     keep_rule,
     party_bases,
+    run_session,
 )
 from tcqkd.qstate import ATOL, Basis, Outcome, TwoQubitLabel, deterministic_peer_outcome
 
@@ -102,13 +106,16 @@ def columns(record):
 def walk_tree(protocol, attack):
     """Follow the compiled table's next links along `oracle.project`
     projections, checking every basis_of, p_plus and next entry on the
-    way and, per leaf, the columns of its row that its path fixes.
+    way (p_plus and next per choice, the basis a choice measures in read
+    off basis_of) and, per leaf, the columns of its row that its path
+    fixes.
 
     Returns the table, the visited node ids and the leaves as (weight,
     path, row).  weight is the leaf's probability when every choice is
     uniform; path is ("start", start key, None) followed by (role, basis
     value, outcome value) per step; row is the leaf's column of
-    table.leaves.
+    table.leaves.  The trailing lost column of table.leaves is no
+    path's.
     """
     table = protocols._compile(protocol, attack)
     steps = protocols._steps(protocol, attack)
@@ -138,18 +145,18 @@ def walk_tree(protocol, attack):
             followed = [Basis.X if a_basis == b_basis else Basis.Y]
         assert table.basis_of[node].tolist() == [BASES.index(b) for b in followed] + [-1] * (
             len(BASES) - len(followed))
-        for b, basis in enumerate(BASES):
-            if basis not in followed:
-                # The GHZ3 center's off-rule basis included: never measured.
-                assert np.isnan(table.p_plus[node, b])
-                assert (table.next[node, b] == -1).all()
-                continue
+        for choice in range(len(followed), len(BASES)):
+            # Past the step's choices (the GHZ3 center has one): never drawn.
+            assert np.isnan(table.p_plus[node, choice])
+            assert (table.next[node, choice] == -1).all()
+        for choice, b in enumerate(table.basis_of[node, :len(followed)].tolist()):
+            basis = BASES[b]
             p_plus, _ = oracle.project(vec, len(roles), q, oracle.EIGEN[(basis.value, "+")])
-            assert table.p_plus[node, b] == pytest.approx(p_plus, abs=1e-12)
+            assert table.p_plus[node, choice] == pytest.approx(p_plus, abs=1e-12)
             for outcome in OUTCOMES:
                 eigen = oracle.EIGEN[(basis.value, outcome.value)]
                 p, reduced = oracle.project(vec, len(roles), q, eigen)
-                child = table.next[node, b, outcome.bit]
+                child = table.next[node, choice, outcome.bit]
                 if p <= ATOL:
                     assert child == -1
                     continue
@@ -171,7 +178,9 @@ def walk_tree(protocol, attack):
 def test_every_p_plus_entry_matches_projection(protocol, attack):
     table, visited, leaves = walk_tree(protocol, attack)
     assert visited == set(range(len(table.p_plus) + len(leaves)))
-    assert table.leaves.shape[1] == len(leaves)
+    # One column per path, then the lost column, which no path reaches.
+    assert table.leaves.shape[1] == len(leaves) + 1
+    assert table.leaves[:, -1].tolist() == [-1] * 5 + [0] + [-1] * 4
 
 
 def peer_prediction(pair, own, peer_basis):
@@ -188,7 +197,8 @@ def test_oracles_match_projection_walk(protocol, attack):
     """The detection and accuracy oracles recomputed as sums over the
     projection walk's leaves, with the correlations read off projected
     vectors instead of the package's tables; each leaf row's key bit and
-    guess are the projected ones."""
+    guess are the projected ones.  The walk's leaves leave out the lost
+    column, so the oracles equal sums without it."""
     _, _, leaves = walk_tree(protocol, attack)
     bob_measures_hers = isinstance(attack, CheatingCenterMeasureAll) or (
         isinstance(attack, InterceptResend) and attack.target_party is Party.BOB)
@@ -331,6 +341,24 @@ def test_tables_are_read_only_and_shared():
     assert a is protocols._compile(ProtocolId.GHZ2, AncillaEntangle(0.5))
     for arr in (a.basis_of, a.p_plus, a.next, a.leaves):
         assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("level", ["first", "last"])
+def test_session_refuses_a_zero_probability_branch(monkeypatch, level):
+    """A table whose drawn branch leads to -1 makes the session raise, at
+    the first level (the root) and at the last (a node whose children
+    are leaves): every choice there is forced to outcome + and its +
+    child is -1."""
+    table = protocols._compile(ProtocolId.GHZ1, NoAttack())
+    node = 0 if level == "first" else len(table.p_plus) - 1
+    p_plus, nxt = table.p_plus.copy(), table.next.copy()
+    p_plus[node] = 1.0
+    nxt[node, :, Outcome.PLUS.bit] = -1
+    broken = replace(table, p_plus=p_plus, next=nxt)
+    monkeypatch.setattr(protocols, "_compile", lambda protocol, attack: broken)
+    config = SessionConfig(ProtocolId.GHZ1, 400, rng_seed=3)
+    with pytest.raises(AssertionError, match="^selected a zero-probability branch$"):
+        run_session(config)
 
 
 def test_compile_projects_each_node_and_basis_once(monkeypatch):
