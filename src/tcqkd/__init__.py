@@ -18,7 +18,6 @@ from .adversary import (
 from .netsim import (
     ChannelModel,
     NetworkScenario,
-    Registry,
     SessionSpec,
     register_user,
     request_session,

@@ -3,7 +3,8 @@
 Verbs: tables (derive and print correlation tables), run (one session),
 attack (adversary experiment with oracle comparison), bench (efficiency
 sweep over protocols and loss), network (execute a scenario file),
-verify (check a transcript file written by run or attack --out).
+verify (check a transcript file, such as one written by run or attack
+--out, or a network session's).
 
 Exit codes: 0 success, 1 usage error, a transcript that does not
 verify or a network session that could not run, 2 session aborted by
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--report", help="aggregate report JSON path")
     p_net.add_argument("--csv", help="per-session summary CSV path")
 
-    p_verify = sub.add_parser("verify", help="check a transcript file from run or attack --out")
+    p_verify = sub.add_parser("verify", help="check a transcript file against a re-run")
     p_verify.add_argument("file", help="transcript JSON path")
     return parser
 
@@ -281,8 +282,8 @@ def cmd_verify(args) -> int:
     reader takes only what the session decided from the file, and the
     re-run derives every other field, such as kept_count or Bob's raw
     key, from its own columns: a file whose derived fields contradict
-    its columns differs from the re-run there.  Network sessions are not
-    covered: their per-leg loss is not in the config."""
+    its columns differs from the re-run there.  A network session's
+    transcript is covered too: its config states both legs' losses."""
     try:
         text = Path(args.file).read_text(encoding="utf-8")
         transcript = transcript_from_json(text)

@@ -1,9 +1,11 @@
 """One trusted center, N registered users, lossy quantum channels.
 
-Users register once; any registered pair can request a key session.
-The center runs the configured protocol between the two users, with
-each user's channel applying independent per-particle erasure on its
-quantum leg (the center's own particle never travels).
+Users register once, each with its quantum channel to the center; any
+registered pair can request a key session.  The center runs the
+configured protocol between the two users, with each user's channel
+applying independent per-particle erasure on its quantum leg (the
+center's own particle never travels); the session's config states both
+legs' losses, so its transcript re-runs to the same bytes.
 
 Scenario seeds split into per-session seeds via
 SeedSequence(scenario_seed, spawn_key=(session_index,)), so a scenario
@@ -46,49 +48,32 @@ class ChannelModel:
             raise ValueError("latency_ticks must be non-negative")
 
 
-class Registry:
-    """User registry plus each user's quantum channel to the center."""
-
-    def __init__(self):
-        self._channels: dict[str, ChannelModel] = {}
-
-    def __len__(self):
-        return len(self._channels)
-
-    def __contains__(self, user_id: str):
-        return user_id in self._channels
-
-    def channel(self, user_id: str) -> ChannelModel:
-        return self._channels[user_id]
-
-
-def register_user(registry: Registry, user_id: str,
+def register_user(registry: dict[str, ChannelModel], user_id: str,
                   channel: ChannelModel | None = None) -> None:
+    """Register user_id with its quantum channel to the center."""
     if user_id in registry:
         raise ValueError(f"user id {user_id!r} already registered")
-    registry._channels[user_id] = channel or ChannelModel()
+    registry[user_id] = channel or ChannelModel()
 
 
-def request_session(registry: Registry, requester: str, responder: str,
+def request_session(registry: dict[str, ChannelModel], requester: str, responder: str,
                     config: SessionConfig) -> SessionTranscript:
     """Run one protocol session between two registered users.
 
-    The requester plays Alice and the responder Bob; each leg applies
-    that user's channel loss independently per particle.  Loss is set
-    per user, so a config with its own loss_probability is refused.
+    The requester plays Alice and the responder Bob.  Loss is set per
+    user, so a config with its own loss_probability is refused; the
+    session runs with loss_probability (requester's channel loss,
+    responder's), which `SessionConfig` checks as it checks any loss.
     """
-    if config.loss_probability != 0.0:
+    if config.legs != (0.0, 0.0):
         raise ValueError("loss_probability: set per user under channels, not in a session config")
     if requester == responder:
         raise ValueError("a user cannot open a session with itself")
     for uid in (requester, responder):
         if uid not in registry:
             raise ValueError(f"user id {uid!r} is not registered")
-    leg_loss = (
-        registry.channel(requester).loss_probability,
-        registry.channel(responder).loss_probability,
-    )
-    return run_session(config, leg_loss=leg_loss)
+    legs = (registry[requester].loss_probability, registry[responder].loss_probability)
+    return run_session(replace(config, loss_probability=legs))
 
 
 @dataclass(frozen=True)
@@ -112,8 +97,8 @@ def session_seed(scenario_seed: int, session_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def build_registry(scenario: NetworkScenario) -> Registry:
-    registry = Registry()
+def build_registry(scenario: NetworkScenario) -> dict[str, ChannelModel]:
+    registry: dict[str, ChannelModel] = {}
     for uid in scenario.users:
         register_user(registry, uid, scenario.channels.get(uid))
     return registry
@@ -153,8 +138,7 @@ def _aggregate_report(scenario, registry, transcripts, errors) -> dict:
     for i, (spec, transcript, error) in enumerate(zip(scenario.sessions, transcripts, errors)):
         lat = 0
         if spec.requester in registry and spec.responder in registry:
-            lat = (registry.channel(spec.requester).latency_ticks
-                   + registry.channel(spec.responder).latency_ticks)
+            lat = registry[spec.requester].latency_ticks + registry[spec.responder].latency_ticks
         row = {
             "session_index": i,
             "requester": spec.requester,

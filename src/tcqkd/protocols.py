@@ -80,7 +80,9 @@ arrived position's basis choice (`integers(k, size=m)`, nothing for one
 choice), then every position's outcome draw (`random(m)`); after the
 levels, the adversary's coins (`integers(2, size=c)`) at the arrived
 positions whose leaf leaves her a guess, in position order.  Channel
-loss draws `random(n)` for Alice's leg, then `random(n)` for Bob's.
+loss draws `random(n)` for Alice's leg, then `random(n)` for Bob's,
+against `config.legs`: the config is the one place a session's loss is
+stated, for a network session too.
 Exactness rests on the Born probabilities the draws are compared
 against, not on the order, which only has to be fixed.  A bulk call
 returns what as many scalar calls would, so the tests hold every field
@@ -244,9 +246,16 @@ class SessionConfig:
     num_states: int
     check_fraction: float = 0.1
     qber_abort_threshold: float = 0.0
-    loss_probability: float = 0.0
+    loss_probability: float | tuple[float, float] = 0.0
     rng_seed: int = 0
     attack: AttackModel = field(default_factory=NoAttack)
+
+    @property
+    def legs(self) -> tuple[float, float]:
+        """(Alice's leg, Bob's leg) erasure probabilities: loss_probability
+        is one number for both legs, or that pair."""
+        loss = self.loss_probability
+        return loss if isinstance(loss, tuple) else (loss, loss)
 
     def __post_init__(self):
         if self.num_states < 1:
@@ -255,17 +264,21 @@ class SessionConfig:
             raise ValueError("check_fraction must be in (0, 1)")
         if not 0.0 <= self.qber_abort_threshold < 1.0:
             raise ValueError("qber_abort_threshold must be in [0, 1)")
-        if not 0.0 <= self.loss_probability <= 1.0:
+        legs = self.legs
+        if len(legs) != 2:
+            raise ValueError(f"loss_probability: expected one number or two, got {len(legs)}")
+        if not all(0.0 <= leg <= 1.0 for leg in legs):
             raise ValueError("loss_probability must be in [0, 1]")
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("rng_seed must be an unsigned 64-bit integer")
-        if self.loss_probability < 1.0:
-            # Total erasure (loss = 1) is allowed as a degenerate
-            # experiment; anything short of it must be expected to
-            # leave key material after the check.
+        arriving = (1.0 - legs[0]) * (1.0 - legs[1])
+        if arriving > 0.0:
+            # Total erasure on a leg (loss = 1) is allowed as a
+            # degenerate experiment; anything short of it must be
+            # expected to leave key material after the check.
             expected_unchecked = (
                 (1.0 - self.check_fraction) * self.num_states
-                * efficiency_bound(self.protocol) * (1.0 - self.loss_probability) ** 2
+                * efficiency_bound(self.protocol) * arriving
             )
             if expected_unchecked < 1.0:
                 raise ValueError("configuration leaves no unchecked positions in expectation")
@@ -774,18 +787,12 @@ def predict_adversary_accuracy(protocol: ProtocolId, attack: AttackModel) -> flo
     return accuracy
 
 
-def run_session(config: SessionConfig, leg_loss: tuple[float, float] | None = None) -> SessionTranscript:
-    """Execute one full session and return its transcript.
-
-    leg_loss overrides the per-leg erasure probabilities (Alice leg,
-    Bob leg) for network runs with asymmetric channels; by default both
-    legs use config.loss_probability.
-    """
+def run_session(config: SessionConfig) -> SessionTranscript:
+    """Execute one full session and return its transcript."""
     protocol = config.protocol
     attack = config.attack
     n = config.num_states
-    loss_a, loss_b = leg_loss if leg_loss is not None else (
-        config.loss_probability, config.loss_probability)
+    loss_a, loss_b = config.legs
     table = _compile(protocol, attack)
     # Only the streams something draws from: no adversary's stream
     # without an intercept or a probe.
@@ -979,12 +986,14 @@ def config_from_json_dict(doc: dict) -> SessionConfig:
     """The config `config_to_json_dict` wrote; a key it does not write
     is refused."""
     _known_keys(doc, [f.name for f in fields(SessionConfig)])
+    loss = doc.get("loss_probability", 0.0)
     return SessionConfig(
         protocol=ProtocolId(doc["protocol"]),
         num_states=_integer(doc["num_states"], "num_states"),
         check_fraction=_number(doc.get("check_fraction", 0.1), "check_fraction"),
         qber_abort_threshold=_number(doc.get("qber_abort_threshold", 0.0), "qber_abort_threshold"),
-        loss_probability=_number(doc.get("loss_probability", 0.0), "loss_probability"),
+        loss_probability=(tuple(_number(leg, f"loss_probability[{i}]") for i, leg in enumerate(loss))
+                          if isinstance(loss, list) else _number(loss, "loss_probability")),
         rng_seed=_integer(doc.get("rng_seed", 0), "rng_seed"),
         attack=attack_from_json(doc.get("attack", {"kind": "none"})),
     )
@@ -1001,7 +1010,7 @@ def _config_at(doc, path: str) -> SessionConfig:
         raise ValueError(f"{path}: {exc}") from None
 
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def transcript_to_json_dict(transcript: SessionTranscript) -> dict:
@@ -1137,8 +1146,8 @@ def _key_at(doc: dict, key: str, length: int, why: str = "") -> str:
     return text
 
 
-SUMMARY_CSV_HEADER = ("protocol,num_states,loss,attack,kept_fraction,qber,aborted,"
-                      "key_bits,efficiency_measured,efficiency_bound")
+SUMMARY_CSV_HEADER = ("protocol,num_states,loss_alice,loss_bob,attack,kept_fraction,qber,"
+                      "aborted,key_bits,efficiency_measured,efficiency_bound")
 
 
 def summary_csv_row(transcript: SessionTranscript) -> str:
@@ -1147,7 +1156,7 @@ def summary_csv_row(transcript: SessionTranscript) -> str:
         [
             c.protocol.value,
             str(c.num_states),
-            repr(c.loss_probability),
+            *(repr(leg) for leg in c.legs),
             c.attack.kind,
             repr(transcript.kept_fraction),
             repr(transcript.check_report.qber),

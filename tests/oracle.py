@@ -165,7 +165,7 @@ class _Particles:
         self.amps = kron(self.amps, EIGEN[(basis, sign)])
 
 
-def scalar_session(config, leg_loss=None):
+def scalar_session(config):
     """The session `run_session` runs for config, one particle at a time.
 
     Each random choice is one rng.random() (a measurement or a leg's
@@ -176,7 +176,8 @@ def scalar_session(config, leg_loss=None):
 
     * center: a BELL pair label for each of the n positions;
     * channel: Alice's leg lost, for each of the n positions, then Bob's
-      leg lost, for each; a position arrives when neither leg lost it;
+      leg lost, for each; a position arrives when neither leg lost it
+      (loss_probability is one number for both legs, or a pair);
     * per measurement, on the measuring actor's stream: its basis for
       every arrived position (no call for one basis), then its sign for
       every arrived position.  The measurements, in order:
@@ -201,7 +202,8 @@ def scalar_session(config, leg_loss=None):
     """
     protocol, attack, n = config.protocol.value, config.attack, config.num_states
     kind, bases = attack.kind, PARTY_BASES[protocol]
-    loss_a, loss_b = leg_loss if leg_loss is not None else (config.loss_probability,) * 2
+    loss = config.loss_probability
+    loss_a, loss_b = loss if isinstance(loss, tuple) else (loss, loss)
     center, alice, bob, eve, channel = (
         np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(key,)))
         for key in (CENTER, ALICE, BOB, EVE, CHANNEL))

@@ -44,7 +44,7 @@ class TestRun:
                      "--seed", "42", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert doc["kept_fraction"] == 1.0
         summary = capsys.readouterr().out
         assert "protocol=GHZ3" in summary and "bound=1.0" in summary
@@ -101,14 +101,14 @@ class TestBench:
         assert len(rows) == 5
         for row in rows:
             fields = row.split(",")
-            assert float(fields[8]) > 0.125  # efficiency_measured
-            assert float(fields[8]) <= float(fields[9])  # <= bound
+            assert float(fields[9]) > 0.125  # efficiency_measured
+            assert float(fields[9]) <= float(fields[10])  # <= bound
 
     def test_loss_monotone_efficiency(self, tmp_path):
         out = tmp_path / "bench.csv"
         main(["bench", "--protocols", "GHZ1", "--loss-grid", "0.0,0.1,0.5",
               "--num-states", "4000", "--seed", "5", "--out", str(out)])
-        effs = [float(r.split(",")[8]) for r in out.read_text().strip().split("\n")[1:]]
+        effs = [float(r.split(",")[9]) for r in out.read_text().strip().split("\n")[1:]]
         assert effs[0] > effs[1] > effs[2]
 
     def test_empty_protocol_set(self, capsys):
@@ -316,7 +316,7 @@ class TestVerify:
     @pytest.mark.parametrize("content,message", [
         (b'{"schema_version":', "Expecting value: line 1 column 19 (char 18)"),
         (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-        (b'{"schema_version":1}', "schema_version: expected 3, got 1"),
+        (b'{"schema_version":1}', "schema_version: expected 4, got 1"),
     ], ids=["not_json", "not_utf8", "schema_1"])
     def test_malformed_file_one_line(self, content, message, tmp_path, capsys):
         path = tmp_path / "t.json"

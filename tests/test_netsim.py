@@ -6,7 +6,6 @@ from tcqkd.adversary import InterceptResend
 from tcqkd.netsim import (
     ChannelModel,
     NetworkScenario,
-    Registry,
     SessionSpec,
     build_registry,
     load_scenario,
@@ -128,18 +127,18 @@ def make_config(protocol=ProtocolId.GHZ1, n=1000, **kw):
 
 class TestRegistry:
     def test_register(self):
-        reg = Registry()
+        reg = {}
         register_user(reg, "alice")
         assert "alice" in reg and len(reg) == 1
 
     def test_duplicate_rejected(self):
-        reg = Registry()
+        reg = {}
         register_user(reg, "alice")
         with pytest.raises(ValueError):
             register_user(reg, "alice")
 
     def test_many_users(self):
-        reg = Registry()
+        reg = {}
         for i in range(10):
             register_user(reg, f"u{i}")
         assert len(reg) == 10
@@ -153,7 +152,7 @@ class TestRegistry:
 
 class TestRequestSession:
     def _registry(self, loss=0.0):
-        reg = Registry()
+        reg = {}
         register_user(reg, "u1", ChannelModel(loss_probability=loss))
         register_user(reg, "u2", ChannelModel(loss_probability=loss))
         return reg
@@ -179,7 +178,7 @@ class TestRequestSession:
         assert abs(tr.kept_fraction - 0.125) <= 0.02
 
     def test_asymmetric_legs(self):
-        reg = Registry()
+        reg = {}
         register_user(reg, "u1", ChannelModel(loss_probability=0.3))
         register_user(reg, "u2", ChannelModel(loss_probability=0.0))
         tr = request_session(reg, "u1", "u2", make_config(n=10000, rng_seed=10))
@@ -239,11 +238,12 @@ class TestScenarios:
         assert result.transcripts[0] is None and result.errors[0]
         assert result.transcripts[1] is not None
 
-    def test_config_loss_recorded_as_session_error(self):
-        # Loss is set per user under channels; a config's own would go unapplied.
+    @pytest.mark.parametrize("loss", [0.5, (0.0, 0.2), (0.3, 0.0)])
+    def test_config_loss_recorded_as_session_error(self, loss):
+        # Loss is set per user under channels, on either leg.
         scenario = NetworkScenario(
             users=("a", "b"),
-            sessions=(SessionSpec("a", "b", make_config(n=400, loss_probability=0.5)),),
+            sessions=(SessionSpec("a", "b", make_config(n=400, loss_probability=loss)),),
             seed=9,
         )
         result = run_network_scenario(scenario)
@@ -251,6 +251,19 @@ class TestScenarios:
         assert result.errors == [
             "loss_probability: set per user under channels, not in a session config"]
         assert report_csv(result).strip().count("\n") == 0
+
+    def test_channels_leaving_no_unchecked_positions_recorded_as_session_error(self):
+        # 0.9 * 10 * 0.5 = 4.5 unchecked positions expected without loss,
+        # 4.5 * 0.3 * 0.3 = 0.405 on these channels.
+        scenario = NetworkScenario(
+            users=("a", "b"),
+            channels={"a": ChannelModel(0.7), "b": ChannelModel(0.7)},
+            sessions=(SessionSpec("a", "b", make_config(n=10)),),
+            seed=9,
+        )
+        result = run_network_scenario(scenario)
+        assert result.transcripts == [None]
+        assert result.errors == ["configuration leaves no unchecked positions in expectation"]
 
     def test_session_seeds_differ_by_index(self):
         assert session_seed(7, 0) != session_seed(7, 1)

@@ -170,6 +170,16 @@ class TestConfigValidation:
 
     def test_total_erasure_allowed(self):
         SessionConfig(ProtocolId.GHZ1, 100, loss_probability=1.0)
+        SessionConfig(ProtocolId.GHZ1, 100, loss_probability=(0.0, 1.0))
+
+    def test_loss_per_leg(self):
+        assert SessionConfig(ProtocolId.GHZ1, 100, loss_probability=0.2).legs == (0.2, 0.2)
+        config = SessionConfig(ProtocolId.GHZ1, 100, loss_probability=(0.1, 0.25))
+        assert config.legs == (0.1, 0.25)
+        assert {config: 1}[SessionConfig(ProtocolId.GHZ1, 100, loss_probability=(0.1, 0.25))]
+        for bad in [(0.1,), (0.1, 0.2, 0.3), (0.1, 1.5), (-0.1, 0.0)]:
+            with pytest.raises(ValueError, match="loss_probability"):
+                SessionConfig(ProtocolId.GHZ1, 100, loss_probability=bad)
 
 
 class TestSessions:
@@ -301,12 +311,17 @@ class TestChannelLosses:
     def test_lost_where_either_leg_lost(self, loss_a, loss_b):
         """The channel stream draws random(n) for Alice's leg, then
         random(n) for Bob's; a position is lost where either leg's draw
-        falls under its loss."""
+        falls under its loss.  A config whose legs leave less than one
+        unchecked position in expectation is refused, at the small n."""
         for seed, n in enumerate([2, 3, 4, 17, 1000, 4001]):
             channel = protocols._stream(seed, protocols._STREAM_CHANNEL)
             alice, bob = channel.random(n), channel.random(n)
-            config = SessionConfig(ProtocolId.GHZ3, n, check_fraction=0.01, rng_seed=seed)
-            lost = run_session(config, (loss_a, loss_b)).positions.column("lost")
+            kwargs = dict(check_fraction=0.01, loss_probability=(loss_a, loss_b), rng_seed=seed)
+            if 0 < (1 - 0.01) * n * ((1 - loss_a) * (1 - loss_b)) < 1:
+                with pytest.raises(ValueError, match="no unchecked positions in expectation"):
+                    SessionConfig(ProtocolId.GHZ3, n, **kwargs)
+                continue
+            lost = run_session(SessionConfig(ProtocolId.GHZ3, n, **kwargs)).positions.column("lost")
             assert lost.dtype == bool
             assert lost.tolist() == [a < loss_a or b < loss_b for a, b in zip(alice, bob)]
 
@@ -363,7 +378,7 @@ class TestDeterminismAndSerialization:
     def test_json_document_shape(self):
         cfg = SessionConfig(ProtocolId.BELL5, 300, loss_probability=0.1, rng_seed=6)
         doc = transcript_to_json_dict(run_session(cfg))
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert doc["config"]["protocol"] == "BELL5"
         positions = doc["positions"]
         assert positions["bases"] == ["X", "Y", "Z"] and positions["outcomes"] == ["+", "-"]
@@ -391,7 +406,7 @@ class TestDeterminismAndSerialization:
         fields = row.split(",")
         assert len(fields) == len(SUMMARY_CSV_HEADER.split(","))
         assert fields[0] == "GHZ1"
-        assert fields[3] == "none"
+        assert fields[4] == "none"
 
 
 class TestKeyAgreementGrid:

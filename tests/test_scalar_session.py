@@ -59,10 +59,10 @@ def session_fields(transcript):
     }
 
 
-def reference_fields(config, leg_loss=None):
+def reference_fields(config):
     """The reference, with the checked positions in position order (the
     transcript keeps which, not the order Bob drew them in)."""
-    ref = oracle.scalar_session(config, leg_loss)
+    ref = oracle.scalar_session(config)
     return dict(ref, checked=sorted(ref["checked"]))
 
 
@@ -82,22 +82,21 @@ ATTACKS += [(ProtocolId.GHZ1, "cheating_center", st.just(CheatingCenterMeasureAl
 
 
 def draw_session(data, protocol, attacks):
-    """A config with an attack from attacks, and a per-leg loss (None:
-    both legs use the config's); None when the config is invalid."""
+    """A config with an attack from attacks and a loss for both legs or
+    a pair, one per leg; None when the config is invalid."""
     loss = st.floats(0.0, 0.6)
     try:
-        config = SessionConfig(
+        return SessionConfig(
             protocol=protocol,
             num_states=data.draw(st.integers(1, 400)),
             check_fraction=data.draw(st.floats(0.01, 0.6)),
             qber_abort_threshold=data.draw(st.floats(0.0, 0.99)),
-            loss_probability=data.draw(loss),
+            loss_probability=data.draw(loss | st.tuples(loss, loss)),
             rng_seed=data.draw(st.integers(0, 2**64 - 1)),
             attack=data.draw(attacks),
         )
     except ValueError:  # no unchecked positions in expectation
         return None
-    return config, data.draw(st.none() | st.tuples(loss, loss))
 
 
 # Five examples (about 1.2 s), or the loaded profile's count when it
@@ -113,11 +112,9 @@ if EXAMPLES <= settings.get_profile("default").max_examples:
 def test_session_equals_scalar_reference(data):
     """Each example runs one session of every family in ATTACKS."""
     for protocol, _, attacks in ATTACKS:
-        session = draw_session(data, protocol, attacks)
-        if session is not None:
-            config, leg_loss = session
-            fields = reference_fields(config, leg_loss)
-            assert session_fields(run_session(config, leg_loss)) == fields, (config, leg_loss)
+        config = draw_session(data, protocol, attacks)
+        if config is not None:
+            assert session_fields(run_session(config)) == reference_fields(config), config
 
 
 # One session per protocol, each with an asymmetric per-leg loss; the
@@ -136,9 +133,8 @@ FIXED_CASES = [
                          ids=[f"{p.value}-{a.kind}" for p, a in FIXED_CASES])
 def test_fixed_session_equals_reference(protocol, attack):
     config = SessionConfig(protocol, 300, check_fraction=0.2, qber_abort_threshold=0.5,
-                           loss_probability=0.1, rng_seed=11, attack=attack)
-    leg_loss = (0.05, 0.2)
-    transcript = run_session(config, leg_loss)
-    assert session_fields(transcript) == reference_fields(config, leg_loss)
-    assert transcript_to_json(transcript) == transcript_to_json(run_session(config, leg_loss))
+                           loss_probability=(0.05, 0.2), rng_seed=11, attack=attack)
+    transcript = run_session(config)
+    assert session_fields(transcript) == reference_fields(config)
+    assert transcript_to_json(transcript) == transcript_to_json(run_session(config))
 

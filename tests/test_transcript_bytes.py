@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from tcqkd import protocols
+from tcqkd import netsim, protocols
 from tcqkd.cli import main
 from tcqkd.adversary import AncillaEntangle, CheatingCenterMeasureAll, InterceptResend, Party
 from tcqkd.protocols import (
@@ -30,122 +30,122 @@ CASES = {
     "ghz3_ancilla": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=0.5, rng_seed=11,
                       attack=AncillaEntangle(0.05)),
-        "dfc99cffc01b870b5bf217098e4bc49b66d88abe86651b316f840cf706acef5b",
+        "fb1bf12679880fd1e5edca13b4787be80d0a37f9228152d88c66f7b94e99507a",
     ),
     # The ancilla attack is defined for the triplet protocols only, so
     # BELL5 is pinned under intercept-resend.
     "bell5_intercept_alice": (
         SessionConfig(ProtocolId.BELL5, N, qber_abort_threshold=0.5, rng_seed=12,
                       attack=InterceptResend(Party.ALICE)),
-        "4d98ebdb506a3fb95b9ae95bf375584c9dcf171b28a3632646b77eec11fddd4a",
+        "1a352ce9dcd46f687750300a106d4ab1b0946ad65281b0f7ddb279bd992c05d4",
     ),
     "ghz1_cheating_center": (
         SessionConfig(ProtocolId.GHZ1, N, qber_abort_threshold=0.5, rng_seed=13,
                       attack=CheatingCenterMeasureAll(Basis.X)),
-        "eb673412bad1d5f0e6041b9cd9bf473f3828254a36ff3a04ba6084c5bf2ca8e1",
+        "f8737a842268d04c5d1745e230a605e11cc76e8d4068ca1323957ecb7a6db59b",
     ),
     "bell4_intercept_bob": (
         SessionConfig(ProtocolId.BELL4, N, qber_abort_threshold=0.5, rng_seed=14,
                       attack=InterceptResend(Party.BOB)),
-        "f967b59cd2448c4bf96d4181976726d0ecdb0413e6453574061d4196fdf5956c",
+        "df318590e0f73995c7f73ea28e82cdcad3bce5954b8b7d32b35b1ebad9e2d3c1",
     ),
     "ghz2_intercept_alice": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=0.5, rng_seed=15,
                       attack=InterceptResend(Party.ALICE)),
-        "23c26935d25a8521e8b82c6c0d4967e467f7c2caa7f4b79630479eb809f730ac",
+        "252ef7e2ff4bace180553f2de6bce416853c8afedb28b0cc5230fcb0a8c6edfe",
     ),
     "ghz1_loss": (
         SessionConfig(ProtocolId.GHZ1, N, loss_probability=0.05, rng_seed=16),
-        "4943b111f43f6d281808744c3cce4fa7f371ebe98f705bb7fb0dcbf37570ad06",
+        "216e5fd8f2095c169a261f44dd0793f872f8f800c5946527e1f9dccaafa3e324",
     ),
 }
 
 
-# (config, leg_loss, digest): every protocol x attack pairing the
+# (config, digest): every protocol x attack pairing the
 # sessions execute, intercept pools of one and three bases, odd n, total
 # loss, an empty check and asymmetric legs.
 T = 0.5
 MORE_CASES = {
-    "ghz2_none": (SessionConfig(ProtocolId.GHZ2, N, rng_seed=21), None,
-                  "0478df0dc4bd26716cbf51048bd40bc828c030c7ef50e4bdaf064ceb44db028a"),
-    "ghz3_none": (SessionConfig(ProtocolId.GHZ3, N, rng_seed=22), None,
-                  "9da51cf477155f0ceed2b443fe38a92b970551b7077f097cb5970b568c5c48bd"),
-    "bell4_none": (SessionConfig(ProtocolId.BELL4, N, rng_seed=23), None,
-                   "49ea0e5b21ee46f90dcf18d90d15e56878f185a6775035645bbdbeba3811243f"),
-    "bell5_none": (SessionConfig(ProtocolId.BELL5, N, rng_seed=24), None,
-                   "f05b20aa643088609b32901c873d7522d95099fa4756dd26b247590081965f8f"),
+    "ghz2_none": (SessionConfig(ProtocolId.GHZ2, N, rng_seed=21),
+                  "6aa6285074643dceebc1c35808513f5b52ecf8c178660360d7bb8b681e51c6c8"),
+    "ghz3_none": (SessionConfig(ProtocolId.GHZ3, N, rng_seed=22),
+                  "122a5a8939ce58abf825e2ce94f1a506bdec8e408a903b229d5d34807c3b5c0c"),
+    "bell4_none": (SessionConfig(ProtocolId.BELL4, N, rng_seed=23),
+                   "891d4736d2e237581e6f483d9d1f8680fab71bdaadad94a475d7720c658979de"),
+    "bell5_none": (SessionConfig(ProtocolId.BELL5, N, rng_seed=24),
+                   "74bd5c64f95a8ac17ee72c2329e278df465fec9629d55c44387e11f7e322703d"),
     "ghz1_intercept_alice": (
         SessionConfig(ProtocolId.GHZ1, N, qber_abort_threshold=T, rng_seed=25,
-                      attack=InterceptResend(Party.ALICE)), None,
-        "75298bf01a9e7988ba0eef8b0bb4cda1cb97af9154c3506e49f50af32cbcc627"),
+                      attack=InterceptResend(Party.ALICE)),
+        "d104c897f3cde809293664e7ba59369f6dd8fb34283ab42a779a39aa44ae0d6c"),
     "ghz3_intercept_alice": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=T, rng_seed=26,
-                      attack=InterceptResend(Party.ALICE)), None,
-        "986c6cfe4451ea89229dcad8bc3c91eb1f5e26611b2064d9cadf9dbfcef4681e"),
+                      attack=InterceptResend(Party.ALICE)),
+        "76f2d1766abb3d5718145a175a7e24bb76ac1084d0f80aedb22af33009fdfcc7"),
     "bell4_intercept_alice": (
         SessionConfig(ProtocolId.BELL4, N, qber_abort_threshold=T, rng_seed=27,
-                      attack=InterceptResend(Party.ALICE)), None,
-        "113c46ecb0bf63f5cc71da7eff49119352d7c0accdf2277101742ed69e2731d4"),
+                      attack=InterceptResend(Party.ALICE)),
+        "a03b4c504b6c286e4eda0c7fea8aca40b1a9d61aaa34094cdf15ef76cf3aecfe"),
     "ghz1_intercept_bob": (
         SessionConfig(ProtocolId.GHZ1, N, qber_abort_threshold=T, rng_seed=28,
-                      attack=InterceptResend(Party.BOB)), None,
-        "9e3c7f5ceb737bcfdfdc3c17f67f4f860cec73ac872faa43867e52c79d335c8b"),
+                      attack=InterceptResend(Party.BOB)),
+        "b8720a9c40e9f9b03239233a33b0e27a688830f98f92f07edf67b7b378d9177e"),
     "ghz2_intercept_bob": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=29,
-                      attack=InterceptResend(Party.BOB)), None,
-        "01903c2a03943370061dd391a9cb4f4affe863de41f393013d0f77ef93cfc8a6"),
+                      attack=InterceptResend(Party.BOB)),
+        "be1ebfb455001bc1de29349097b43a231b6fe8648b912746023c869ce1996069"),
     "ghz3_intercept_bob": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=T, rng_seed=30,
-                      attack=InterceptResend(Party.BOB)), None,
-        "4427a80b9710a197de740deaca5a4b8fd4cc0524d95182c925d5fcb2999e5f58"),
+                      attack=InterceptResend(Party.BOB)),
+        "4f5821ea471ac13e20fb5f21e03548e9ddca47872ec0f8670fbdcf4a1e9e659f"),
     "bell5_intercept_bob": (
         SessionConfig(ProtocolId.BELL5, N, qber_abort_threshold=T, rng_seed=31,
-                      attack=InterceptResend(Party.BOB)), None,
-        "896e05283883ae3d1238b6cc5b59563bb140726e8ead6144b4651f948aeec818"),
+                      attack=InterceptResend(Party.BOB)),
+        "ee4670b01e5985b0ac93a5b6e3db5f9a8030128005d1b66b820469891bfb8385"),
     "ghz2_cheating_x": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=32,
-                      attack=CheatingCenterMeasureAll(Basis.X)), None,
-        "933826973892011ed90327c618065035236b0f141a0fb99bb1010999aae3344a"),
+                      attack=CheatingCenterMeasureAll(Basis.X)),
+        "67beef3636404b74c49273bc47c49c973d2437a7e8382158ea89c1b1114e6d01"),
     "ghz2_cheating_y": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=33,
-                      attack=CheatingCenterMeasureAll(Basis.Y)), None,
-        "d1b43795be73c4aee416723f9f7ab2906334c1ee82cd195220e54b353b7b45c3"),
+                      attack=CheatingCenterMeasureAll(Basis.Y)),
+        "a839eefe0daa1be3679fc5f55abf8f467e1e69c40c7b6a58d109f117579545db"),
     "ghz1_ancilla_1": (
         SessionConfig(ProtocolId.GHZ1, N, qber_abort_threshold=T, rng_seed=34,
-                      attack=AncillaEntangle(1.0)), None,
-        "57ac76d21cafbefb49f5fb0f8a4ab483cf4ea2d9413a7d6e55f9f930cfa02c37"),
+                      attack=AncillaEntangle(1.0)),
+        "b1c04f376658b9e6a6b2c97b3c3a0525c0e0f28e40a5a23bcdfc9968466604db"),
     "ghz2_ancilla_0": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=35,
-                      attack=AncillaEntangle(0.0)), None,
-        "c11f84bf3a1185f7deea323fe5894f1d3f5432c285fbdbd1053776d908ca75e4"),
+                      attack=AncillaEntangle(0.0)),
+        "db97e4997738074928fef6443ab4a62800e6bc50303d895b8900099cac07c5cb"),
     "ghz3_ancilla_1": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=T, rng_seed=36,
-                      attack=AncillaEntangle(1.0)), None,
-        "f407d8f00ea3b5be3325db4ca29fb8265ce256e40860fe8871ffc9c9efb7b8a8"),
+                      attack=AncillaEntangle(1.0)),
+        "5cdc4c53ee0d32a6aef0fb02d92139298a2ca09540cc8e62cd526f1c84cfebce"),
     "ghz2_pool_1": (
         SessionConfig(ProtocolId.GHZ2, N, qber_abort_threshold=T, rng_seed=37,
-                      attack=InterceptResend(Party.ALICE, (Basis.Y,))), None,
-        "874fd40668a185783c0ce6cad184176060a4fcf3ce23a68a323353c7d5c0be07"),
+                      attack=InterceptResend(Party.ALICE, (Basis.Y,))),
+        "d21c1205b5390ac6a8d36dba1c168b2862a567f9021de7bf0f626ce00279d444"),
     "bell4_pool_3": (
         SessionConfig(ProtocolId.BELL4, N, qber_abort_threshold=T, rng_seed=38,
-                      attack=InterceptResend(Party.ALICE, (Basis.X, Basis.Y, Basis.Z))), None,
-        "ac293776481ee20038ff6e0d062eb6cdc6134be55bc1837d22a1b9152925f9bd"),
+                      attack=InterceptResend(Party.ALICE, (Basis.X, Basis.Y, Basis.Z))),
+        "c4c0c8cf1baf4e7b7406ad96da9f2991ac78e846992970a5e91d0e5d7005a379"),
     "ghz3_pool_3_bob": (
         SessionConfig(ProtocolId.GHZ3, N, qber_abort_threshold=T, rng_seed=39,
-                      attack=InterceptResend(Party.BOB, (Basis.Z, Basis.X, Basis.Y))), None,
-        "9a4157e8b04657637ce6f709642f5d47acb0e293469438086245a43c666347e7"),
-    "bell5_odd_n": (SessionConfig(ProtocolId.BELL5, 3001, loss_probability=0.1, rng_seed=40), None,
-                    "87646df9011f425bf9debb8ef72b22e9c415cbcde7a98c76b689ec2d30bf3019"),
-    "ghz2_total_loss": (SessionConfig(ProtocolId.GHZ2, N, loss_probability=1.0, rng_seed=41), None,
-                        "2a1f769e1b2122f899b4e8aa30bed843a1cb41ebe43d70c2221d9c39d523e060"),
-    "ghz3_empty_check": (SessionConfig(ProtocolId.GHZ3, 20, check_fraction=0.01, rng_seed=42), None,
-                         "7e1fda574167af1263540e965a8c13e125897a944b84b938dff82ebebd32baa7"),
+                      attack=InterceptResend(Party.BOB, (Basis.Z, Basis.X, Basis.Y))),
+        "509e4e4ed63fd96a88ba2c455f97fade72f1772f8e211ee385e151e6d92ecdc1"),
+    "bell5_odd_n": (SessionConfig(ProtocolId.BELL5, 3001, loss_probability=0.1, rng_seed=40),
+                    "1f42a523a4267ee5fb44279c41db03d88a4618ac18b98ad0ee24ca91be7ce9e4"),
+    "ghz2_total_loss": (SessionConfig(ProtocolId.GHZ2, N, loss_probability=1.0, rng_seed=41),
+                        "e98de8f98c23c6bbc9425fd34fd9f74ba4da44a00f6de44916e33b584bed4b15"),
+    "ghz3_empty_check": (SessionConfig(ProtocolId.GHZ3, 20, check_fraction=0.01, rng_seed=42),
+                         "5eb8833fb7f5eab6ba403f3da8e93e6ac98e910e4cb3a5485a76f30f04cc1a00"),
     "ghz2_leg_loss": (
-        SessionConfig(ProtocolId.GHZ2, 3001, qber_abort_threshold=T, rng_seed=43,
-                      attack=AncillaEntangle(0.3)), (0.02, 0.2),
-        "4b2050d8bb6d409bdf2790f28c1dcf217eeed04dbe96d9e45abc62021a4b3779"),
-    "bell4_leg_loss": (SessionConfig(ProtocolId.BELL4, N, rng_seed=44), (0.3, 0.0),
-                       "c269a0ce64e9eaa63c2703b2d989d53e0d734be1da21f36061898be94b8014d5"),
+        SessionConfig(ProtocolId.GHZ2, 3001, qber_abort_threshold=T, loss_probability=(0.02, 0.2),
+                      rng_seed=43, attack=AncillaEntangle(0.3)),
+        "ced1a75520688e16a5528bf2e5cd24cd7a2c94ebdcb9bc4dba6e901c567dedd0"),
+    "bell4_leg_loss": (SessionConfig(ProtocolId.BELL4, N, loss_probability=(0.3, 0.0), rng_seed=44),
+                       "3b5d1e9e37a841e4e9dd91e126267a31f5b313b072d77c003e6a689caa1c1c01"),
 }
 
 NETWORK_SCENARIO = {
@@ -164,7 +164,7 @@ NETWORK_SCENARIO = {
                     "attack": {"kind": "intercept_resend", "target_party": "bob"}}},
     ],
 }
-NETWORK_CSV_DIGEST = "cc52d06b8be91527d758e0f0cf00ba4ce968a0f43abd2e611076eab24e12cb00"
+NETWORK_CSV_DIGEST = "7d528afa53516a684954e736699d2a38d286e1dcc1a4a57f4c581716bf9ee6bd"
 
 
 def digest(transcript) -> str:
@@ -179,8 +179,8 @@ def test_transcript_digest_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(MORE_CASES))
 def test_more_transcript_digests_pinned(name):
-    config, leg_loss, expected = MORE_CASES[name]
-    assert digest(run_session(config, leg_loss=leg_loss)) == expected
+    config, expected = MORE_CASES[name]
+    assert digest(run_session(config)) == expected
 
 
 def assert_round_trip(transcript):
@@ -194,12 +194,7 @@ def assert_round_trip(transcript):
 
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(MORE_CASES))
 def test_document_reads_back(name):
-    if name in CASES:
-        transcript = run_session(CASES[name][0])
-    else:
-        config, leg_loss, _ = MORE_CASES[name]
-        transcript = run_session(config, leg_loss=leg_loss)
-    assert_round_trip(transcript)
+    assert_round_trip(run_session({**CASES, **MORE_CASES}[name][0]))
 
 
 def test_document_reads_back_at_scale():
@@ -215,6 +210,20 @@ def test_network_csv_pinned(tmp_path, capsys):
     scenario.write_text(json.dumps(NETWORK_SCENARIO), encoding="utf-8")
     assert main(["network", str(scenario), "--csv", str(csv)]) == 2
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == NETWORK_CSV_DIGEST
+
+
+def test_network_transcripts_equal_a_rerun_of_their_config():
+    """Each session of a scenario whose users' channels lose unequally
+    states its legs in its config, so its document reads back and a
+    re-run of that config writes the same bytes."""
+    scenario = netsim.scenario_from_json_dict(NETWORK_SCENARIO)
+    result = netsim.run_network_scenario(scenario)
+    assert result.errors == [None] * len(scenario.sessions)
+    for spec, transcript in zip(scenario.sessions, result.transcripts):
+        assert transcript.config.legs == (scenario.channels[spec.requester].loss_probability,
+                                          scenario.channels[spec.responder].loss_probability)
+        assert_round_trip(transcript)
+        assert transcript_to_json(run_session(transcript.config)) == transcript_to_json(transcript)
 
 
 def test_pinned_cases_reach_the_hash():

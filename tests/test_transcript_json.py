@@ -35,9 +35,9 @@ def assert_round_trip(transcript):
 def test_round_trip(data):
     """Each example writes and reads one session of every family."""
     for protocol, _, attacks in ATTACKS:
-        session = draw_session(data, protocol, attacks)
-        if session is not None:
-            assert_round_trip(run_session(*session))
+        config = draw_session(data, protocol, attacks)
+        if config is not None:
+            assert_round_trip(run_session(config))
 
 
 N = 300
@@ -99,7 +99,7 @@ MALFORMED = {
         f"positions.used_for_check: position {NOT_KEPT_AT} is not kept"),
     "kept_but_lost": (edit_positions("kept", lambda c: set_char(c, LOST_AT, "1")),
                       f"positions.kept: position {LOST_AT} is not arrived"),
-    "schema_version_1": (edit(["schema_version"], 1), "schema_version: expected 3, got 1"),
+    "schema_version_1": (edit(["schema_version"], 1), "schema_version: expected 4, got 1"),
     "legend": (edit(["positions", "bases"], ["X", "Y"]),
                'positions.bases: expected ["X", "Y", "Z"]'),
     "missing_column": (lambda doc: doc["positions"].pop("bob_outcome"),
@@ -108,6 +108,14 @@ MALFORMED = {
                             "positions.kept: expected a string, got list"),
     "config": (edit(["config", "protocol"], "GHZ9"),
                "config: 'GHZ9' is not a valid ProtocolId"),
+    "loss_one_leg": (edit(["config", "loss_probability"], [0.1]),
+                     "config: loss_probability: expected one number or two, got 1"),
+    "loss_leg_not_a_number": (edit(["config", "loss_probability"], [0.1, "x"]),
+                              "config: loss_probability[1]: expected a number, got 'x'"),
+    "loss_leg_out_of_range": (edit(["config", "loss_probability"], [0.1, 1.5]),
+                              "config: loss_probability must be in [0, 1]"),
+    "loss_a_boolean": (edit(["config", "loss_probability"], True),
+                       "config: loss_probability: expected a number, got True"),
     "config_unknown_key": (edit(["config", "check_fracton"], 0.3),
                            "config: unknown key 'check_fracton'"),
     "attack_unknown_key": (edit(["config", "attack", "coupling"], 0.5),
