@@ -27,6 +27,12 @@ import oracle
 
 TOL = 1e-12
 
+# The refusals of a pairing the session's course has no place for, whole.
+CHEATING_BEFORE_THE_PARTIES = (
+    r"^cheating center is modeled where the center measures before the parties \(GHZ1/GHZ2\)$")
+ANCILLA_ON_TRIPLETS = r"^the ancilla attack targets the triplet protocols$"
+GHZ1_CHEATING_BASIS = r"^GHZ1 announces results in X; cheating basis must be X$"
+
 
 class TestProbeAlgebra:
     @pytest.mark.parametrize("coupling", [0.0, 0.25, 0.5, 1.0])
@@ -109,14 +115,15 @@ class TestDetectionOracle:
         assert all(b >= a - TOL for a, b in zip(rates, rates[1:]))
 
     def test_unsupported_pairs_raise(self):
-        with pytest.raises(UnsupportedAttackError):
-            predict_detection_rate(ProtocolId.BELL4, CheatingCenterMeasureAll(Basis.X))
-        with pytest.raises(UnsupportedAttackError):
-            predict_detection_rate(ProtocolId.GHZ3, CheatingCenterMeasureAll(Basis.X))
-        with pytest.raises(UnsupportedAttackError):
-            predict_detection_rate(ProtocolId.BELL5, AncillaEntangle(0.5))
-        with pytest.raises(UnsupportedAttackError):
-            predict_detection_rate(ProtocolId.GHZ1, CheatingCenterMeasureAll(Basis.Y))
+        for oracle_of in (predict_detection_rate, predict_adversary_accuracy):
+            with pytest.raises(UnsupportedAttackError, match=CHEATING_BEFORE_THE_PARTIES):
+                oracle_of(ProtocolId.BELL4, CheatingCenterMeasureAll(Basis.X))
+            with pytest.raises(UnsupportedAttackError, match=CHEATING_BEFORE_THE_PARTIES):
+                oracle_of(ProtocolId.GHZ3, CheatingCenterMeasureAll(Basis.X))
+            with pytest.raises(UnsupportedAttackError, match=ANCILLA_ON_TRIPLETS):
+                oracle_of(ProtocolId.BELL5, AncillaEntangle(0.5))
+            with pytest.raises(UnsupportedAttackError, match=GHZ1_CHEATING_BASIS):
+                oracle_of(ProtocolId.GHZ1, CheatingCenterMeasureAll(Basis.Y))
 
 
 class TestAccuracyOracle:
@@ -276,11 +283,11 @@ class TestAttackModelValidation:
             AncillaEntangle(coupling=1.5)
 
     def test_config_rejects_unsupported_combos(self):
-        with pytest.raises(UnsupportedAttackError):
+        with pytest.raises(UnsupportedAttackError, match=CHEATING_BEFORE_THE_PARTIES):
             SessionConfig(ProtocolId.GHZ3, 100, rng_seed=1,
                           attack=CheatingCenterMeasureAll(Basis.X))
-        with pytest.raises(UnsupportedAttackError):
+        with pytest.raises(UnsupportedAttackError, match=ANCILLA_ON_TRIPLETS):
             SessionConfig(ProtocolId.BELL4, 100, rng_seed=1, attack=AncillaEntangle(0.5))
-        with pytest.raises(UnsupportedAttackError):
+        with pytest.raises(UnsupportedAttackError, match=GHZ1_CHEATING_BASIS):
             SessionConfig(ProtocolId.GHZ1, 100, rng_seed=1,
                           attack=CheatingCenterMeasureAll(Basis.Y))

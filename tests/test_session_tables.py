@@ -336,6 +336,52 @@ def test_prediction_tables_match_correlation_tables(protocol, attack):
         assert guess == (-1 if expected is None else expected.bit)
 
 
+# Each pairing's event log as (actor, event), written out.  The center
+# measures after transmitting and before the parties (GHZ1/GHZ2), a
+# cheating one before transmitting, the GHZ3 center after the parties
+# disclose their bases, and the Bell center prepares and labels pairs.
+CENTER_FIRST = (
+    ("center", "prepare_states"), ("channel", "transmit_particles"),
+    ("center", "center_measure"), ("center", "announce_results"),
+    ("alice", "alice_measure"), ("bob", "bob_measure"), ("all", "compare_bases_and_sift"),
+    ("bob", "eavesdrop_check"), ("all", "encode_key_bits"), ("all", "postprocess"))
+CHEATING_CENTER = (
+    ("center", "prepare_states"), ("center", "center_measure"),
+    ("channel", "transmit_particles"), ("center", "announce_results"),
+    ("alice", "alice_measure"), ("bob", "bob_measure"), ("all", "compare_bases_and_sift"),
+    ("bob", "eavesdrop_check"), ("all", "encode_key_bits"), ("all", "postprocess"))
+PARTIES_FIRST = (
+    ("center", "prepare_states"), ("channel", "transmit_particles"),
+    ("alice", "alice_measure"), ("bob", "bob_measure"),
+    ("alice", "send_basis"), ("bob", "send_basis"),
+    ("center", "center_measure"), ("center", "announce_results"),
+    ("all", "compare_bases_and_sift"), ("bob", "eavesdrop_check"),
+    ("all", "encode_key_bits"), ("all", "postprocess"))
+PREPARED = (
+    ("center", "prepare_states"), ("center", "announce_labels"),
+    ("channel", "transmit_particles"), ("alice", "alice_measure"), ("bob", "bob_measure"),
+    ("all", "compare_bases_and_sift"), ("bob", "eavesdrop_check"),
+    ("all", "encode_key_bits"), ("all", "postprocess"))
+EVENTS_OF = {
+    ("GHZ1", "none"): CENTER_FIRST, ("GHZ1", "intercept_resend"): CENTER_FIRST,
+    ("GHZ1", "ancilla"): CENTER_FIRST, ("GHZ1", "cheating_center"): CHEATING_CENTER,
+    ("GHZ2", "none"): CENTER_FIRST, ("GHZ2", "intercept_resend"): CENTER_FIRST,
+    ("GHZ2", "ancilla"): CENTER_FIRST, ("GHZ2", "cheating_center"): CHEATING_CENTER,
+    ("GHZ3", "none"): PARTIES_FIRST, ("GHZ3", "intercept_resend"): PARTIES_FIRST,
+    ("GHZ3", "ancilla"): PARTIES_FIRST,
+    ("BELL4", "none"): PREPARED, ("BELL4", "intercept_resend"): PREPARED,
+    ("BELL5", "none"): PREPARED, ("BELL5", "intercept_resend"): PREPARED,
+}
+
+
+@pytest.mark.parametrize("protocol,attack", PAIRINGS, ids=IDS)
+def test_event_log_is_pinned(protocol, attack):
+    events = run_session(SessionConfig(protocol, 100, rng_seed=1, attack=attack)).events
+    assert [e["seq"] for e in events] == list(range(len(events)))
+    assert [(e["actor"], e["event"]) for e in events] == list(
+        EVENTS_OF[protocol.value, attack.kind])
+
+
 def test_tables_are_read_only_and_shared():
     a = protocols._compile(ProtocolId.GHZ2, AncillaEntangle(0.5))
     assert a is protocols._compile(ProtocolId.GHZ2, AncillaEntangle(0.5))
