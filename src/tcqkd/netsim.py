@@ -224,9 +224,13 @@ def scenario_from_json_dict(doc: dict) -> NetworkScenario:
     version = _integer(doc.get("schema_version", 1), "schema_version")
     if version != 1:
         raise ValueError(f"schema_version: expected 1, got {version}")
+    users = tuple(_of_type(uid, str, f"users[{i}]") for i, uid
+                  in enumerate(_of_type(_member(doc, "users", "scenario"), list, "users")))
     channels = {}
     for uid, ch in _of_type(doc.get("channels", {}), dict, "channels").items():
         path = f"channels.{uid}"
+        if uid not in users:
+            raise ValueError(f"{path}: not one of users")
         ch = _of_type(ch, dict, path)
         _known_keys(ch, ("loss_probability", "latency_ticks"), f"{path}: ")
         loss = _number(ch.get("loss_probability", 0.0), f"{path}.loss_probability")
@@ -245,13 +249,10 @@ def scenario_from_json_dict(doc: dict) -> NetworkScenario:
             responder=_of_type(_member(s, "responder", path), str, f"{path}.responder"),
             config=_config_at(_member(s, "config", path), f"{path}.config"),
         ))
-    return NetworkScenario(
-        users=tuple(_of_type(uid, str, f"users[{i}]") for i, uid
-                    in enumerate(_of_type(_member(doc, "users", "scenario"), list, "users"))),
-        channels=channels,
-        sessions=tuple(sessions),
-        seed=_integer(doc.get("seed", 0), "seed"),
-    )
+    seed = _integer(doc.get("seed", 0), "seed")
+    if seed < 0:
+        raise ValueError(f"seed: expected an integer >= 0, got {seed}")
+    return NetworkScenario(users=users, channels=channels, sessions=tuple(sessions), seed=seed)
 
 
 def load_scenario(path) -> NetworkScenario:

@@ -46,27 +46,32 @@ Sessions are deterministic: every random choice comes from a named
 per-actor stream (center, alice, bob, eve, channel, postproc) derived
 from the session seed, so identical configs produce byte-identical
 transcripts.  Parties interact only through explicit announcement and
-basis messages, recorded in an ordered event log that depends only on
-the (protocol, attack) pairing.
+basis messages.
 
-A session runs as array operations over all positions at once.  Every
-position goes through the same fixed sequence of measurements
-(`_steps`): a cheating center's or an intercepting adversary's, then
-the center, Alice and Bob in protocol order, then the probe read-out.
-Each step names its role, the bases it may use and the actor stream it
-draws from.  `_compile` walks that sequence once per (protocol, attack)
-pairing from the start registers with the exact Born-rule branches and
-stores, per node and choice of a step, p_plus[node, choice], the
-probability a draw is compared against, next[node, choice, outcome]
-and basis_of[node, choice], the basis the choice measures in (the GHZ3
-center has one choice, the rule's basis).  It also says once what each
-path means, one row per leaf: the announcement, both parties' bases
-and outcomes, whether it is kept, Alice's key bit, the adversary's
-shown record and her guess of Bob's bit, then a lost column for a
-position that did not arrive.  A session advances its node ids per
-level with one take of the thresholds and one of the children, then
-takes its position columns from the leaf rows; its check mismatches,
-key bits and adversary records are read off them.  Compiled tables
+One function, `_timeline`, states who acts when, once per (protocol,
+attack) pairing: the session's events in order, each with the
+measurements every position goes through at it.  A cheating center
+measures the whole triplet before transmitting; an adversary
+intercepts at transmission; the center measures before Alice (GHZ1,
+GHZ2) or after both parties send their bases (GHZ3); the probe is read
+out at sifting.  The transcript's event log numbers its events, the
+compiled table walks its measurements, and a pairing it has no place
+for is refused.
+
+A session runs as array operations over all positions at once.  Each
+measurement step names its role, the bases it may use and the actor
+stream it draws from.  `_compile` walks the steps of `_timeline` once
+per pairing from the start registers with the exact Born-rule branches
+and stores, per node and choice of a step, p_plus[node, choice], the
+probability a draw is compared against, and next[node, choice,
+outcome] (the GHZ3 center has one choice, the rule's basis).  It also
+says once what each path means, one row per leaf: the announcement,
+both parties' bases and outcomes, whether it is kept, Alice's key bit,
+the adversary's shown record and her guess of Bob's bit, then a lost
+column for a position that did not arrive.  A session advances its
+node ids per level with one take of the thresholds and one of the
+children, then takes its position columns from the leaf rows; its
+check mismatches, key bits and adversary records are read off them.  Compiled tables
 are built on first use and kept (up to 64 pairings).
 
 The exact oracles `predict_detection_rate` and
@@ -282,27 +287,7 @@ class SessionConfig:
             )
             if expected_unchecked < 1.0:
                 raise ValueError("configuration leaves no unchecked positions in expectation")
-        _validate_attack(self.protocol, self.attack)
-
-
-def _validate_attack(protocol: ProtocolId, attack: AttackModel):
-    scheme = _SCHEMES[protocol]
-    if isinstance(attack, (NoAttack, InterceptResend)):
-        return
-    if isinstance(attack, CheatingCenterMeasureAll):
-        if not scheme.center_bases or scheme.center_after_bases:
-            raise UnsupportedAttackError(
-                "cheating center is modeled where the center measures before the parties (GHZ1/GHZ2)")
-        if attack.basis not in scheme.center_bases:
-            names = " or ".join(b.value for b in scheme.center_bases)
-            raise UnsupportedAttackError(
-                f"{protocol.value} announces results in {names}; cheating basis must be {names}")
-        return
-    if isinstance(attack, AncillaEntangle):
-        if not scheme.center_bases:
-            raise UnsupportedAttackError("the ancilla attack targets the triplet protocols")
-        return
-    raise UnsupportedAttackError(f"unknown attack {attack!r}")
+        _timeline(self.protocol, self.attack)  # refuses an attack the course has no place for
 
 
 # The compiled session stores a basis as its index here and an outcome
@@ -478,7 +463,8 @@ class SessionTranscript:
 
     @property
     def events(self) -> list:
-        return _events(self.config.protocol, self.config.attack)
+        return [{"seq": i, "actor": actor, "event": event} for i, (actor, event, _)
+                in enumerate(_timeline(self.config.protocol, self.config.attack))]
 
     @property
     def kept_count(self) -> int:
@@ -551,27 +537,6 @@ def _stream(seed: int, key: int) -> np.random.Generator:
 _STREAM_CENTER, _STREAM_ALICE, _STREAM_BOB, _STREAM_EVE, _STREAM_CHANNEL, _STREAM_POSTPROC = range(6)
 
 
-def _events(protocol: ProtocolId, attack: AttackModel) -> list:
-    """The session's ordered event log; it depends only on the pairing."""
-    scheme = _SCHEMES[protocol]
-    cheating = isinstance(attack, CheatingCenterMeasureAll)
-    center = [("center", "center_measure"), ("center", "announce_results")]
-    names = [("center", "prepare_states")]
-    if not scheme.center_bases:
-        names.append(("center", "announce_labels"))
-    if cheating:
-        names.append(center.pop(0))  # before sending
-    names.append(("channel", "transmit_particles"))
-    if scheme.center_bases and not scheme.center_after_bases:
-        names += center
-    names += [("alice", "alice_measure"), ("bob", "bob_measure")]
-    if scheme.center_after_bases:
-        names += [("alice", "send_basis"), ("bob", "send_basis"), *center]
-    names += [("all", "compare_bases_and_sift"), ("bob", "eavesdrop_check"),
-              ("all", "encode_key_bits"), ("all", "postprocess")]
-    return [{"seq": i, "actor": actor, "event": event} for i, (actor, event) in enumerate(names)]
-
-
 def eavesdrop_check(mismatch: np.ndarray, check_fraction: float, rng: np.random.Generator,
                     qber_abort_threshold: float) -> tuple[CheckReport, np.ndarray]:
     """Bob discloses a random subset of the kept positions; Alice compares
@@ -604,46 +569,68 @@ def _intercept_pool(protocol: ProtocolId, attack: InterceptResend) -> tuple[Basi
     return attack.basis_pool or party_bases(protocol)
 
 
-def _steps(protocol: ProtocolId, attack: AttackModel) -> tuple:
-    """The measurements every position goes through, in order, as
-    (role, bases it may be measured in, resend, stream it draws from).
-    With resend a fresh eigenstate of the result replaces the measured
-    particle.  The GHZ3 center measures in the one basis
-    `center_basis_rule_p3` picks from Alice's and Bob's."""
+def _timeline(protocol: ProtocolId, attack: AttackModel) -> list:
+    """The session's course in order, as (actor, event, measurements); it
+    depends only on the pairing.  measurements are the steps every
+    position goes through at that event, as (role, bases it may be
+    measured in, resend, stream it draws from).  With resend a fresh
+    eigenstate of the result replaces the measured particle.  The GHZ3
+    center measures in the one basis `center_basis_rule_p3` picks from
+    Alice's and Bob's.  An attack the course has no place for raises
+    UnsupportedAttackError."""
     scheme = _SCHEMES[protocol]
-    steps = []
-    cheating = isinstance(attack, CheatingCenterMeasureAll)
-    if cheating:
-        # The center measures the whole triplet and sends eigenstates.
-        basis = (attack.basis,)
-        steps += [(role, basis, role != "c", _STREAM_CENTER) for role in ("c", "a", "b")]
+    before_sending = [] if scheme.center_bases else [("center", "announce_labels", ())]
+    center = [("center", "center_measure", (("c", scheme.center_bases, False, _STREAM_CENTER),)),
+              ("center", "announce_results", ())]
+    intercept = probe = ()
+    if isinstance(attack, CheatingCenterMeasureAll):
+        if not scheme.center_bases or scheme.center_after_bases:
+            raise UnsupportedAttackError(
+                "cheating center is modeled where the center measures before the parties (GHZ1/GHZ2)")
+        if attack.basis not in scheme.center_bases:
+            names = " or ".join(b.value for b in scheme.center_bases)
+            raise UnsupportedAttackError(
+                f"{protocol.value} announces results in {names}; cheating basis must be {names}")
+        # Its center_measure comes before sending: it measures the whole
+        # triplet and sends eigenstates.
+        measured = tuple((role, (attack.basis,), role != "c", _STREAM_CENTER) for role in "cab")
+        before_sending.append(("center", "center_measure", measured))
+        del center[0]
     elif isinstance(attack, InterceptResend):
         role = "a" if attack.target_party is Party.ALICE else "b"
-        steps.append((role, _intercept_pool(protocol, attack), True, _STREAM_EVE))
-    center = ("c", scheme.center_bases, False, _STREAM_CENTER)
-    if scheme.center_bases and not scheme.center_after_bases and not cheating:
-        steps.append(center)
-    steps += [("a", scheme.bases, False, _STREAM_ALICE), ("b", scheme.bases, False, _STREAM_BOB)]
+        intercept = ((role, _intercept_pool(protocol, attack), True, _STREAM_EVE),)
+    elif isinstance(attack, AncillaEntangle):
+        if not scheme.center_bases:
+            raise UnsupportedAttackError("the ancilla attack targets the triplet protocols")
+        probe = (("eve", (Basis.X,), False, _STREAM_EVE),)  # read out at sifting
+    elif not isinstance(attack, NoAttack):
+        raise UnsupportedAttackError(f"unknown attack {attack!r}")
+    parties = [("alice", "alice_measure", (("a", scheme.bases, False, _STREAM_ALICE),)),
+               ("bob", "bob_measure", (("b", scheme.bases, False, _STREAM_BOB),))]
     if scheme.center_after_bases:
-        steps.append(center)
-    if isinstance(attack, AncillaEntangle):
-        steps.append(("eve", (Basis.X,), False, _STREAM_EVE))
-    return tuple(steps)
+        parties += [("alice", "send_basis", ()), ("bob", "send_basis", ()), *center]
+    elif scheme.center_bases:
+        parties = center + parties
+    return [("center", "prepare_states", ()), *before_sending,
+            ("channel", "transmit_particles", intercept), *parties,
+            ("all", "compare_bases_and_sift", probe), ("bob", "eavesdrop_check", ()),
+            ("all", "encode_key_bits", ()), ("all", "postprocess", ())]
 
 
 @dataclass(frozen=True)
 class _Table:
     """One (protocol, attack) pairing's per-position process, compiled.
 
-    Nodes are the registers reachable along `_steps`, numbered level by
-    level from the start registers (one per prepared label, else the
-    triplet); the last level are the leaves, one per path.  For the
-    other nodes, per choice a step's draw selects: basis_of[node,
-    choice] is the basis index it measures in, p_plus[node, choice] the
-    probability a draw is compared against (outcome + iff draw <
-    p_plus, as in `Register.measure`) and next[node, choice, outcome]
-    the node that outcome leads to, -1 for a zero-probability branch.
-    Past a step's choices they hold -1, NaN and -1.  A session reads
+    Nodes are the registers reachable along the measurements of
+    `_timeline`, numbered level by level from the start registers (one
+    per prepared label, else the triplet); the last level are the
+    leaves, one per path.  For the other nodes, per choice a step's draw
+    selects (the choice-th of the bases the step may use; the GHZ3
+    center's one basis): p_plus[node, choice] is the probability a draw
+    is compared against (outcome + iff draw < p_plus, as in
+    `Register.measure`) and next[node, choice, outcome] the node that
+    outcome leads to, -1 for a zero-probability branch.  Past a step's
+    choices p_plus holds NaN and next -1.  A session reads
     p_plus and next raveled: choice row node * width + choice, outcome
     entry 2 * row + bit.
 
@@ -675,7 +662,6 @@ class _Table:
     """
 
     steps: tuple
-    basis_of: np.ndarray
     p_plus: np.ndarray
     next: np.ndarray
     leaves: np.ndarray
@@ -686,19 +672,22 @@ class _Table:
 
 @lru_cache(maxsize=64)
 def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
-    """Walk `_steps` from the start registers with the exact Born-rule
-    branches; built on first use of a pairing and kept.
+    """Walk the measurements of `_timeline`, in order, from the start
+    registers with the exact Born-rule branches; built on first use of a
+    pairing and kept.  A pairing the course has no place for raises
+    UnsupportedAttackError.
 
     Each node also carries its weight, the probability of reaching it
     when every choice is uniform, and what its path recorded: per role
     its (basis, outcome), a resent particle's under "eve", and under
     "c" the announcement (a prepared pair's label from the start)."""
+    timeline = _timeline(protocol, attack)
     scheme = _SCHEMES[protocol]
     probe = probe_vectors(attack.coupling) if isinstance(attack, AncillaEntangle) else None
     starts = _start_registers(protocol, probe)
     level = [(reg, 1 / len(starts), {"c": label}) for label, reg in starts.items()]
-    steps, basis_of, p_plus, nxt = [], [], [], []
-    for role, bases, resend, stream in _steps(protocol, attack):
+    steps, p_plus, nxt = [], [], []
+    for role, bases, resend, stream in itertools.chain.from_iterable(m for *_, m in timeline):
         children = []
         first_child = len(p_plus) + len(level)
         for reg, weight, seen in level:
@@ -718,7 +707,6 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
                         child = child.add_eigenstate(role, basis, outcome)
                     record = {**seen, "eve" if resend else role: (basis, outcome)}
                     children.append((child, weight * p / len(followed), record))
-            basis_of.append([_BASES.index(b) for b in followed] + [-1] * (len(_BASES) - len(followed)))
             p_plus.append(p_row)
             nxt.append(next_row)
         steps.append((stream, len(followed)))
@@ -755,7 +743,7 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
         elif guess == b_out:
             correct += weight
 
-    arrays = [np.array(basis_of), np.array(p_plus), np.array(nxt), leaves]
+    arrays = [np.array(p_plus), np.array(nxt), leaves]
     for a in arrays:
         a.flags.writeable = False
     return _Table(tuple(steps), *arrays, scheme.announcements, errors / kept,
@@ -771,16 +759,16 @@ def _code(value) -> int:
 
 def predict_detection_rate(protocol: ProtocolId, attack: AttackModel) -> float:
     """Exact per-checked-position error probability under the attack,
-    summed over the compiled tree's leaves."""
-    _validate_attack(protocol, attack)
+    summed over the compiled tree's leaves; `_compile` refuses the
+    pairing through `_timeline` if the course has no place for it."""
     return _compile(protocol, attack).detection_rate
 
 
 def predict_adversary_accuracy(protocol: ProtocolId, attack: AttackModel) -> float:
     """Exact probability that the adversary's inferred bit matches
     Bob's key bit on a kept position (coin guesses count 1/2), summed
-    over the compiled tree's leaves."""
-    _validate_attack(protocol, attack)
+    over the compiled tree's leaves; refused as by
+    `predict_detection_rate`."""
     accuracy = _compile(protocol, attack).adversary_accuracy
     if accuracy is None:
         raise UnsupportedAttackError("no adversary present")

@@ -118,6 +118,11 @@ MALFORMED_SCENARIOS = {
         "sessions[0].config: attack.coupling: expected a number, got '0.5'"),
     "loss_true": ({"users": ["a"], "channels": {"a": {"loss_probability": True}}},
                   "channels.a.loss_probability: expected a number, got True"),
+    "channel_not_a_user": (
+        {"users": ["alice", "bob"], "channels": {"alice": {"loss_probability": 0.1},
+                                                 "bbo": {"loss_probability": 0.25}}},
+        "channels.bbo: not one of users"),
+    "seed_negative": ({"users": ["a"], "seed": -3}, "seed: expected an integer >= 0, got -3"),
 }
 
 

@@ -105,10 +105,9 @@ def columns(record):
 
 def walk_tree(protocol, attack):
     """Follow the compiled table's next links along `oracle.project`
-    projections, checking every basis_of, p_plus and next entry on the
-    way (p_plus and next per choice, the basis a choice measures in read
-    off basis_of) and, per leaf, the columns of its row that its path
-    fixes.
+    projections, checking every p_plus and next entry on the way (per
+    choice, the choice-th basis the step follows) and, per leaf, the
+    columns of its row that its path fixes.
 
     Returns the table, the visited node ids and the leaves as (weight,
     path, row).  weight is the leaf's probability when every choice is
@@ -118,7 +117,8 @@ def walk_tree(protocol, attack):
     path's.
     """
     table = protocols._compile(protocol, attack)
-    steps = protocols._steps(protocol, attack)
+    steps = [step for *_, measurements in protocols._timeline(protocol, attack)
+             for step in measurements]
     inner = len(table.p_plus)
     visited = set()
     leaves = []
@@ -143,14 +143,11 @@ def walk_tree(protocol, attack):
         if protocol is ProtocolId.GHZ3 and role == "c":
             a_basis, b_basis = path[-2][1], path[-1][1]
             followed = [Basis.X if a_basis == b_basis else Basis.Y]
-        assert table.basis_of[node].tolist() == [BASES.index(b) for b in followed] + [-1] * (
-            len(BASES) - len(followed))
         for choice in range(len(followed), len(BASES)):
             # Past the step's choices (the GHZ3 center has one): never drawn.
             assert np.isnan(table.p_plus[node, choice])
             assert (table.next[node, choice] == -1).all()
-        for choice, b in enumerate(table.basis_of[node, :len(followed)].tolist()):
-            basis = BASES[b]
+        for choice, basis in enumerate(followed):
             p_plus, _ = oracle.project(vec, len(roles), q, oracle.EIGEN[(basis.value, "+")])
             assert table.p_plus[node, choice] == pytest.approx(p_plus, abs=1e-12)
             for outcome in OUTCOMES:
@@ -385,7 +382,7 @@ def test_event_log_is_pinned(protocol, attack):
 def test_tables_are_read_only_and_shared():
     a = protocols._compile(ProtocolId.GHZ2, AncillaEntangle(0.5))
     assert a is protocols._compile(ProtocolId.GHZ2, AncillaEntangle(0.5))
-    for arr in (a.basis_of, a.p_plus, a.next, a.leaves):
+    for arr in (a.p_plus, a.next, a.leaves):
         assert not arr.flags.writeable
 
 
