@@ -29,7 +29,6 @@ from .protocols import (
     _member,
     _number,
     _of_type,
-    config_to_json_dict,
     run_session,
     summary_csv_row,
     SUMMARY_CSV_HEADER,
@@ -195,26 +194,6 @@ def report_csv(result: ScenarioResult) -> str:
 # --- scenario files ------------------------------------------------------
 
 
-def scenario_to_json_dict(scenario: NetworkScenario) -> dict:
-    return {
-        "schema_version": 1,
-        "seed": scenario.seed,
-        "users": list(scenario.users),
-        "channels": {
-            uid: {"loss_probability": ch.loss_probability, "latency_ticks": ch.latency_ticks}
-            for uid, ch in sorted(scenario.channels.items())
-        },
-        "sessions": [
-            {
-                "requester": s.requester,
-                "responder": s.responder,
-                "config": config_to_json_dict(s.config),
-            }
-            for s in scenario.sessions
-        ],
-    }
-
-
 def scenario_from_json_dict(doc: dict) -> NetworkScenario:
     """Parse a scenario document.  A malformed document raises a
     ValueError naming where it is malformed, e.g.
@@ -226,6 +205,10 @@ def scenario_from_json_dict(doc: dict) -> NetworkScenario:
         raise ValueError(f"schema_version: expected 1, got {version}")
     users = tuple(_of_type(uid, str, f"users[{i}]") for i, uid
                   in enumerate(_of_type(_member(doc, "users", "scenario"), list, "users")))
+    first = {}
+    for i, uid in enumerate(users):
+        if first.setdefault(uid, i) != i:
+            raise ValueError(f"users[{i}]: {uid!r} repeats users[{first[uid]}]")
     channels = {}
     for uid, ch in _of_type(doc.get("channels", {}), dict, "channels").items():
         path = f"channels.{uid}"

@@ -103,6 +103,10 @@ dict, on index, slice or iteration.  The JSON document keeps them as
 columns: `positions` holds the legends and one string per column with
 one digit per position (`-` for None), and the adversary's `records`
 one string per column with one digit per arrived position.
+`transcript_to_json` writes the bytes `json.dumps` would, but copies
+those strings, and every string of 0/1 only such as the keys, into its
+text: they hold nothing to escape, and `json` would scan them a
+character at a time.
 
 A transcript stores only what the session decided (`SessionTranscript`);
 everything else it reports is derived from that on access, by the same
@@ -118,7 +122,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -351,16 +355,26 @@ class _Columns(Sequence):
         return {name: _digits(c) for name, c in zip(self.names, self._columns)}
 
 
-# A code's character: 0-9 are digits, and -1 indexes the trailing '-'.
-_DIGITS = np.frombuffer(b"0123456789-", dtype=np.uint8)
-# A character's code: the inverse of _DIGITS, 99 for any other byte.
+class _Digits(str):
+    """A column's JSON string, made by `_digits`: digits and '-' only,
+    which JSON writes as they are."""
+
+    __slots__ = ()
+
+
+# A code's character, indexed by the code's byte: 0-9 are digits, and
+# -1 (byte 255) is '-'; no other byte is a code.  None of its bytes is
+# one JSON escapes.
+_DIGITS = b"0123456789" + b"?" * 245 + b"-"
+# A character's code, 99 for a byte that is none of 0-9 and '-'.
 _CODES = np.full(256, 99, dtype=np.int8)
-_CODES[_DIGITS] = (*range(10), -1)
+_CODES[np.frombuffer(b"0123456789-", dtype=np.uint8)] = (*range(10), -1)
 
 
-def _digits(column) -> str:
-    """One character per entry of an integer or bool column."""
-    return _DIGITS[np.asarray(column, dtype=np.intp)].tobytes().decode("ascii")
+def _digits(column: np.ndarray) -> _Digits:
+    """One character per entry of an int8 or bool column, its bytes
+    translated through _DIGITS."""
+    return _Digits(column.view(np.uint8).tobytes().translate(_DIGITS), "ascii")
 
 
 # Column value -> object; -1 indexes the trailing None.
@@ -444,13 +458,15 @@ class PostprocSummary:
     final_length: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionTranscript:
     """What a session decided: the config, the position columns, the
     check's error count (its checked count is the used_for_check
     column's), Alice's raw key, both final keys, the parity bits
     reconciliation disclosed and the adversary's records.  Every
-    property is derived from these on access."""
+    property is derived from these on access; kept_count, which three
+    fields of the document read, is counted once, and the event log is
+    the compiled pairing's."""
 
     config: SessionConfig
     positions: _Positions
@@ -463,10 +479,10 @@ class SessionTranscript:
 
     @property
     def events(self) -> list:
-        return [{"seq": i, "actor": actor, "event": event} for i, (actor, event, _)
-                in enumerate(_timeline(self.config.protocol, self.config.attack))]
+        return [{"seq": i, "actor": actor, "event": event} for i, (actor, event)
+                in enumerate(_compile(self.config.protocol, self.config.attack).events)]
 
-    @property
+    @cached_property
     def kept_count(self) -> int:
         return int(np.count_nonzero(self.positions.column("kept")))
 
@@ -479,7 +495,9 @@ class SessionTranscript:
         """Bob's outcomes at the key positions, empty when the check aborted."""
         if self.check_report.aborted:
             return ""
-        return postproc.bits_to_str(self.positions.column("bob_outcome")[self.positions.in_key()])
+        # compress selects what a boolean index would, several times faster.
+        bob = self.positions.column("bob_outcome")
+        return postproc.bits_to_str(bob.compress(self.positions.in_key()))
 
     @property
     def postproc_summary(self) -> PostprocSummary:
@@ -520,14 +538,16 @@ class SessionTranscript:
 
 def _observed_accuracy(positions: _Positions, records: _AdversaryRecords) -> float | None:
     """How often her inferred bit is Bob's over the key positions, None
-    without one; her records are per arrived position."""
-    arrived = records._first
-    in_key = positions.in_key()[arrived]
-    total = int(np.count_nonzero(in_key))
+    without one.  Her records are per arrived position, in position
+    order, and every key position arrived: her bits at the key positions
+    line up with Bob's."""
+    in_key = positions.in_key()
+    hers = in_key.take(records._first)
+    total = int(np.count_nonzero(hers))
     if not total:
         return None
-    hits = records.column("inferred_bit") == positions.column("bob_outcome")[arrived]
-    return int(np.count_nonzero(hits[in_key])) / total
+    bob = positions.column("bob_outcome").compress(in_key)
+    return int(np.count_nonzero(records.column("inferred_bit").compress(hers) == bob)) / total
 
 
 def _stream(seed: int, key: int) -> np.random.Generator:
@@ -648,6 +668,9 @@ class _Table:
     -1 everywhere and kept 0, is what a position that did not arrive
     shows; no path leads to it.
 
+    events are the (actor, event) pairs of `_timeline`, in order, which
+    the transcript's event log numbers.
+
     steps lists what a session draws per level, in order: (stream,
     number of basis choices).  Per level a session draws every
     position's choice, nothing for one choice, then every position's
@@ -661,6 +684,7 @@ class _Table:
     without an adversary.
     """
 
+    events: tuple
     steps: tuple
     p_plus: np.ndarray
     next: np.ndarray
@@ -746,8 +770,8 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
     arrays = [np.array(p_plus), np.array(nxt), leaves]
     for a in arrays:
         a.flags.writeable = False
-    return _Table(tuple(steps), *arrays, scheme.announcements, errors / kept,
-                  correct / kept if adversary else None)
+    return _Table(tuple((actor, event) for actor, event, _ in timeline), tuple(steps), *arrays,
+                  scheme.announcements, errors / kept, correct / kept if adversary else None)
 
 
 def _code(value) -> int:
@@ -1027,7 +1051,52 @@ def transcript_to_json_dict(transcript: SessionTranscript) -> dict:
 
 
 def transcript_to_json(transcript: SessionTranscript) -> str:
-    return json.dumps(transcript_to_json_dict(transcript), separators=(",", ":")) + "\n"
+    """`json.dumps(transcript_to_json_dict(transcript), separators=(",",
+    ":"))` and a newline, byte for byte, with its columns and bit
+    strings copied rather than escaped (`_write_json`)."""
+    out = []
+    _write_json(transcript_to_json_dict(transcript), out)
+    out.append("\n")
+    return "".join(out)
+
+
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _copied(value) -> bool:
+    """Whether `_write_json` copies value into its text: a string JSON
+    writes as it is between quotes, known without json's per-character
+    scan (a column `_digits` made, or bits by `_is_bits`, the check
+    `_key_at` makes), or a dict that holds one."""
+    if isinstance(value, dict):
+        return any(map(_copied, value.values()))
+    return type(value) is _Digits or isinstance(value, str) and _is_bits(value)
+
+
+def _write_json(doc: dict, out: list) -> None:
+    """Append to out the pieces of `_JSON.encode(doc)`: a copied string
+    goes between quotes as it is, a dict that holds one is written item
+    by item, and each run of the other items goes through `_JSON`."""
+    out.append("{")
+    rest = {}
+    for key, value in doc.items():
+        if not _copied(value):
+            rest[key] = value
+            continue
+        if rest:
+            out += (_JSON.encode(rest)[1:-1], ",")
+            rest = {}
+        out.append(_JSON.encode(key) + ":")
+        if isinstance(value, dict):
+            _write_json(value, out)
+        else:
+            out += ('"', value, '"')
+        out.append(",")
+    if rest:
+        out.append(_JSON.encode(rest)[1:-1])
+    elif out[-1] == ",":
+        out.pop()
+    out.append("}")
 
 
 def _field(doc: dict, key: str, kind, path: str = ""):
@@ -1128,10 +1197,17 @@ def _key_at(doc: dict, key: str, length: int, why: str = "") -> str:
     text = _field(doc, key, str)
     if len(text) != length:
         raise ValueError(f"{key}: expected {length} bits{why}, got {len(text)}")
-    if text.count("0") + text.count("1") != length:
+    if not _is_bits(text):
         at = next(i for i, bit in enumerate(text) if bit not in "01")
         raise ValueError(f"{key}: expected bits 0/1, got {text[at]!r} at {at}")
     return text
+
+
+def _is_bits(text: str) -> bool:
+    """Whether text holds no character but 0 and 1.  Deleting those
+    bytes takes about 1 ns a character; str.count takes several on
+    random bits."""
+    return text.isascii() and not text.encode("ascii").translate(None, b"01")
 
 
 SUMMARY_CSV_HEADER = ("protocol,num_states,loss_alice,loss_bob,attack,kept_fraction,qber,"

@@ -5,9 +5,9 @@ import pytest
 
 from tcqkd import cli
 from tcqkd.cli import main
-from tcqkd.netsim import NetworkScenario, SessionSpec, scenario_to_json_dict
+from tcqkd.netsim import NetworkScenario, SessionSpec
 from tcqkd.protocols import ProtocolId, SessionConfig, transcript_from_json
-from test_netsim import MALFORMED_SCENARIOS
+from test_netsim import MALFORMED_SCENARIOS, scenario_to_json_dict
 
 
 def sha(path):

@@ -14,10 +14,28 @@ from tcqkd.netsim import (
     request_session,
     run_network_scenario,
     scenario_from_json_dict,
-    scenario_to_json_dict,
     session_seed,
 )
-from tcqkd.protocols import ProtocolId, SessionConfig
+from tcqkd.protocols import ProtocolId, SessionConfig, config_to_json_dict
+
+
+def scenario_to_json_dict(scenario: NetworkScenario) -> dict:
+    """The scenario document `scenario_from_json_dict` reads back as
+    scenario."""
+    return {
+        "schema_version": 1,
+        "seed": scenario.seed,
+        "users": list(scenario.users),
+        "channels": {
+            uid: {"loss_probability": ch.loss_probability, "latency_ticks": ch.latency_ticks}
+            for uid, ch in sorted(scenario.channels.items())
+        },
+        "sessions": [
+            {"requester": s.requester, "responder": s.responder,
+             "config": config_to_json_dict(s.config)}
+            for s in scenario.sessions
+        ],
+    }
 
 
 # Malformed scenario documents and the error each must raise.
@@ -123,6 +141,8 @@ MALFORMED_SCENARIOS = {
                                                  "bbo": {"loss_probability": 0.25}}},
         "channels.bbo: not one of users"),
     "seed_negative": ({"users": ["a"], "seed": -3}, "seed: expected an integer >= 0, got -3"),
+    "user_repeated": ({"users": ["a", "a"]}, "users[1]: 'a' repeats users[0]"),
+    "user_repeated_later": ({"users": ["a", "b", "a"]}, "users[2]: 'a' repeats users[0]"),
 }
 
 

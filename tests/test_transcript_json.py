@@ -1,11 +1,14 @@
 """The columnar transcript document read back by `transcript_from_json`.
 
 Reading a document gives the transcript that wrote it, and writing that
-again gives the same bytes, for every (protocol, attack) family.  A
+again gives the same bytes, for every (protocol, attack) family.  The
+writer's bytes are those of `json.dumps` on `transcript_to_json_dict`,
+although it copies columns and bit strings instead of escaping them.  A
 malformed document raises one ValueError line that names the field.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,12 +21,19 @@ from tcqkd.protocols import (
     run_session,
     transcript_from_json,
     transcript_to_json,
+    transcript_to_json_dict,
 )
-from test_scalar_session import ATTACKS, draw_session
+from test_scalar_session import ATTACKS, FIXED_CASES, draw_session
+
+
+def dumps(transcript) -> str:
+    """The document as `json.dumps` writes it, escaping every string."""
+    return json.dumps(transcript_to_json_dict(transcript), separators=(",", ":")) + "\n"
 
 
 def assert_round_trip(transcript):
     text = transcript_to_json(transcript)
+    assert text == dumps(transcript)
     back = transcript_from_json(text)
     assert back == transcript
     assert transcript_to_json(back) == text
@@ -33,11 +43,36 @@ def assert_round_trip(transcript):
 @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_round_trip(data):
-    """Each example writes and reads one session of every family."""
+    """Each example writes and reads one session of every family, and
+    the writer's bytes are those of `json.dumps`."""
     for protocol, _, attacks in ATTACKS:
         config = draw_session(data, protocol, attacks)
         if config is not None:
             assert_round_trip(run_session(config))
+
+
+@pytest.mark.parametrize("loss", [0.0, (0.05, 0.2)], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("threshold", [0.0, 0.5], ids=["aborted", "passing"])
+@pytest.mark.parametrize("protocol,attack", FIXED_CASES,
+                         ids=[f"{p.value}-{a.kind}" for p, a in FIXED_CASES])
+def test_bytes_are_json_dumps_aborted_or_not(protocol, attack, threshold, loss):
+    transcript = run_session(SessionConfig(protocol, 400, qber_abort_threshold=threshold,
+                                           loss_probability=loss, rng_seed=3, attack=attack))
+    assert transcript.check_report.aborted is (threshold == 0.0)
+    assert transcript_to_json(transcript) == dumps(transcript)
+
+
+@pytest.mark.parametrize("forged", ['01"10', "0\\1", '\\"', "0é1", "1\n0"])
+def test_forged_key_is_escaped(forged):
+    """A final key that is not bits goes through json: its quote,
+    backslash, non-ASCII or control character comes out escaped, and
+    the document parses."""
+    transcript = replace(run_session(SessionConfig(ProtocolId.GHZ3, 300, rng_seed=5)),
+                         alice_final_key=forged)
+    text = transcript_to_json(transcript)
+    assert text == dumps(transcript)
+    assert json.dumps(forged) in text
+    assert json.loads(text)["alice_final_key"] == forged
 
 
 N = 300
