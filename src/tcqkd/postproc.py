@@ -1,7 +1,10 @@
 """Classical key distillation: parity-exchange error correction and
 Toeplitz-hash privacy amplification.
 
-Keys are bit strings of '0'/'1'; other characters raise ValueError.
+Keys are bit strings of '0'/'1' or 1-D uint8 arrays of 0/1; any other
+character, value or dtype raises ValueError.  `reconcile` returns Bob's
+corrected key in the form it was given, and `privacy_amplify` returns
+a bit string either way.
 Leakage is counted in disclosed bits and only ever grows along the
 pipeline; the final key length follows
 m = floor(n*(1-h2(qber))) - leaked - ceil(2*log2(1/epsilon)).
@@ -23,6 +26,7 @@ unnoticed.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 
@@ -40,10 +44,16 @@ def bits_to_str(bits) -> str:
     return (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode()
 
 
-def _bits(key: str, name: str) -> np.ndarray:
-    """0/1 uint8 array of a key string; any other character is an error."""
-    bits = np.frombuffer(key.encode(), dtype=np.uint8) - np.uint8(ord("0"))
-    if (bits > 1).any():
+def _bits(key: str | np.ndarray, name: str) -> np.ndarray:
+    """0/1 uint8 array of a key string, or the key itself if it is one;
+    any other character, value, dtype or type is an error."""
+    if isinstance(key, str):
+        bits = np.frombuffer(key.encode(), dtype=np.uint8) - np.uint8(ord("0"))
+    elif isinstance(key, np.ndarray) and key.dtype == np.uint8 and key.ndim == 1:
+        bits = key
+    else:
+        bits = None
+    if bits is None or (bits > 1).any():
         raise ValueError(f"{name} must contain only '0' and '1'")
     return bits
 
@@ -86,7 +96,8 @@ def _search_blocks(diff: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np
         lo = np.where(active & ~first_odd, mid, lo)
 
 
-def reconcile(alice: str, bob: str, passes: int = 2, initial_block: int = 8, seed: int = 0):
+def reconcile(alice: str | np.ndarray, bob: str | np.ndarray, passes: int = 2,
+              initial_block: int = 8, seed: int = 0):
     """Parity-exchange reconciliation with cascading back-search.
 
     Each pass partitions the key into blocks of `initial_block` bits
@@ -105,8 +116,9 @@ def reconcile(alice: str, bob: str, passes: int = 2, initial_block: int = 8, see
     exactly the cascades one-by-one searches would.
 
     Returns (corrected_bob, leaked) where leaked counts every disclosed
-    parity.  Residual errors (even-weight patterns aligned in all
-    partitions) remain in the output rather than being hidden.
+    parity; corrected_bob is a bit string for a string `bob` and a uint8
+    array for an array.  Residual errors (even-weight patterns aligned in
+    all partitions) remain in the output rather than being hidden.
     """
     if len(alice) != len(bob):
         raise ValueError("keys must have equal length")
@@ -163,7 +175,8 @@ def reconcile(alice: str, bob: str, passes: int = 2, initial_block: int = 8, see
                 q_mismatch[qb] ^= 1
                 if qi != pi and q_mismatch[qb]:
                     queue.append((qi, qb))
-    return bits_to_str(a ^ diff), leaked
+    corrected = a ^ diff
+    return (bits_to_str(corrected) if isinstance(bob, str) else corrected), leaked
 
 
 def final_key_length(n: int, qber: float, leaked: int, epsilon: float) -> int:
@@ -175,7 +188,8 @@ def final_key_length(n: int, qber: float, leaked: int, epsilon: float) -> int:
     return max(0, math.floor(n * (1 - binary_entropy(qber))) - leaked - margin)
 
 
-def privacy_amplify(key: str, leaked: int, qber: float, epsilon: float, seed: int) -> str:
+def privacy_amplify(key: str | np.ndarray, leaked: int, qber: float, epsilon: float,
+                    seed: int) -> str:
     """Compress a partially disclosed key with a seeded Toeplitz hash.
 
     The output is T @ key mod 2 for a random m x n binary Toeplitz
@@ -184,18 +198,19 @@ def privacy_amplify(key: str, leaked: int, qber: float, epsilon: float, seed: in
     the same seed end with identical final keys.  The product is
     evaluated by `toeplitz_hash`.
     """
-    if not key:
-        raise ValueError("key must be non-empty")
     bits = _bits(key, "key")
-    n = len(key)
+    n = len(bits)
+    if n == 0:
+        raise ValueError("key must be non-empty")
     m = final_key_length(n, qber, leaked, epsilon)
     if m == 0:
         return ""
     rng = np.random.default_rng(seed)
     diagonals = rng.integers(0, 2, size=m + n - 1, dtype=np.int64)
-    return bits_to_str(toeplitz_hash(diagonals, bits.astype(np.int64)))
+    return bits_to_str(toeplitz_hash(diagonals, bits))
 
 
+@functools.lru_cache(maxsize=1024)
 def _fft_size(length: int) -> int:
     """The smallest 2^a 3^b 5^c >= length (length >= 1)."""
     best = 1 << (length - 1).bit_length()
@@ -230,9 +245,11 @@ def toeplitz_hash(diagonals: np.ndarray, bits: np.ndarray) -> np.ndarray:
         raise ValueError(f"toeplitz_hash needs 1 <= len(bits) <= len(diagonals), "
                          f"got {n} bits and {len(diagonals)} diagonals")
     size = _fft_size(len(diagonals))
-    spectrum = np.fft.rfft(diagonals, size) * np.fft.rfft(bits, size)
+    spectrum = np.fft.rfft(diagonals, size)
+    spectrum *= np.fft.rfft(bits, size)
     x = np.fft.irfft(spectrum, size)[n - 1:n - 1 + m]
     rounded = np.rint(x)
-    if np.max(np.abs(x - rounded)) < 0.25:
+    x -= rounded  # each entry's deviation from its integer, in place
+    if np.abs(x, out=x).max() < 0.25:
         return rounded.astype(np.int64) & 1
     return np.convolve(diagonals, bits, mode="valid") & 1

@@ -834,7 +834,9 @@ def run_session(config: SessionConfig) -> SessionTranscript:
         if k > 1:
             row += rng.integers(k, size=m)
         minus = rng.random(m) >= table.p_plus.take(row)
-        nodes = table.next.take(2 * row + minus)
+        row <<= 1  # the (row, outcome) entry of the raveled next table
+        row += minus
+        nodes = table.next.take(row)
         if m and nodes.min() < 0:
             raise AssertionError("selected a zero-probability branch")
 
@@ -858,29 +860,30 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     positions = _Positions((*table.announcements, None), range(n), lost, ann, a_basis, b_basis,
                            a_out, b_out, kept, used_for_check)
 
-    # -- key material -----------------------------------------------------------
-    alice_raw = bob_raw = ""
+    # -- key material: 0/1 uint8 arrays up to the hash ------------------------------
+    alice_raw = ""
     if not report.aborted:
         in_key = kept & ~used_for_check
-        alice_raw = postproc.bits_to_str(key_bit[in_key])
-        bob_raw = postproc.bits_to_str(b_out[in_key])
+        # Kept positions hold key bits 0/1, never the -1 of the int8 leaves.
+        alice_bits = key_bit.compress(in_key).view(np.uint8)
+        bob_bits = b_out.compress(in_key).view(np.uint8)
+        alice_raw = postproc.bits_to_str(alice_bits)
 
     # -- post-processing ---------------------------------------------------------
     qber_used = report.qber
     reconcile_leaked = 0
-    bob_rec = bob_raw
-    if alice_raw and qber_used > 0.0:
-        block = max(8, min(len(alice_raw), math.ceil(0.73 / qber_used)))
-        bob_rec, reconcile_leaked = postproc.reconcile(
-            alice_raw, bob_raw, passes=3, initial_block=block, seed=rec_seed)
+    alice_final = bob_final = ""
     if alice_raw:
-        alice_final = postproc.privacy_amplify(alice_raw, reconcile_leaked, qber_used,
+        bob_rec = bob_bits
+        if qber_used > 0.0:
+            block = max(8, min(len(alice_raw), math.ceil(0.73 / qber_used)))
+            bob_rec, reconcile_leaked = postproc.reconcile(
+                alice_bits, bob_bits, passes=3, initial_block=block, seed=rec_seed)
+        alice_final = postproc.privacy_amplify(alice_bits, reconcile_leaked, qber_used,
                                                DEFAULT_EPSILON, pa_seed)
         # The hash is a function of its inputs: equal keys, equal output.
-        bob_final = alice_final if bob_rec == alice_raw else postproc.privacy_amplify(
+        bob_final = alice_final if np.array_equal(bob_rec, alice_bits) else postproc.privacy_amplify(
             bob_rec, reconcile_leaked, qber_used, DEFAULT_EPSILON, pa_seed)
-    else:
-        alice_final = bob_final = ""
 
     records = None
     if not isinstance(attack, NoAttack):

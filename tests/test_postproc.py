@@ -152,19 +152,22 @@ class TestSingleHash:
 
     def test_unequal_keys_are_hashed_each(self, monkeypatch):
         # Reconciliation is patched to leave one residual error in Bob's
-        # key, so the keys differ before and after hashing.
+        # key, so the keys differ before and after hashing.  Sessions pass
+        # the keys as uint8 arrays.
         calls = count_hashes(monkeypatch)
         real = postproc.reconcile
 
         def one_error_left(*args, **kwargs):
             bob, leaked = real(*args, **kwargs)
-            return bob[:-1] + "10"[int(bob[-1])], leaked
+            bob[-1] ^= 1
+            return bob, leaked
 
         monkeypatch.setattr(postproc, "reconcile", one_error_left)
         tr = run_session(SessionConfig(ProtocolId.GHZ1, 5000, qber_abort_threshold=0.3, rng_seed=1,
                                        attack=AncillaEntangle(coupling=0.1)))
         assert len(calls) == 2
-        assert calls[0] == tr.alice_raw_key and calls[1] != calls[0]
+        assert postproc.bits_to_str(calls[0]) == tr.alice_raw_key
+        assert not np.array_equal(calls[1], calls[0])
         assert tr.alice_final_key and tr.bob_final_key != tr.alice_final_key
 
 
@@ -229,6 +232,64 @@ class TestPrivacyAmplify:
         assert len(out) == expected
 
 
+def as_array(bits):
+    """The uint8 array of 0/1 that a '0'/'1' string spells."""
+    return np.array([int(c) for c in bits], dtype=np.uint8)
+
+
+class TestArrayKeys:
+    """A 0/1 uint8 array is the same key as its '0'/'1' string."""
+
+    @staticmethod
+    def assert_same_bits(alice, bob, passes, block, seed):
+        bob_str, leaked_str = reconcile(alice, bob, passes, block, seed)
+        bob_arr, leaked_arr = reconcile(as_array(alice), as_array(bob), passes, block, seed)
+        assert bob_arr.dtype == np.uint8 and postproc.bits_to_str(bob_arr) == bob_str
+        assert leaked_arr == leaked_str
+        for key in (alice, bob_str):
+            assert privacy_amplify(as_array(key), 0, 0.05, 2.0**-8, seed) == \
+                privacy_amplify(key, 0, 0.05, 2.0**-8, seed)
+        return bob_str
+
+    @pytest.mark.parametrize("n, qber, passes, block, seed, residual", [
+        (1, 0.0, 1, 8, 0, False), (1, 1.0, 1, 8, 0, False), (9, 0.0, 2, 8, 1, False),
+        (700, 0.03, 3, 8, 2, False), (3000, 0.0, 1, 8, 3, False), (3000, 0.3, 3, 8, 4, False),
+        (700, 0.2, 1, 8, 701, True), (3000, 0.1, 1, 8, 3001, True), (3000, 0.1, 2, 64, 3002, True),
+        (2000, 0.3, 2, 8, 2002, True), (2500, 0.2, 3, 16, 1, True),
+    ])
+    def test_string_and_array_give_the_same_bits(self, n, qber, passes, block, seed, residual):
+        rng = np.random.default_rng([n, passes, int(qber * 100)])
+        alice = random_bits(rng, n)
+        bob = flip(alice, np.flatnonzero(rng.random(n) < qber))
+        bob_rec = self.assert_same_bits(alice, bob, passes, block, seed)
+        assert (bob_rec != alice) == residual
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=3),
+           st.floats(min_value=0.0, max_value=0.5), st.integers(min_value=0, max_value=2**63 - 1))
+    def test_string_and_array_give_the_same_bits_any_shape(self, data, n, passes, qber, seed):
+        block = data.draw(st.integers(min_value=1, max_value=n + 3), label="block")
+        rng = np.random.default_rng(seed)
+        alice = random_bits(rng, n)
+        self.assert_same_bits(alice, flip(alice, np.flatnonzero(rng.random(n) < qber)), passes, block, seed)
+
+    @pytest.mark.parametrize("key", [
+        np.array([0, 1, 2, 0], dtype=np.uint8), np.array([255, 0, 1, 1], dtype=np.uint8),
+        np.array([0, 1, 1, 0], dtype=np.int8), np.array([0, 1, 1, 0], dtype=np.int64),
+        np.array([0, 1, 1, 0], dtype=np.uint16), np.array([0.0, 1.0, 1.0, 0.0]),
+        np.array([False, True, True, False]), np.array([[0], [1], [1], [0]], dtype=np.uint8),
+        [0, 1, 1, 0], b"0110",
+    ], ids=["two", "255", "int8", "int64", "uint16", "float64", "bool", "2-d", "list", "bytes"])
+    def test_other_values_or_dtypes_rejected(self, key):
+        good = np.array([0, 1, 1, 0], dtype=np.uint8)
+        for name, call in [("alice", lambda: reconcile(key, good, 2, 2)),
+                           ("bob", lambda: reconcile(good, key, 2, 2)),
+                           ("key", lambda: privacy_amplify(key, 0, 0.0, 1.0, seed=1)),
+                           ("key", lambda: privacy_amplify(key, 0, 0.5, 1.0, seed=1))]:
+            with pytest.raises(ValueError, match=rf"^{name} must contain only '0' and '1'$"):
+                call()
+
+
 def convolve_slice(diagonals, bits):
     """Exact reference: T @ bits mod 2 as a slice of the full convolution."""
     n = len(bits)
@@ -281,15 +342,20 @@ class TestToeplitzHash:
         expected = "".join("01"[v] for v in convolve_slice(diagonals, bits))
         assert privacy_amplify(key, 150, 0.02, 2.0**-32, seed=23) == expected
 
-    def test_fft_route_skips_the_exact_convolution(self, monkeypatch):
+    # Sessions hash uint8 key bits; int64 is the dtype of the diagonals.
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_fft_route_skips_the_exact_convolution(self, monkeypatch, dtype):
         calls = []
         real = np.convolve
         monkeypatch.setattr(np, "convolve", lambda *a, **k: calls.append(1) or real(*a, **k))
-        toeplitz_hash(*hash_inputs(3, 500, 200))
+        diagonals, bits = hash_inputs(3, 500, 200)
+        toeplitz_hash(diagonals, bits.astype(dtype))
         assert calls == []
 
-    def test_off_integer_fft_result_takes_exact_route(self, monkeypatch):
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_off_integer_fft_result_takes_exact_route(self, monkeypatch, dtype):
         diagonals, bits = hash_inputs(4, 777, 311)
+        bits = bits.astype(dtype)
         expected = toeplitz_hash(diagonals, bits)
         calls = []
         real_convolve, real_irfft = np.convolve, np.fft.irfft
