@@ -26,7 +26,6 @@ unnoticed.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 
@@ -210,7 +209,6 @@ def privacy_amplify(key: str | np.ndarray, leaked: int, qber: float, epsilon: fl
     return bits_to_str(toeplitz_hash(diagonals, bits))
 
 
-@functools.lru_cache(maxsize=1024)
 def _fft_size(length: int) -> int:
     """The smallest 2^a 3^b 5^c >= length (length >= 1)."""
     best = 1 << (length - 1).bit_length()
@@ -245,11 +243,9 @@ def toeplitz_hash(diagonals: np.ndarray, bits: np.ndarray) -> np.ndarray:
         raise ValueError(f"toeplitz_hash needs 1 <= len(bits) <= len(diagonals), "
                          f"got {n} bits and {len(diagonals)} diagonals")
     size = _fft_size(len(diagonals))
-    spectrum = np.fft.rfft(diagonals, size)
-    spectrum *= np.fft.rfft(bits, size)
+    spectrum = np.fft.rfft(diagonals, size) * np.fft.rfft(bits, size)
     x = np.fft.irfft(spectrum, size)[n - 1:n - 1 + m]
     rounded = np.rint(x)
-    x -= rounded  # each entry's deviation from its integer, in place
-    if np.abs(x, out=x).max() < 0.25:
+    if np.max(np.abs(x - rounded)) < 0.25:
         return rounded.astype(np.int64) & 1
     return np.convolve(diagonals, bits, mode="valid") & 1

@@ -834,9 +834,7 @@ def run_session(config: SessionConfig) -> SessionTranscript:
         if k > 1:
             row += rng.integers(k, size=m)
         minus = rng.random(m) >= table.p_plus.take(row)
-        row <<= 1  # the (row, outcome) entry of the raveled next table
-        row += minus
-        nodes = table.next.take(row)
+        nodes = table.next.take(2 * row + minus)
         if m and nodes.min() < 0:
             raise AssertionError("selected a zero-probability branch")
 
