@@ -12,7 +12,9 @@ Reconciliation keeps each pass's block parity mismatches and toggles
 them on every flip of Bob's bits, so no parity is ever recomputed.
 A pass's first-round blocks are disjoint and searched before any
 cascade, so they are binary searched together, one array step per
-halving; cascades are searched one block at a time.
+halving; cascades are searched one block at a time.  Once the keys
+agree, no later pass can flip a bit: reconciliation stops and charges
+the parities those passes would have disclosed.
 
 The Toeplitz hash is evaluated as a float64 FFT convolution in
 O(n log n) and rounded to the integer sums it approximates.  The
@@ -114,6 +116,15 @@ def reconcile(alice: str | np.ndarray, bob: str | np.ndarray, passes: int = 2,
     diff, and their flips are then applied in block order, queueing
     exactly the cascades one-by-one searches would.
 
+    Pass 1 reads the keys in natural order; each later pass keeps the
+    inverse of its shuffle, and a bit's block is its index in the pass
+    divided by `initial_block`.  A pass that starts with equal keys
+    would find every block parity in agreement, so reconciliation stops
+    there and adds `ceil(n / initial_block)` disclosed parities for it
+    and each pass after it, drawing none of their shuffles; the seeded
+    generator is private to the call, so the result is that of running
+    every pass.
+
     Returns (corrected_bob, leaked) where leaked counts every disclosed
     parity; corrected_bob is a bit string for a string `bob` and a uint8
     array for an array.  Residual errors (even-weight patterns aligned in
@@ -134,13 +145,28 @@ def reconcile(alice: str | np.ndarray, bob: str | np.ndarray, passes: int = 2,
     starts = np.arange(0, n, initial_block)
     ends = np.minimum(starts + initial_block, n)
     leaked = 0
-    orders: list[np.ndarray] = []
-    block_of: list[np.ndarray] = []  # per pass: position -> block index
-    mismatch: list[list[int]] = []  # per pass: block -> parities differ
+    # Per pass set up so far: its order (index -> position) and inverse
+    # (position -> index), both None for the first pass's natural order,
+    # and its block -> parities differ flags.  A position's block is its
+    # index // initial_block.
+    orders: list[np.ndarray | None] = []
+    indexes: list[np.ndarray | None] = []
+    mismatch: list[list[int]] = []
     queue: deque[tuple[int, int]] = deque()
     for p in range(passes):
-        order = np.arange(n) if p == 0 else rng.permutation(n)
-        ordered = diff[order]
+        if not diff.any():
+            # The keys agree: every parity left to disclose matches, so
+            # each remaining pass only adds its block count to the leak.
+            leaked += len(starts) * (passes - p)
+            break
+        if p == 0:
+            order = index = None
+            ordered = diff
+        else:
+            order = rng.permutation(n)
+            index = np.empty(n, dtype=np.intp)
+            index[order] = np.arange(n)
+            ordered = diff[order]
         odd = np.flatnonzero(np.add.reduceat(ordered, starts) & 1)
         leaked += len(starts)
         # The first round: every odd block of this pass, searched at once.
@@ -148,29 +174,30 @@ def reconcile(alice: str | np.ndarray, bob: str | np.ndarray, passes: int = 2,
         # order; this pass's blocks all end even.
         at, disclosed = _search_blocks(ordered, starts[odd], ends[odd])
         leaked += int(disclosed.sum())
-        found = order[at]
+        found = at if order is None else order[at]
         diff[found] ^= 1
-        for qbs in zip(*(q_block_of[found].tolist() for q_block_of in block_of)):
+        for qbs in zip(*(((found if q_index is None else q_index[found]) // initial_block).tolist()
+                         for q_index in indexes)):
             for qi, qb in enumerate(qbs):
                 mismatch[qi][qb] ^= 1
                 if mismatch[qi][qb]:
                     queue.append((qi, qb))
-        lookup = np.empty(n, dtype=np.int64)
-        lookup[order] = np.arange(n) // initial_block
         orders.append(order)
-        block_of.append(lookup)
+        indexes.append(index)
         mismatch.append([0] * len(starts))  # one flip in each odd block
         while queue:
             pi, bi = queue.popleft()
             if not mismatch[pi][bi]:
                 continue  # stale entry, fixed by an earlier cascade
-            block = orders[pi][bi * initial_block:(bi + 1) * initial_block]
+            lo = bi * initial_block
+            order = orders[pi]
+            block = slice(lo, lo + initial_block) if order is None else order[lo:lo + initial_block]
             offset, disclosed = _binary_search(diff[block].tolist())
             leaked += disclosed
-            pos = int(block[offset])
+            pos = lo + offset if order is None else int(block[offset])
             diff[pos] ^= 1
-            for qi, (q_block_of, q_mismatch) in enumerate(zip(block_of, mismatch)):
-                qb = int(q_block_of[pos])
+            for qi, (q_index, q_mismatch) in enumerate(zip(indexes, mismatch)):
+                qb = (pos if q_index is None else int(q_index[pos])) // initial_block
                 q_mismatch[qb] ^= 1
                 if qi != pi and q_mismatch[qb]:
                     queue.append((qi, qb))

@@ -87,7 +87,9 @@ levels, the adversary's coins (`integers(2, size=c)`) at the arrived
 positions whose leaf leaves her a guess, in position order.  Channel
 loss draws `random(n)` for Alice's leg, then `random(n)` for Bob's,
 against `config.legs`: the config is the one place a session's loss is
-stated, for a network session too.
+stated, for a network session too.  A leg at loss 0 or 1 draws
+nothing, as its outcome is known, unless Bob's leg draws after it: his
+leg always reads doubles n..2n-1 of the channel stream.
 Exactness rests on the Born probabilities the draws are compared
 against, not on the order, which only has to be fixed.  A bulk call
 returns what as many scalar calls would, so the tests hold every field
@@ -818,9 +820,12 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     is_bell = not scheme.center_bases
     if is_bell:
         labels = rngs[_STREAM_CENTER].integers(len(table.announcements), size=n)
+    # A leg at loss 0 or 1 needs no draw, but Alice's leg still draws
+    # when Bob's does: his leg reads doubles n..2n-1 of the channel stream.
     channel = rngs[_STREAM_CHANNEL]
-    lost = channel.random(n) < loss_a  # Alice's leg
-    lost |= channel.random(n) < loss_b  # Bob's leg
+    bob_draws = 0 < loss_b < 1
+    lost = channel.random(n) < loss_a if bob_draws or 0 < loss_a < 1 else np.full(n, loss_a == 1)
+    lost |= channel.random(n) < loss_b if bob_draws else loss_b == 1
     present = np.flatnonzero(~lost)
     # Until the leaves, every array has one entry per position that arrived.
     m = len(present)
@@ -841,8 +846,11 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     # -- per position its leaf, the lost column where lost ---------------------------
     # The transcript keeps what it is given: the six rows it shows, taken apart.
     arrived = nodes - len(table.p_plus)
-    leaf = np.full(n, table.leaves.shape[1] - 1)
-    leaf[present] = arrived
+    if m == n:
+        leaf = arrived
+    else:
+        leaf = np.full(n, table.leaves.shape[1] - 1)
+        leaf[present] = arrived
     ann, a_basis, b_basis, a_out, b_out, keep = table.leaves[:6].take(leaf, axis=1)
     key_bit = table.leaves[6].take(leaf)
     if is_bell:
@@ -851,7 +859,7 @@ def run_session(config: SessionConfig) -> SessionTranscript:
 
     # -- sift and check ----------------------------------------------------------
     kept_at = np.flatnonzero(kept)
-    report, checked = eavesdrop_check(key_bit[kept_at] != b_out[kept_at], config.check_fraction,
+    report, checked = eavesdrop_check(key_bit.take(kept_at) != b_out.take(kept_at), config.check_fraction,
                                       rngs[_STREAM_BOB], config.qber_abort_threshold)
     used_for_check = np.zeros(n, dtype=bool)
     used_for_check[kept_at[checked]] = True
@@ -887,9 +895,9 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     if not isinstance(attack, NoAttack):
         shown_basis, shown_out, guess = table.leaves[7:].take(arrived, axis=1)
         # Her coins where her record leaves a guess, on her stream (a cheating center's own).
-        coin = guess < 0
+        coin = np.flatnonzero(guess < 0)
         guess[coin] = rngs[_STREAM_CENTER if isinstance(attack, CheatingCenterMeasureAll)
-                           else _STREAM_EVE].integers(2, size=np.count_nonzero(coin))
+                           else _STREAM_EVE].integers(2, size=len(coin))
         records = _AdversaryRecords("probe-" if isinstance(attack, AncillaEntangle) else "", present,
                                     shown_basis, shown_out, guess)
     return SessionTranscript(config, positions, report, alice_raw, alice_final, bob_final,

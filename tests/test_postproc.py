@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -134,6 +135,92 @@ class TestReconcileMatchesReference:
         found, disclosed = postproc._search_blocks(diff, starts[odd], ends[odd])
         expected = [postproc._binary_search(diff[lo:hi].tolist()) for lo, hi in zip(starts[odd], ends[odd])]
         assert [(int(f - lo), int(d)) for f, lo, d in zip(found, starts[odd], disclosed)] == expected
+
+
+class TestReconcilePinned:
+    """Leaks and corrected bits pinned from the implementation that ran
+    every pass in full, over keys equal on entry (QBER 0), keys that
+    agree after one pass (every block-1 case), keys that never agree
+    (QBER 0.5 at blocks 8 and 80) and keys that agree after two to four.
+    Per (n, qber): the leaks of passes 1-4 x blocks 1, 8, 80, and the
+    sha256 prefix of the corrected bits of all twelve, concatenated."""
+
+    @pytest.mark.parametrize("n, qber, leaks, digest", [
+        (1, 0.0, [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4], "15ec7bf0b50732b4"),
+        (1, 0.05, [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4], "3ee5f0d83bf791f0"),
+        (9, 0.0, [9, 2, 1, 18, 4, 2, 27, 6, 3, 36, 8, 4], "c9bb3c4af62ebb06"),
+        (9, 0.05, [9, 2, 1, 18, 4, 2, 27, 6, 3, 36, 8, 4], "509a0410082e68a9"),
+        (9, 0.2, [9, 2, 5, 18, 4, 6, 27, 6, 7, 36, 8, 8], "8a93e5d6cbd57ecd"),
+        (9, 0.5, [9, 2, 1, 18, 4, 2, 27, 12, 3, 36, 14, 4], "fdfd945d0899c651"),
+        (257, 0.0, [257, 33, 4, 514, 66, 8, 771, 99, 12, 1028, 132, 16], "c1a6b33420db5039"),
+        (257, 0.01, [257, 39, 4, 514, 72, 21, 771, 105, 22, 1028, 138, 16], "1e0a45c2198fb6ac"),
+        (257, 0.05, [257, 66, 10, 514, 105, 36, 771, 138, 95, 1028, 171, 96], "5ff1c417f75823fa"),
+        (257, 0.2, [257, 102, 11, 514, 219, 15, 771, 252, 31, 1028, 285, 323], "8aa559a4553fb60b"),
+        (257, 0.5, [257, 75, 16, 514, 483, 30, 771, 519, 235, 1028, 549, 660], "1dbf395bca636f34"),
+        (5000, 0.0, [5000, 625, 63, 10000, 1250, 126, 15000, 1875, 189, 20000, 2500, 252],
+         "c46ad2dfe84fceb6"),
+        (5000, 0.01, [5000, 748, 149, 10000, 1379, 398, 15000, 2004, 465, 20000, 2629, 529],
+         "fd027438b96716af"),
+        (5000, 0.05, [5000, 1141, 296, 10000, 2006, 1600, 15000, 2631, 1803, 20000, 3256, 1858],
+         "15d17c5c3e746403"),
+        (5000, 0.2, [5000, 1522, 209, 10000, 4319, 2176, 15000, 4944, 6705, 20000, 5569, 6795],
+         "a6a45bf5420212c3"),
+        (5000, 0.5, [5000, 1609, 236, 10000, 8588, 4926, 15000, 9285, 15896, 20000, 9910, 15948],
+         "159a83aeb4d34d5d"),
+    ])
+    def test_pinned_leaks_and_bits(self, n, qber, leaks, digest):
+        rng = np.random.default_rng([n, int(qber * 1000)])
+        alice = rng.integers(0, 2, n).astype(np.uint8)
+        bob = alice ^ (rng.random(n) < qber).astype(np.uint8)
+        h = hashlib.sha256()
+        got = []
+        for passes in range(1, 5):
+            for block in [1, 8, 80]:
+                seed = 10 * passes + block
+                corrected, leaked = reconcile(alice, bob, passes, block, seed)
+                assert reconcile(postproc.bits_to_str(alice), postproc.bits_to_str(bob), passes, block,
+                                 seed) == (postproc.bits_to_str(corrected), leaked)
+                h.update(corrected.tobytes())
+                got.append(leaked)
+        assert got == leaks
+        assert h.hexdigest()[:16] == digest
+
+    @staticmethod
+    def count_shuffles(monkeypatch):
+        calls = []
+        real = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def permutation(self, n):
+                calls.append(n)
+                return self.rng.permutation(n)
+
+        monkeypatch.setattr(postproc.np.random, "default_rng", Counting)
+        return calls
+
+    @pytest.mark.parametrize("n, block", [(1, 1), (9, 8), (257, 8), (5000, 80), (40500, 61)])
+    @pytest.mark.parametrize("passes", [1, 2, 3, 4])
+    def test_equal_keys_draw_no_shuffle(self, monkeypatch, n, block, passes):
+        key = np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
+        calls = self.count_shuffles(monkeypatch)
+        corrected, leaked = reconcile(key, key.copy(), passes, block, seed=n)
+        assert calls == []
+        assert np.array_equal(corrected, key)
+        assert leaked == passes * math.ceil(n / block)
+
+    def test_keys_agreeing_after_one_pass_draw_no_shuffle(self, monkeypatch):
+        # Block 1 discloses every bit's parity, so one pass corrects all.
+        rng = np.random.default_rng(3)
+        alice = random_bits(rng, 500)
+        bob = flip(alice, np.flatnonzero(rng.random(500) < 0.1))
+        calls = self.count_shuffles(monkeypatch)
+        assert reconcile(alice, bob, 3, 1, seed=4) == (alice, 3 * 500)
+        assert calls == []
+        reconcile(alice, bob, 3, 8, seed=4)  # errors left after one pass: shuffles drawn
+        assert calls
 
 
 def count_hashes(monkeypatch):

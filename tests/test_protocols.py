@@ -325,6 +325,41 @@ class TestChannelLosses:
             assert lost.dtype == bool
             assert lost.tolist() == [a < loss_a or b < loss_b for a, b in zip(alice, bob)]
 
+    @pytest.mark.parametrize("loss_a, loss_b, draws", [
+        (0.0, 0.0, 0), (0.3, 0.0, 1), (0.0, 0.3, 2), (0.3, 0.2, 2), (1.0, 0.0, 0), (0.0, 1.0, 0),
+        (1.0, 1.0, 0), (0.3, 1.0, 1), (1.0, 0.3, 2)])
+    def test_a_leg_at_zero_or_one_draws_nothing(self, monkeypatch, loss_a, loss_b, draws):
+        """A leg at loss 0 or 1 needs no draw, except Alice's when Bob's
+        leg draws: his leg reads doubles n..2n-1 of the channel stream
+        either way.  The lost column is the two-draw one in every case."""
+        calls = []
+        real = protocols._stream
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size):
+                calls.append(size)
+                return self.rng.random(size)
+
+        def stream(seed, key):
+            rng = real(seed, key)
+            return Counting(rng) if key == protocols._STREAM_CHANNEL else rng
+
+        n, seed = 1000, 3
+        channel = real(seed, protocols._STREAM_CHANNEL)
+        alice, bob = channel.random(n), channel.random(n)
+        monkeypatch.setattr(protocols, "_stream", stream)
+        config = SessionConfig(ProtocolId.GHZ3, n, check_fraction=0.01,
+                               loss_probability=(loss_a, loss_b), rng_seed=seed)
+        lost = run_session(config).positions.column("lost")
+        assert calls == [n] * draws
+        assert lost.dtype == bool
+        assert lost.tolist() == [a < loss_a or b < loss_b for a, b in zip(alice, bob)]
+        if 1.0 in (loss_a, loss_b):
+            assert lost.all()
+
 
 class TestPositions:
     CONFIG =SessionConfig(ProtocolId.GHZ2, 500, loss_probability=0.2, rng_seed=5,
