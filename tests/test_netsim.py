@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -334,6 +335,40 @@ class TestScenarioFiles:
         lines = csv.strip().split("\n")
         assert len(lines) == 4
         assert lines[0].startswith("protocol,")
+
+    def test_error_paths_pinned(self):
+        # Every per-session error next to sessions that run; the report
+        # and CSV bytes are pinned.
+        def ghz1(requester, responder, n, **config):
+            return {"requester": requester, "responder": responder,
+                    "config": {"protocol": "GHZ1", "num_states": n, **config}}
+
+        doc = {
+            "seed": 3, "users": ["a", "b", "c"],
+            "channels": {"a": {"loss_probability": 0.7, "latency_ticks": 5},
+                         "b": {"loss_probability": 0.7, "latency_ticks": 7}},
+            "sessions": [
+                ghz1("a", "c", 300), ghz1("a", "a", 300), ghz1("a", "zed", 300),
+                ghz1("zed", "b", 300), ghz1("c", "b", 300, loss_probability=[0.0, 0.1]),
+                ghz1("a", "b", 10),
+                {"requester": "b", "responder": "c",
+                 "config": {"protocol": "BELL5", "num_states": 400}},
+            ],
+        }
+        result = run_network_scenario(scenario_from_json_dict(doc))
+        assert result.errors == [
+            None,
+            "a user cannot open a session with itself",
+            "user id 'zed' is not registered",
+            "user id 'zed' is not registered",
+            "loss_probability: set per user under channels, not in a session config",
+            "configuration leaves no unchecked positions in expectation",
+            None,
+        ]
+        report = hashlib.sha256(json.dumps(result.report).encode()).hexdigest()
+        csv = hashlib.sha256(report_csv(result).encode()).hexdigest()
+        assert report == "cd4bfe9cbadc126811fabf53a214b98ef3d9d3ac884efc1ac082dc0b0165ba2f"
+        assert csv == "b7d6c5d18718addaf672266ade3588fa46e20aeaa49f6ed3f41e9a8dcc3da2f6"
 
     def test_latency_bookkeeping(self):
         scenario = NetworkScenario(
