@@ -19,8 +19,6 @@ from .netsim import (
     ChannelModel,
     NetworkScenario,
     SessionSpec,
-    register_user,
-    request_session,
     run_network_scenario,
 )
 from .postproc import final_key_length, privacy_amplify, reconcile

@@ -1,7 +1,7 @@
-"""One trusted center, N registered users, lossy quantum channels.
+"""One trusted center, N users, lossy quantum channels.
 
-Users register once, each with its quantum channel to the center; any
-registered pair can request a key session.  The center runs the
+A scenario names its users, each user's quantum channel to the center,
+and the sessions between pairs of users.  The center runs the
 configured protocol between the two users, with each user's channel
 applying independent per-particle erasure on its quantum leg (the
 center's own particle never travels); the session's config states both
@@ -22,8 +22,8 @@ import numpy as np
 
 from .protocols import (
     SessionConfig,
-    SessionTranscript,
     _config_at,
+    _field,
     _integer,
     _known_keys,
     _member,
@@ -47,34 +47,6 @@ class ChannelModel:
             raise ValueError("latency_ticks must be non-negative")
 
 
-def register_user(registry: dict[str, ChannelModel], user_id: str,
-                  channel: ChannelModel | None = None) -> None:
-    """Register user_id with its quantum channel to the center."""
-    if user_id in registry:
-        raise ValueError(f"user id {user_id!r} already registered")
-    registry[user_id] = channel or ChannelModel()
-
-
-def request_session(registry: dict[str, ChannelModel], requester: str, responder: str,
-                    config: SessionConfig) -> SessionTranscript:
-    """Run one protocol session between two registered users.
-
-    The requester plays Alice and the responder Bob.  Loss is set per
-    user, so a config with its own loss_probability is refused; the
-    session runs with loss_probability (requester's channel loss,
-    responder's), which `SessionConfig` checks as it checks any loss.
-    """
-    if config.legs != (0.0, 0.0):
-        raise ValueError("loss_probability: set per user under channels, not in a session config")
-    if requester == responder:
-        raise ValueError("a user cannot open a session with itself")
-    for uid in (requester, responder):
-        if uid not in registry:
-            raise ValueError(f"user id {uid!r} is not registered")
-    legs = (registry[requester].loss_probability, registry[responder].loss_probability)
-    return run_session(replace(config, loss_probability=legs))
-
-
 @dataclass(frozen=True)
 class SessionSpec:
     requester: str
@@ -89,18 +61,20 @@ class NetworkScenario:
     sessions: tuple[SessionSpec, ...] = ()
     seed: int = 0
 
+    def __post_init__(self):
+        first = {}
+        for i, uid in enumerate(self.users):
+            if first.setdefault(uid, i) != i:
+                raise ValueError(f"users[{i}]: {uid!r} repeats users[{first[uid]}]")
+        for uid in self.channels:
+            if uid not in first:
+                raise ValueError(f"channels.{uid}: not one of users")
+
 
 def session_seed(scenario_seed: int, session_index: int) -> int:
     """Documented splitting rule for per-session seeds."""
     ss = np.random.SeedSequence(scenario_seed, spawn_key=(session_index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def build_registry(scenario: NetworkScenario) -> dict[str, ChannelModel]:
-    registry: dict[str, ChannelModel] = {}
-    for uid in scenario.users:
-        register_user(registry, uid, scenario.channels.get(uid))
-    return registry
 
 
 @dataclass
@@ -110,34 +84,52 @@ class ScenarioResult:
     report: dict
 
 
+def _session_config(scenario: NetworkScenario, index: int) -> SessionConfig:
+    """The config session index runs with.  The requester plays Alice
+    and the responder Bob, and loss_probability is (requester's channel
+    loss, responder's); a user without a channel has a lossless one.
+    Loss is set per user, so a config with its own loss is refused.
+    """
+    spec = scenario.sessions[index]
+    if spec.config.legs != (0.0, 0.0):
+        raise ValueError("loss_probability: set per user under channels, not in a session config")
+    if spec.requester == spec.responder:
+        raise ValueError("a user cannot open a session with itself")
+    for uid in (spec.requester, spec.responder):
+        if uid not in scenario.users:
+            raise ValueError(f"user id {uid!r} is not registered")
+    legs = tuple(scenario.channels.get(uid, ChannelModel()).loss_probability
+                 for uid in (spec.requester, spec.responder))
+    return replace(spec.config, rng_seed=session_seed(scenario.seed, index), loss_probability=legs)
+
+
 def run_network_scenario(scenario: NetworkScenario) -> ScenarioResult:
     """Execute all sessions in declared order.
 
     Session i runs its declared config with the seed
-    session_seed(scenario.seed, i).  A failing session is recorded and
-    the scenario continues.
+    session_seed(scenario.seed, i) and its two users' channel losses as
+    its legs.  A failing session is recorded and the scenario continues.
     """
-    registry = build_registry(scenario)
     transcripts, errors = [], []
-    for i, spec in enumerate(scenario.sessions):
-        cfg = replace(spec.config, rng_seed=session_seed(scenario.seed, i))
+    for i in range(len(scenario.sessions)):
         try:
-            transcripts.append(request_session(registry, spec.requester, spec.responder, cfg))
+            transcripts.append(run_session(_session_config(scenario, i)))
             errors.append(None)
         except ValueError as exc:
             transcripts.append(None)
             errors.append(str(exc))
-    report = _aggregate_report(scenario, registry, transcripts, errors)
+    report = _aggregate_report(scenario, transcripts, errors)
     return ScenarioResult(transcripts, errors, report)
 
 
-def _aggregate_report(scenario, registry, transcripts, errors) -> dict:
+def _aggregate_report(scenario, transcripts, errors) -> dict:
     rows = []
     per_protocol: dict[str, dict] = {}
     for i, (spec, transcript, error) in enumerate(zip(scenario.sessions, transcripts, errors)):
+        pair = (spec.requester, spec.responder)
         lat = 0
-        if spec.requester in registry and spec.responder in registry:
-            lat = registry[spec.requester].latency_ticks + registry[spec.responder].latency_ticks
+        if all(uid in scenario.users for uid in pair):
+            lat = sum(scenario.channels.get(uid, ChannelModel()).latency_ticks for uid in pair)
         row = {
             "session_index": i,
             "requester": spec.requester,
@@ -205,15 +197,9 @@ def scenario_from_json_dict(doc: dict) -> NetworkScenario:
         raise ValueError(f"schema_version: expected 1, got {version}")
     users = tuple(_of_type(uid, str, f"users[{i}]") for i, uid
                   in enumerate(_of_type(_member(doc, "users", "scenario"), list, "users")))
-    first = {}
-    for i, uid in enumerate(users):
-        if first.setdefault(uid, i) != i:
-            raise ValueError(f"users[{i}]: {uid!r} repeats users[{first[uid]}]")
     channels = {}
     for uid, ch in _of_type(doc.get("channels", {}), dict, "channels").items():
         path = f"channels.{uid}"
-        if uid not in users:
-            raise ValueError(f"{path}: not one of users")
         ch = _of_type(ch, dict, path)
         _known_keys(ch, ("loss_probability", "latency_ticks"), f"{path}: ")
         loss = _number(ch.get("loss_probability", 0.0), f"{path}.loss_probability")
@@ -228,8 +214,8 @@ def scenario_from_json_dict(doc: dict) -> NetworkScenario:
         s = _of_type(s, dict, path)
         _known_keys(s, ("requester", "responder", "config"), f"{path}: ")
         sessions.append(SessionSpec(
-            requester=_of_type(_member(s, "requester", path), str, f"{path}.requester"),
-            responder=_of_type(_member(s, "responder", path), str, f"{path}.responder"),
+            requester=_field(s, "requester", str, path),
+            responder=_field(s, "responder", str, path),
             config=_config_at(_member(s, "config", path), f"{path}.config"),
         ))
     seed = _integer(doc.get("seed", 0), "seed")

@@ -8,11 +8,8 @@ from tcqkd.netsim import (
     ChannelModel,
     NetworkScenario,
     SessionSpec,
-    build_registry,
     load_scenario,
-    register_user,
     report_csv,
-    request_session,
     run_network_scenario,
     scenario_from_json_dict,
     session_seed,
@@ -151,23 +148,14 @@ def make_config(protocol=ProtocolId.GHZ1, n=1000, **kw):
     return SessionConfig(protocol=protocol, num_states=n, **kw)
 
 
-class TestRegistry:
-    def test_register(self):
-        reg = {}
-        register_user(reg, "alice")
-        assert "alice" in reg and len(reg) == 1
-
-    def test_duplicate_rejected(self):
-        reg = {}
-        register_user(reg, "alice")
-        with pytest.raises(ValueError):
-            register_user(reg, "alice")
-
-    def test_many_users(self):
-        reg = {}
-        for i in range(10):
-            register_user(reg, f"u{i}")
-        assert len(reg) == 10
+class TestScenarioValidation:
+    @pytest.mark.parametrize("name", ["user_repeated", "user_repeated_later", "channel_not_a_user"])
+    def test_built_scenario_refused_like_a_loaded_one(self, name):
+        doc, message = MALFORMED_SCENARIOS[name]
+        channels = {uid: ChannelModel(**ch) for uid, ch in doc.get("channels", {}).items()}
+        with pytest.raises(ValueError) as exc:
+            NetworkScenario(users=tuple(doc["users"]), channels=channels)
+        assert str(exc.value) == message
 
     def test_channel_validation(self):
         with pytest.raises(ValueError):
@@ -176,38 +164,42 @@ class TestRegistry:
             ChannelModel(latency_ticks=-1)
 
 
-class TestRequestSession:
-    def _registry(self, loss=0.0):
-        reg = {}
-        register_user(reg, "u1", ChannelModel(loss_probability=loss))
-        register_user(reg, "u2", ChannelModel(loss_probability=loss))
-        return reg
+def one_session(config, requester="u1", responder="u2", losses=(0.0, 0.0)):
+    """Run a two-user scenario, users u1 and u2 with the given channel
+    losses, whose one session is requester -> responder."""
+    scenario = NetworkScenario(
+        users=("u1", "u2"),
+        channels={"u1": ChannelModel(losses[0]), "u2": ChannelModel(losses[1])},
+        sessions=(SessionSpec(requester, responder, config),),
+        seed=4,
+    )
+    return run_network_scenario(scenario)
 
+
+class TestOneSession:
     def test_basic_session(self):
-        tr = request_session(self._registry(), "u1", "u2", make_config(n=2000, rng_seed=4))
+        [tr] = one_session(make_config(n=2000)).transcripts
         assert abs(tr.kept_fraction - 0.5) <= 0.04
         assert tr.alice_final_key == tr.bob_final_key
 
     def test_self_session_rejected(self):
-        with pytest.raises(ValueError):
-            request_session(self._registry(), "u1", "u1", make_config())
+        result = one_session(make_config(), responder="u1")
+        assert result.errors == ["a user cannot open a session with itself"]
 
     def test_unregistered_rejected(self):
-        with pytest.raises(ValueError):
-            request_session(self._registry(), "u1", "ghost", make_config())
+        result = one_session(make_config(), responder="ghost")
+        assert result.transcripts == [None]
+        assert result.errors == ["user id 'ghost' is not registered"]
 
     def test_per_leg_loss_composition(self):
         # sift 0.5 times (1-0.5)^2 survival = 0.125
-        reg = self._registry(loss=0.5)
-        tr = request_session(reg, "u1", "u2",
-                             make_config(ProtocolId.BELL4, n=10000, rng_seed=10))
+        [tr] = one_session(make_config(ProtocolId.BELL4, n=10000), losses=(0.5, 0.5)).transcripts
+        assert tr.config.loss_probability == (0.5, 0.5)
         assert abs(tr.kept_fraction - 0.125) <= 0.02
 
     def test_asymmetric_legs(self):
-        reg = {}
-        register_user(reg, "u1", ChannelModel(loss_probability=0.3))
-        register_user(reg, "u2", ChannelModel(loss_probability=0.0))
-        tr = request_session(reg, "u1", "u2", make_config(n=10000, rng_seed=10))
+        [tr] = one_session(make_config(n=10000), losses=(0.3, 0.0)).transcripts
+        assert tr.config.loss_probability == (0.3, 0.0)
         assert abs(tr.kept_fraction - 0.5 * 0.7) <= 0.02
 
 
@@ -295,13 +287,12 @@ class TestScenarios:
         assert session_seed(7, 0) != session_seed(7, 1)
         assert session_seed(7, 0) == session_seed(7, 0)
 
-    def test_registry_integrity(self):
+    def test_rows_name_declared_users(self):
         scenario = three_user_scenario(n=500)
-        registry = build_registry(scenario)
         result = run_network_scenario(scenario)
         for row in result.report["sessions"]:
-            assert row["requester"] in registry
-            assert row["responder"] in registry
+            assert row["requester"] in scenario.users
+            assert row["responder"] in scenario.users
 
 
 class TestScenarioFiles:
