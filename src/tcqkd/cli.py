@@ -255,8 +255,9 @@ def _short(value) -> str:
 
 def _first_difference(found, expected, path: str = "") -> str | None:
     """Where two JSON values first differ, as one line that names the
-    field (object keys joined by dots) and, in equal-length strings such
-    as the position columns, the first index that differs; or None."""
+    field (object keys joined by dots, list items indexed as [i]) and, in
+    equal-length strings such as the position columns, the first index
+    that differs; lists of different lengths give both lengths; or None."""
     if isinstance(found, dict) and isinstance(expected, dict):
         for key in dict.fromkeys([*expected, *found]):
             where = f"{path}.{key}" if path else key
@@ -265,6 +266,14 @@ def _first_difference(found, expected, path: str = "") -> str | None:
             if key not in expected:
                 return f"{where}: not in the re-run's transcript"
             difference = _first_difference(found[key], expected[key], where)
+            if difference:
+                return difference
+        return None
+    if isinstance(found, list) and isinstance(expected, list):
+        if len(found) != len(expected):
+            return f"{path}: {len(found)} items in the file, {len(expected)} in the re-run"
+        for i, (a, b) in enumerate(zip(found, expected)):
+            difference = _first_difference(a, b, f"{path}[{i}]")
             if difference:
                 return difference
         return None

@@ -105,10 +105,13 @@ dict, on index, slice or iteration.  The JSON document keeps them as
 columns: `positions` holds the legends and one string per column with
 one digit per position (`-` for None), and the adversary's `records`
 one string per column with one digit per arrived position.
-`transcript_to_json` writes the bytes `json.dumps` would, but copies
-those strings, and every string of 0/1 only such as the keys, into its
-text: they hold nothing to escape, and `json` would scan them a
-character at a time.
+`transcript_to_json` is the one writer: it writes the document field by
+field in document order, the bytes `json.dumps` gives for it, and
+`transcript_to_json_dict` is the parsed document.  It copies those
+strings, and each key of 0/1 only, between quotes: they hold nothing to
+escape, and `json` would scan them a character at a time.  The small
+fields go through `json`; the event log and the position legends are
+encoded once per pairing, by `_compile`.
 
 A transcript stores only what the session decided (`SessionTranscript`);
 everything else it reports is derived from that on access, by the same
@@ -269,6 +272,16 @@ class SessionConfig:
         return loss if isinstance(loss, tuple) else (loss, loss)
 
     def __post_init__(self):
+        # Each field is stored as the document reader makes it, so the
+        # config holds only what its document can carry: Python numbers,
+        # and a loss pair as a tuple.
+        for name, read in (("num_states", _integer), ("check_fraction", _number),
+                           ("qber_abort_threshold", _number), ("rng_seed", _integer)):
+            object.__setattr__(self, name, read(getattr(self, name), name))
+        loss = self.loss_probability
+        object.__setattr__(self, "loss_probability", tuple(
+            _number(leg, f"loss_probability[{i}]") for i, leg in enumerate(loss))
+            if isinstance(loss, (list, tuple)) else _number(loss, "loss_probability"))
         if self.num_states < 1:
             raise ValueError("num_states must be >= 1")
         if not 0.0 < self.check_fraction < 1.0:
@@ -320,7 +333,7 @@ class _Columns(Sequence):
     equal-length columns, never stored.  `first` holds each item's first
     value, an integer (a range or an integer array); the other columns
     are small integers with -1 for None.  In JSON each of those is one
-    string, named in `names`, of one character per item (`_digits`)."""
+    string, named in `names`, of one character per item (`json_members`)."""
 
     names: tuple = ()
 
@@ -353,15 +366,17 @@ class _Columns(Sequence):
         """The column called name in JSON."""
         return self._columns[self.names.index(name)]
 
-    def _json_columns(self) -> dict:
-        return {name: _digits(c) for name, c in zip(self.names, self._columns)}
-
-
-class _Digits(str):
-    """A column's JSON string, made by `_digits`: digits and '-' only,
-    which JSON writes as they are."""
-
-    __slots__ = ()
+    def json_members(self) -> list:
+        """The columns as JSON members, in pieces: `,"name":"` and one
+        character per item, its byte translated through _DIGITS, then the
+        closing quote.  One translate covers every column."""
+        n = len(self)
+        text = memoryview(b"".join(c.view(np.uint8).tobytes() for c in self._columns)
+                          .translate(_DIGITS))
+        pieces = []
+        for i, name in enumerate(self.names):
+            pieces += (f',"{name}":"', str(text[i * n:(i + 1) * n], "ascii"), '"')
+        return pieces
 
 
 # A code's character, indexed by the code's byte: 0-9 are digits, and
@@ -371,12 +386,6 @@ _DIGITS = b"0123456789" + b"?" * 245 + b"-"
 # A character's code, 99 for a byte that is none of 0-9 and '-'.
 _CODES = np.full(256, 99, dtype=np.int8)
 _CODES[np.frombuffer(b"0123456789-", dtype=np.uint8)] = (*range(10), -1)
-
-
-def _digits(column: np.ndarray) -> _Digits:
-    """One character per entry of an int8 or bool column, its bytes
-    translated through _DIGITS."""
-    return _Digits(column.view(np.uint8).tobytes().translate(_DIGITS), "ascii")
 
 
 # Column value -> object; -1 indexes the trailing None.
@@ -398,9 +407,6 @@ class _Positions(_Columns):
         return PositionRecord(index, lost, self._lookup[announcement],
                               _BASES_OR_NONE[a_basis], _BASES_OR_NONE[b_basis],
                               _OUTCOMES_OR_NONE[a_out], _OUTCOMES_OR_NONE[b_out], kept, checked)
-
-    def to_json(self) -> dict:
-        return {**_legends(self._lookup[:-1]), **self._json_columns()}
 
     def in_key(self) -> np.ndarray:
         """Per position, whether it is key material: kept and not checked."""
@@ -425,9 +431,6 @@ class _AdversaryRecords(_Columns):
     def _item(self, position, basis, outcome, bit):
         return {"position": position, "basis_used": self._lookup + _BASES_OR_NONE[basis].value,
                 "outcome": _OUTCOMES_OR_NONE[outcome].value, "inferred_bit": bit}
-
-    def to_json(self) -> dict:
-        return {"basis_prefix": self._lookup, **self._json_columns()}
 
 
 @dataclass
@@ -481,8 +484,7 @@ class SessionTranscript:
 
     @property
     def events(self) -> list:
-        return [{"seq": i, "actor": actor, "event": event} for i, (actor, event)
-                in enumerate(_compile(self.config.protocol, self.config.attack).events)]
+        return json.loads(_compile(self.config.protocol, self.config.attack).events_json)
 
     @cached_property
     def kept_count(self) -> int:
@@ -670,8 +672,10 @@ class _Table:
     -1 everywhere and kept 0, is what a position that did not arrive
     shows; no path leads to it.
 
-    events are the (actor, event) pairs of `_timeline`, in order, which
-    the transcript's event log numbers.
+    events_json is the transcript's event log as JSON: the (actor, event)
+    pairs of `_timeline`, in order, numbered by seq.  legends_json is the
+    position legends' (`_legends`).  Every transcript of the pairing
+    writes both.
 
     steps lists what a session draws per level, in order: (stream,
     number of basis choices).  Per level a session draws every
@@ -686,7 +690,6 @@ class _Table:
     without an adversary.
     """
 
-    events: tuple
     steps: tuple
     p_plus: np.ndarray
     next: np.ndarray
@@ -694,6 +697,8 @@ class _Table:
     announcements: tuple
     detection_rate: float
     adversary_accuracy: float | None
+    events_json: str
+    legends_json: str
 
 
 @lru_cache(maxsize=64)
@@ -772,8 +777,10 @@ def _compile(protocol: ProtocolId, attack: AttackModel) -> _Table:
     arrays = [np.array(p_plus), np.array(nxt), leaves]
     for a in arrays:
         a.flags.writeable = False
-    return _Table(tuple((actor, event) for actor, event, _ in timeline), tuple(steps), *arrays,
-                  scheme.announcements, errors / kept, correct / kept if adversary else None)
+    log = [{"seq": i, "actor": actor, "event": event} for i, (actor, event, _) in enumerate(timeline)]
+    return _Table(tuple(steps), *arrays, scheme.announcements, errors / kept,
+                  correct / kept if adversary else None, _JSON.encode(log),
+                  _JSON.encode(_legends(scheme.announcements)))
 
 
 def _code(value) -> int:
@@ -971,11 +978,15 @@ def config_to_json_dict(config: SessionConfig) -> dict:
     }
 
 
+# What a number field takes: a NumPy scalar too, read as the Python number.
+_NUMBER = (int, float, np.integer, np.floating)
+
+
 def _number(value, path: str) -> float:
     """float(value) for a number field at path of a config or scenario
     document; true, false and strings are not numbers."""
     try:
-        return float(_of_type(value, (int, float), path))
+        return float(_of_type(value, _NUMBER, path))
     except (OverflowError, ValueError):
         raise ValueError(f"{path}: expected a number, got {value!r}") from None
 
@@ -992,7 +1003,7 @@ def _of_type(value, kind, path: str):
     """value, if it has the JSON type kind; true and false are not numbers."""
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         expected = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
-                    int: "an integer", (int, float): "a number"}[kind]
+                    int: "an integer", _NUMBER: "a number"}[kind]
         raise ValueError(f"{path}: expected {expected}, got {type(value).__name__}")
     return value
 
@@ -1007,15 +1018,13 @@ def config_from_json_dict(doc: dict) -> SessionConfig:
     """The config `config_to_json_dict` wrote; a key it does not write
     is refused."""
     _known_keys(doc, [f.name for f in fields(SessionConfig)])
-    loss = doc.get("loss_probability", 0.0)
     return SessionConfig(
         protocol=ProtocolId(doc["protocol"]),
-        num_states=_integer(doc["num_states"], "num_states"),
-        check_fraction=_number(doc.get("check_fraction", 0.1), "check_fraction"),
-        qber_abort_threshold=_number(doc.get("qber_abort_threshold", 0.0), "qber_abort_threshold"),
-        loss_probability=(tuple(_number(leg, f"loss_probability[{i}]") for i, leg in enumerate(loss))
-                          if isinstance(loss, list) else _number(loss, "loss_probability")),
-        rng_seed=_integer(doc.get("rng_seed", 0), "rng_seed"),
+        num_states=doc["num_states"],
+        check_fraction=doc.get("check_fraction", 0.1),
+        qber_abort_threshold=doc.get("qber_abort_threshold", 0.0),
+        loss_probability=doc.get("loss_probability", 0.0),
+        rng_seed=doc.get("rng_seed", 0),
         attack=attack_from_json(doc.get("attack", {"kind": "none"})),
     )
 
@@ -1034,78 +1043,49 @@ def _config_at(doc, path: str) -> SessionConfig:
 SCHEMA_VERSION = 4
 
 
-def transcript_to_json_dict(transcript: SessionTranscript) -> dict:
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def transcript_to_json(transcript: SessionTranscript) -> str:
+    """The transcript's document and a newline, written field by field
+    in document order: the bytes `json.dumps(doc, separators=(",", ":"))`
+    gives.  The small fields go through `_JSON`; the event log and the
+    position legends are the pairing's, encoded once by `_compile`.  The
+    position and record columns, and each key of 0/1 only (`_is_bits`),
+    are copied between quotes: they hold nothing to escape, and `json`
+    would scan them a character at a time.  A key that is not bits goes
+    through `_JSON`."""
+    config, report = transcript.config, transcript.check_report
+    table = _compile(config.protocol, config.attack)
+    out = [f'{{"schema_version":{SCHEMA_VERSION},"config":', _JSON.encode(config_to_json_dict(config)),
+           ',"events":', table.events_json, ',"positions":', table.legends_json[:-1],
+           *transcript.positions.json_members(), '},"check_report":',
+           _JSON.encode({key: getattr(report, key) for key in (
+               "checked_count", "error_count", "qber", "aborted", "empty_check_warning")})]
+    for key in ("alice_raw_key", "bob_raw_key", "alice_final_key", "bob_final_key"):
+        bits = getattr(transcript, key)
+        out += (f',"{key}":"', bits, '"') if _is_bits(bits) else (f',"{key}":', _JSON.encode(bits))
+    out += (',"postproc":', _JSON.encode(vars(transcript.postproc_summary)), ',"adversary":')
     adversary = transcript.adversary
-    if adversary is not None:
-        adversary["records"] = adversary["records"].to_json()
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": config_to_json_dict(transcript.config),
-        "events": transcript.events,
-        "positions": transcript.positions.to_json(),
-        "check_report": {key: getattr(transcript.check_report, key) for key in (
-            "checked_count", "error_count", "qber", "aborted", "empty_check_warning")},
-        "alice_raw_key": transcript.alice_raw_key,
-        "bob_raw_key": transcript.bob_raw_key,
-        "alice_final_key": transcript.alice_final_key,
-        "bob_final_key": transcript.bob_final_key,
-        "postproc": vars(transcript.postproc_summary),  # a fresh summary per access
-        "adversary": adversary,
+    if adversary is None:
+        out.append("null")
+    else:
+        records = adversary.pop("records")
+        out += (_JSON.encode(adversary)[:-1], ',"records":{"basis_prefix":',
+                _JSON.encode(records._lookup), *records.json_members(), "}}")
+    out += (",", _JSON.encode({
         "kept_count": transcript.kept_count,
         "kept_fraction": transcript.kept_fraction,
         "efficiency_measured": transcript.efficiency_measured,
         "efficiency_bound": transcript.efficiency_bound,
         "baseline_time_reserved": TIME_RESERVED_EPR_BASELINE,
-    }
-
-
-def transcript_to_json(transcript: SessionTranscript) -> str:
-    """`json.dumps(transcript_to_json_dict(transcript), separators=(",",
-    ":"))` and a newline, byte for byte, with its columns and bit
-    strings copied rather than escaped (`_write_json`)."""
-    out = []
-    _write_json(transcript_to_json_dict(transcript), out)
-    out.append("\n")
+    })[1:], "\n")
     return "".join(out)
 
 
-_JSON = json.JSONEncoder(separators=(",", ":"))
-
-
-def _copied(value) -> bool:
-    """Whether `_write_json` copies value into its text: a string JSON
-    writes as it is between quotes, known without json's per-character
-    scan (a column `_digits` made, or bits by `_is_bits`, the check
-    `_key_at` makes), or a dict that holds one."""
-    if isinstance(value, dict):
-        return any(map(_copied, value.values()))
-    return type(value) is _Digits or isinstance(value, str) and _is_bits(value)
-
-
-def _write_json(doc: dict, out: list) -> None:
-    """Append to out the pieces of `_JSON.encode(doc)`: a copied string
-    goes between quotes as it is, a dict that holds one is written item
-    by item, and each run of the other items goes through `_JSON`."""
-    out.append("{")
-    rest = {}
-    for key, value in doc.items():
-        if not _copied(value):
-            rest[key] = value
-            continue
-        if rest:
-            out += (_JSON.encode(rest)[1:-1], ",")
-            rest = {}
-        out.append(_JSON.encode(key) + ":")
-        if isinstance(value, dict):
-            _write_json(value, out)
-        else:
-            out += ('"', value, '"')
-        out.append(",")
-    if rest:
-        out.append(_JSON.encode(rest)[1:-1])
-    elif out[-1] == ",":
-        out.pop()
-    out.append("}")
+def transcript_to_json_dict(transcript: SessionTranscript) -> dict:
+    """The parsed document `transcript_to_json` writes."""
+    return json.loads(transcript_to_json(transcript))
 
 
 def _field(doc: dict, key: str, kind, path: str = ""):

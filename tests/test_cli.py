@@ -310,8 +310,26 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {out}: {name}: ") and err.endswith(" in the re-run\n")
+        # The reversed log differs first in its first event's seq.
+        where = "events[0].seq" if name == "events" else name
+        assert err.startswith(f"error: {out}: {where}: ") and err.endswith(" in the re-run\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda events: events[3].update(event="announce"),
+         "events[3].event: 'announce' in the file, 'announce_results' in the re-run"),
+        (lambda events: events.pop(), "events: 9 items in the file, 10 in the re-run"),
+    ], ids=["item", "length"])
+    def test_differing_list_item_is_named(self, edit, message, tmp_path, capsys):
+        out = tmp_path / "ghz1-intercept.json"
+        assert main(["attack", "GHZ1", "intercept-resend", "--num-states", "2000",
+                     "--seed", "1", "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        edit(doc["events"])
+        out.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out}: {message}\n"
 
     @pytest.mark.parametrize("content,message", [
         (b'{"schema_version":', "Expecting value: line 1 column 19 (char 18)"),

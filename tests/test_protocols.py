@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from tcqkd import protocols
@@ -180,6 +181,39 @@ class TestConfigValidation:
         for bad in [(0.1,), (0.1, 0.2, 0.3), (0.1, 1.5), (-0.1, 0.0)]:
             with pytest.raises(ValueError, match="loss_probability"):
                 SessionConfig(ProtocolId.GHZ1, 100, loss_probability=bad)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("rng_seed", True, "rng_seed: expected a number, got True"),
+        ("num_states", 2000.5, "num_states: expected an integer, got 2000.5"),
+        ("loss_probability", "0.1", "loss_probability: expected a number, got '0.1'"),
+        ("loss_probability", [0.1, "0.2"], "loss_probability[1]: expected a number, got '0.2'"),
+        ("check_fraction", None, "check_fraction: expected a number, got None"),
+    ])
+    def test_a_value_no_document_carries_is_refused(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            SessionConfig(ProtocolId.GHZ1, **{"num_states": 2000, field: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("field,value,stored", [
+        ("num_states", 2000.0, 2000),
+        ("num_states", np.int64(2000), 2000),
+        ("rng_seed", 7.0, 7),
+        ("rng_seed", np.uint64(2**64 - 1), 2**64 - 1),
+        ("check_fraction", np.float32(0.2), float(np.float32(0.2))),
+        ("qber_abort_threshold", 0, 0.0),
+        ("loss_probability", [0.1, 0.2], (0.1, 0.2)),
+        ("loss_probability", (np.float64(0.1), 0), (0.1, 0.0)),
+    ])
+    def test_stored_as_the_reader_makes_it(self, field, value, stored):
+        """A number the document reader would give back is stored as that
+        Python number, so the session runs and its transcript reads back."""
+        config = SessionConfig(ProtocolId.GHZ1, **{"num_states": 2000, field: value})
+        kept = getattr(config, field)
+        assert kept == stored and type(kept) is type(stored)
+        if isinstance(kept, tuple):
+            assert [type(leg) for leg in kept] == [float, float]
+        transcript = run_session(config)
+        assert protocols.transcript_from_json(transcript_to_json(transcript)).config == config
 
 
 class TestSessions:

@@ -20,6 +20,7 @@ from tcqkd.adversary import AncillaEntangle, InterceptResend
 from tcqkd.protocols import (
     ProtocolId,
     SessionConfig,
+    config_from_json_dict,
     config_to_json_dict,
     run_session,
     transcript_from_json,
@@ -89,6 +90,18 @@ def test_round_trip(data):
         config = draw_session(data, protocol, attacks)
         if config is not None:
             assert_round_trip(run_session(config))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_config_round_trip(data):
+    """A config reads back from its document as the config that wrote it."""
+    for protocol, _, attacks in ATTACKS:
+        config = draw_session(data, protocol, attacks)
+        if config is not None:
+            assert config_from_json_dict(config_to_json_dict(config)) == config
+            doc = json.loads(json.dumps(config_to_json_dict(config)))
+            assert config_from_json_dict(doc) == config
 
 
 @pytest.mark.parametrize("loss", [0.0, (0.05, 0.2)], ids=["lossless", "lossy"])
