@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tcqkd import protocols
-from tcqkd.adversary import AncillaEntangle, CheatingCenterMeasureAll, InterceptResend, NoAttack
+from tcqkd.adversary import AncillaEntangle, CheatingCenterMeasureAll, InterceptResend, NoAttack, Party
 from tcqkd.protocols import (
     ProtocolId,
     SessionConfig,
@@ -214,6 +214,28 @@ class TestConfigValidation:
             assert [type(leg) for leg in kept] == [float, float]
         transcript = run_session(config)
         assert protocols.transcript_from_json(transcript_to_json(transcript)).config == config
+
+    @pytest.mark.parametrize("read,doc,default", [
+        (protocols.config_from_json_dict, {"protocol": "GHZ1", "num_states": 2000},
+         SessionConfig(ProtocolId.GHZ1, 2000)),
+        (protocols.attack_from_json, {}, NoAttack()),
+        *[(protocols.attack_from_json, {"kind": cls.kind}, cls())
+          for cls in (NoAttack, InterceptResend, CheatingCenterMeasureAll, AncillaEntangle)],
+    ])
+    def test_a_key_left_out_reads_as_the_default(self, read, doc, default):
+        """Each default is the dataclass's: a document without the key
+        reads as the object built without the field."""
+        assert read(doc) == default
+
+    @pytest.mark.parametrize("protocol,attack", [
+        (ProtocolId.BELL4, InterceptResend(Party.BOB, (Z, X))),
+        (ProtocolId.GHZ2, CheatingCenterMeasureAll(Y)),
+        (ProtocolId.GHZ3, AncillaEntangle(0.05)),
+    ])
+    def test_non_default_fields_round_trip(self, protocol, attack):
+        config = SessionConfig(protocol, 2000, check_fraction=0.2, qber_abort_threshold=0.3,
+                               loss_probability=(0.1, 0.2), rng_seed=7, attack=attack)
+        assert protocols.config_from_json_dict(protocols.config_to_json_dict(config)) == config
 
 
 class TestSessions:
