@@ -14,10 +14,13 @@ Three executable attacks:
 Attacks act only on in-flight states and public announcements; they
 never read party-internal records.  This module holds the attack
 models, the probe states, Eve's pair-projection guess and her
-per-position inference; sessions apply the attacks as steps of the
-per-position process `protocols` compiles, and the exact detection and
-accuracy oracles (`protocols.predict_detection_rate`,
-`predict_adversary_accuracy`) are sums over that compiled tree.
+per-position inference.  A model's fields are its document: it reads
+them as the document reader does (a party or a basis by value, a pool
+as a tuple of bases, the coupling as a Python number).  Sessions apply
+the attacks as steps of the per-position process `protocols` compiles,
+and the exact detection and accuracy oracles
+(`protocols.predict_detection_rate`, `predict_adversary_accuracy`) are
+sums over that compiled tree.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from enum import Enum
 
 import numpy as np
 
+from .jsonfields import _number
 from .qstate import (
     Basis,
     GHZ,
@@ -65,8 +69,15 @@ class InterceptResend:
     basis_pool: tuple[Basis, ...] | None = None
 
     def __post_init__(self):
-        if self.basis_pool is not None and len(self.basis_pool) == 0:
-            raise ValueError("basis_pool must be non-empty")
+        pool = self.basis_pool
+        if pool is not None:
+            if not isinstance(pool, (list, tuple)):
+                raise ValueError(f"basis_pool: expected a list, got {type(pool).__name__}")
+            if not pool:
+                raise ValueError("basis_pool must be non-empty")
+            pool = tuple(map(Basis, pool))
+        object.__setattr__(self, "target_party", Party(self.target_party))
+        object.__setattr__(self, "basis_pool", pool)
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,9 @@ class CheatingCenterMeasureAll:
 
     kind = "cheating_center"
     basis: Basis = Basis.X
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", Basis(self.basis))
 
 
 @dataclass(frozen=True)
@@ -85,6 +99,7 @@ class AncillaEntangle:
     coupling: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "coupling", _number(self.coupling, "attack.coupling"))
         if not 0.0 <= self.coupling <= 1.0:
             raise ValueError("coupling must be in [0, 1]")
 

@@ -28,7 +28,6 @@ from .adversary import (
     CheatingCenterMeasureAll,
     InterceptResend,
     NoAttack,
-    Party,
     UnsupportedAttackError,
 )
 from .protocols import (
@@ -41,7 +40,7 @@ from .protocols import (
     transcript_to_json,
     TIME_RESERVED_EPR_BASELINE,
 )
-from .qstate import Basis, TableScenario, derive_correlation_table, table_to_csv, table_to_text
+from .qstate import TableScenario, derive_correlation_table, table_to_csv, table_to_text
 
 _TABLE_SELECTORS = {
     "bell": TableScenario.BELL_TABLE_I,
@@ -199,12 +198,10 @@ def cmd_run(args, attack=NoAttack()) -> int:
 
 def cmd_attack(args) -> int:
     if args.kind == "intercept-resend":
-        pool = None
-        if args.pool:
-            pool = tuple(Basis(b.strip().upper()) for b in args.pool.split(","))
-        attack = InterceptResend(target_party=Party(args.target), basis_pool=pool)
+        pool = [b.strip().upper() for b in args.pool.split(",")] if args.pool else None
+        attack = InterceptResend(target_party=args.target, basis_pool=pool)
     elif args.kind == "cheating-center":
-        attack = CheatingCenterMeasureAll(basis=Basis(args.basis))
+        attack = CheatingCenterMeasureAll(basis=args.basis)
     else:
         attack = AncillaEntangle(coupling=args.coupling)
     return cmd_run(args, attack)

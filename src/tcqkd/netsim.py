@@ -20,15 +20,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .jsonfields import _integer, _known_keys, _number, _of_type
 from .protocols import (
     SessionConfig,
     _config_at,
     _field,
-    _integer,
-    _known_keys,
     _member,
-    _number,
-    _of_type,
     run_session,
     summary_csv_row,
     SUMMARY_CSV_HEADER,

@@ -106,12 +106,17 @@ columns: `positions` holds the legends and one string per column with
 one digit per position (`-` for None), and the adversary's `records`
 one string per column with one digit per arrived position.
 `transcript_to_json` is the one writer: it writes the document field by
-field in document order, the bytes `json.dumps` gives for it, and
-`transcript_to_json_dict` is the parsed document.  It copies those
-strings, and each key of 0/1 only, between quotes: they hold nothing to
-escape, and `json` would scan them a character at a time.  The small
-fields go through `json`; the event log and the position legends are
-encoded once per pairing, by `_compile`.
+field in document order, the bytes `json.dumps` gives for it.  It copies
+those strings, and each key of 0/1 only, between quotes: they hold
+nothing to escape, and `json` would scan them a character at a time.
+The small fields go through `json`; the event log and the position
+legends are encoded once per pairing, by `_compile`.
+
+A config's document is its fields: `SessionConfig` and the attack models
+read their own fields as the document reader would, so each default is
+stated once, on the dataclass.  `config_to_json_dict` writes a config
+or an attack field by field; the readers refuse a key no field has and
+pass the others to the dataclass.
 
 A transcript stores only what the session decided (`SessionTranscript`);
 everything else it reports is derived from that on access, by the same
@@ -125,9 +130,10 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import get_args
 
 import numpy as np
 
@@ -143,6 +149,7 @@ from .adversary import (
     infer_bob_outcome,
     probe_vectors,
 )
+from .jsonfields import _integer, _known_keys, _number, _of_type
 from .qstate import (
     GHZ,
     Basis,
@@ -273,8 +280,10 @@ class SessionConfig:
 
     def __post_init__(self):
         # Each field is stored as the document reader makes it, so the
-        # config holds only what its document can carry: Python numbers,
-        # and a loss pair as a tuple.
+        # config holds only what its document can carry: the protocol by
+        # value, Python numbers, and a loss pair as a tuple.  The attack
+        # models read their own fields.
+        object.__setattr__(self, "protocol", ProtocolId(self.protocol))
         for name, read in (("num_states", _integer), ("check_fraction", _number),
                            ("qber_abort_threshold", _number), ("rng_seed", _integer)):
             object.__setattr__(self, name, read(getattr(self, name), name))
@@ -519,8 +528,9 @@ class SessionTranscript:
         if records is None:
             return None
         protocol, attack = self.config.protocol, self.config.attack
-        params = _attack_json(replace(attack, basis_pool=_intercept_pool(protocol, attack))
-                              if isinstance(attack, InterceptResend) else attack)
+        params = config_to_json_dict(attack)
+        if isinstance(attack, InterceptResend):  # the pool she drew from
+            params["basis_pool"] = [b.value for b in _intercept_pool(protocol, attack)]
         return {
             "kind": params.pop("kind"),
             "params": params,
@@ -922,90 +932,34 @@ def _announcement_json(ann):
     return {"basis": ann[0].value, "outcome": ann[1].value}
 
 
-def _attack_json(attack: AttackModel) -> dict:
-    doc = {"kind": attack.kind}
-    if isinstance(attack, InterceptResend):
-        doc["target_party"] = attack.target_party.value
-        doc["basis_pool"] = None if attack.basis_pool is None else [b.value for b in attack.basis_pool]
-    elif isinstance(attack, CheatingCenterMeasureAll):
-        doc["basis"] = attack.basis.value
-    elif isinstance(attack, AncillaEntangle):
-        doc["coupling"] = attack.coupling
-    return doc
-
-
-def _known_keys(doc: dict, keys, prefix: str = ""):
-    """Refuse a key of doc that is not one of keys."""
-    for key in doc:
-        if key not in keys:
-            raise ValueError(f"{prefix}unknown key {key!r}")
-
-
 def attack_from_json(doc) -> AttackModel:
-    """The attack `_attack_json` wrote; a key it does not write is refused."""
+    """The attack `config_to_json_dict` wrote; a key it does not write is
+    refused, and a field it leaves out is the attack's default."""
     if not isinstance(doc, dict):
         raise ValueError(f"attack: expected an object, got {type(doc).__name__}")
-    kind = doc.get("kind", "none")
-    if kind == "none":
-        attack = NoAttack()
-    elif kind == "intercept_resend":
-        pool = doc.get("basis_pool")
-        if pool is not None and not isinstance(pool, list):
-            raise ValueError(f"basis_pool: expected a list, got {type(pool).__name__}")
-        attack = InterceptResend(
-            target_party=Party(doc.get("target_party", "alice")),
-            basis_pool=None if pool is None else tuple(Basis(b) for b in pool),
-        )
-    elif kind == "cheating_center":
-        attack = CheatingCenterMeasureAll(basis=Basis(doc.get("basis", "X")))
-    elif kind == "ancilla":
-        attack = AncillaEntangle(coupling=_number(doc.get("coupling", 1.0), "attack.coupling"))
-    else:
+    kind = doc.get("kind", NoAttack.kind)
+    cls = next((cls for cls in get_args(AttackModel) if cls.kind == kind), None)
+    if cls is None:
         raise ValueError(f"unknown attack kind {kind!r}")
-    _known_keys(doc, _attack_json(attack), "attack: ")
-    return attack
+    _known_keys(doc, ["kind", *(f.name for f in fields(cls))], "attack: ")
+    return cls(**{key: value for key, value in doc.items() if key != "kind"})
 
 
-def config_to_json_dict(config: SessionConfig) -> dict:
-    return {
-        "protocol": config.protocol.value,
-        "num_states": config.num_states,
-        "check_fraction": config.check_fraction,
-        "qber_abort_threshold": config.qber_abort_threshold,
-        "loss_probability": config.loss_probability,
-        "rng_seed": config.rng_seed,
-        "attack": _attack_json(config.attack),
-    }
-
-
-# What a number field takes: a NumPy scalar too, read as the Python number.
-_NUMBER = (int, float, np.integer, np.floating)
-
-
-def _number(value, path: str) -> float:
-    """float(value) for a number field at path of a config or scenario
-    document; true, false and strings are not numbers."""
-    try:
-        return float(_of_type(value, _NUMBER, path))
-    except (OverflowError, ValueError):
-        raise ValueError(f"{path}: expected a number, got {value!r}") from None
-
-
-def _integer(value, path: str) -> int:
-    """`_number` for an integer field, refusing to truncate a fractional
-    number or to read an infinite one."""
-    if not _number(value, path).is_integer():
-        raise ValueError(f"{path}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _of_type(value, kind, path: str):
-    """value, if it has the JSON type kind; true and false are not numbers."""
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        expected = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
-                    int: "an integer", _NUMBER: "a number"}[kind]
-        raise ValueError(f"{path}: expected {expected}, got {type(value).__name__}")
-    return value
+def config_to_json_dict(config) -> dict:
+    """The document of a config or of its attack: its fields in
+    declaration order, an attack's kind first, with an enum by value, a
+    tuple as a list and the attack as its own document."""
+    doc = {"kind": config.kind} if hasattr(config, "kind") else {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = [item.value if isinstance(item, Enum) else item for item in value]
+        elif hasattr(value, "kind"):
+            value = config_to_json_dict(value)
+        doc[f.name] = value
+    return doc
 
 
 def _member(doc: dict, key: str, path: str):
@@ -1016,17 +970,13 @@ def _member(doc: dict, key: str, path: str):
 
 def config_from_json_dict(doc: dict) -> SessionConfig:
     """The config `config_to_json_dict` wrote; a key it does not write
-    is refused."""
+    is refused, and a field it leaves out is the config's default."""
     _known_keys(doc, [f.name for f in fields(SessionConfig)])
-    return SessionConfig(
-        protocol=ProtocolId(doc["protocol"]),
-        num_states=doc["num_states"],
-        check_fraction=doc.get("check_fraction", 0.1),
-        qber_abort_threshold=doc.get("qber_abort_threshold", 0.0),
-        loss_probability=doc.get("loss_probability", 0.0),
-        rng_seed=doc.get("rng_seed", 0),
-        attack=attack_from_json(doc.get("attack", {"kind": "none"})),
-    )
+    doc = dict(doc)
+    protocol, num_states = doc.pop("protocol"), doc.pop("num_states")
+    if "attack" in doc:
+        doc["attack"] = attack_from_json(doc["attack"])
+    return SessionConfig(protocol, num_states, **doc)
 
 
 def _config_at(doc, path: str) -> SessionConfig:
@@ -1081,11 +1031,6 @@ def transcript_to_json(transcript: SessionTranscript) -> str:
         "baseline_time_reserved": TIME_RESERVED_EPR_BASELINE,
     })[1:], "\n")
     return "".join(out)
-
-
-def transcript_to_json_dict(transcript: SessionTranscript) -> dict:
-    """The parsed document `transcript_to_json` writes."""
-    return json.loads(transcript_to_json(transcript))
 
 
 def _field(doc: dict, key: str, kind, path: str = ""):

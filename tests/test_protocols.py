@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tcqkd import protocols
+from tcqkd import adversary, protocols
 from tcqkd.adversary import AncillaEntangle, CheatingCenterMeasureAll, InterceptResend, NoAttack, Party
 from tcqkd.protocols import (
     ProtocolId,
@@ -21,7 +21,6 @@ from tcqkd.protocols import (
     summary_csv_row,
     SUMMARY_CSV_HEADER,
     transcript_to_json,
-    transcript_to_json_dict,
 )
 from tcqkd.qstate import Basis, Outcome, TableScenario, TwoQubitLabel, derive_correlation_table
 
@@ -152,6 +151,16 @@ class TestConsistencyMap:
             consistency_map(ProtocolId.GHZ1, (X, P), X, P, Y)
 
 
+def config_with(field, value) -> SessionConfig:
+    """A GHZ1 config of 2000 states whose field is value; a field named
+    Class.name is that field of an attack of the named class."""
+    model, _, name = field.rpartition(".")
+    if model:
+        attack = getattr(adversary, model)(**{name: value})
+        return SessionConfig(ProtocolId.GHZ1, 2000, qber_abort_threshold=0.5, attack=attack)
+    return SessionConfig(**{"protocol": ProtocolId.GHZ1, "num_states": 2000, field: value})
+
+
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -188,10 +197,16 @@ class TestConfigValidation:
         ("loss_probability", "0.1", "loss_probability: expected a number, got '0.1'"),
         ("loss_probability", [0.1, "0.2"], "loss_probability[1]: expected a number, got '0.2'"),
         ("check_fraction", None, "check_fraction: expected a number, got None"),
+        ("protocol", "GHZ9", "'GHZ9' is not a valid ProtocolId"),
+        ("AncillaEntangle.coupling", True, "attack.coupling: expected a number, got True"),
+        ("InterceptResend.basis_pool", "XY", "basis_pool: expected a list, got str"),
+        ("InterceptResend.basis_pool", ["X", "W"], "'W' is not a valid Basis"),
+        ("InterceptResend.target_party", "carol", "'carol' is not a valid Party"),
+        ("CheatingCenterMeasureAll.basis", "W", "'W' is not a valid Basis"),
     ])
     def test_a_value_no_document_carries_is_refused(self, field, value, message):
         with pytest.raises(ValueError) as info:
-            SessionConfig(ProtocolId.GHZ1, **{"num_states": 2000, field: value})
+            config_with(field, value)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("field,value,stored", [
@@ -203,17 +218,32 @@ class TestConfigValidation:
         ("qber_abort_threshold", 0, 0.0),
         ("loss_probability", [0.1, 0.2], (0.1, 0.2)),
         ("loss_probability", (np.float64(0.1), 0), (0.1, 0.0)),
+        ("protocol", "GHZ1", ProtocolId.GHZ1),
+        ("InterceptResend.target_party", "alice", Party.ALICE),
+        ("InterceptResend.target_party", "bob", Party.BOB),
+        ("InterceptResend.basis_pool", ("X",), (X,)),
+        ("InterceptResend.basis_pool", ["Y", "X"], (Y, X)),
+        ("CheatingCenterMeasureAll.basis", "X", X),
+        ("AncillaEntangle.coupling", np.float32(0.3), float(np.float32(0.3))),
     ])
     def test_stored_as_the_reader_makes_it(self, field, value, stored):
-        """A number the document reader would give back is stored as that
-        Python number, so the session runs and its transcript reads back."""
-        config = SessionConfig(ProtocolId.GHZ1, **{"num_states": 2000, field: value})
-        kept = getattr(config, field)
+        """A value the document reader would give back is stored as that
+        Python number, tuple or enum member, so the session runs, writes
+        the bytes of its stored form, and its transcript reads back."""
+        config = config_with(field, value)
+        model, _, name = field.rpartition(".")
+        kept = getattr(config.attack if model else config, name)
         assert kept == stored and type(kept) is type(stored)
         if isinstance(kept, tuple):
-            assert [type(leg) for leg in kept] == [float, float]
-        transcript = run_session(config)
-        assert protocols.transcript_from_json(transcript_to_json(transcript)).config == config
+            assert [type(item) for item in kept] == [type(item) for item in stored]
+        text = transcript_to_json(run_session(config))
+        assert text == transcript_to_json(run_session(config_with(field, stored)))
+        assert protocols.transcript_from_json(text).config == config
+
+    def test_an_attack_read_by_value_predicts_as_its_enum_form(self):
+        by_value, by_member = InterceptResend(target_party="alice"), InterceptResend(Party.ALICE)
+        for predict in (protocols.predict_detection_rate, protocols.predict_adversary_accuracy):
+            assert predict(ProtocolId.GHZ2, by_value) == predict(ProtocolId.GHZ2, by_member)
 
     @pytest.mark.parametrize("read,doc,default", [
         (protocols.config_from_json_dict, {"protocol": "GHZ1", "num_states": 2000},
@@ -468,7 +498,7 @@ class TestDeterminismAndSerialization:
 
     def test_json_document_shape(self):
         cfg = SessionConfig(ProtocolId.BELL5, 300, loss_probability=0.1, rng_seed=6)
-        doc = transcript_to_json_dict(run_session(cfg))
+        doc = json.loads(transcript_to_json(run_session(cfg)))
         assert doc["schema_version"] == 4
         assert doc["config"]["protocol"] == "BELL5"
         positions = doc["positions"]
@@ -485,7 +515,7 @@ class TestDeterminismAndSerialization:
         json.dumps(doc)  # round-trippable
 
     def test_ghz_announcement_shape(self):
-        doc = transcript_to_json_dict(run_session(SessionConfig(ProtocolId.GHZ2, 50, rng_seed=6)))
+        doc = json.loads(transcript_to_json(run_session(SessionConfig(ProtocolId.GHZ2, 50, rng_seed=6))))
         positions = doc["positions"]
         assert positions["announcements"] == [{"basis": b, "outcome": o}
                                               for b in "XY" for o in "+-"]
