@@ -222,6 +222,56 @@ class TestDeterminism:
         assert sha(a) == sha(b)
 
 
+class TestOutputPinned:
+    """The summary each verb reports, pinned byte for byte: the bench
+    CSV file and the printed lines of run, attack and network."""
+
+    def test_bench_csv(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--protocols", "GHZ1,GHZ3,BELL5", "--loss-grid", "0.0,0.2",
+                     "--num-states", "3000", "--seed", "3", "--out", str(out)]) == 0
+        assert sha(out) == "3da7cf83eb00b1bd401ae27a10ee08860f71ec58d8007610eedfe6e67dbbf959"
+
+    def test_run_stdout(self, capsys):
+        assert main(["run", "--protocol", "GHZ2", "--num-states", "2000", "--loss", "0.05",
+                     "--seed", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "protocol=GHZ2 kept_fraction=0.4395 qber=0.0000 aborted=False final_key_bits=728 "
+            "efficiency=0.3640 bound=0.5 baseline=0.125\n")
+
+    def test_attack_stdout(self, capsys):
+        assert main(["attack", "GHZ3", "ancilla", "--coupling", "0.05", "--num-states", "2000",
+                     "--threshold", "0.3", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "protocol=GHZ3 kept_fraction=1.0000 qber=0.0200 aborted=False final_key_bits=1238 "
+            "efficiency=0.6190 bound=1.0 baseline=0.125\n"
+            "attack=ancilla predicted_detection_rate=0.012500000000000016 "
+            "observed_check_error_rate=0.0200 predicted_accuracy=0.5780624749799804 "
+            "observed_accuracy=0.5755555555555556\n")
+
+    def test_network_stdout(self, tmp_path, capsys):
+        # A session that runs, one that aborts and one that cannot run.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "seed": 7, "users": ["alice", "bob", "carol"],
+            "channels": {"alice": {"loss_probability": 0.1},
+                         "bob": {"loss_probability": 0.25}},
+            "sessions": [
+                {"requester": "alice", "responder": "bob",
+                 "config": {"protocol": "GHZ1", "num_states": 2000}},
+                {"requester": "bob", "responder": "carol",
+                 "config": {"protocol": "GHZ2", "num_states": 2000,
+                            "attack": {"kind": "intercept_resend"}}},
+                {"requester": "carol", "responder": "dave",
+                 "config": {"protocol": "BELL5", "num_states": 2000}},
+            ]}), encoding="utf-8")
+        assert main(["network", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "[0] alice->bob GHZ1: kept=0.3415 qber=0.0000 aborted=False key_bits=551\n"
+            "[1] bob->carol GHZ2: kept=0.3770 qber=0.3467 aborted=True key_bits=0\n"
+            "[2] carol->dave BELL5: error: user id 'dave' is not registered\n")
+
+
 class TestVerify:
     RUNS = {
         "run": ["run", "--protocol", "GHZ2", "--num-states", "3000", "--loss", "0.1",
