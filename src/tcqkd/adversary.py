@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .jsonfields import _number
+from .jsonfields import _enum, _number
 from .qstate import (
     Basis,
     GHZ,
@@ -69,15 +69,16 @@ class InterceptResend:
     basis_pool: tuple[Basis, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "target_party",
+                           _enum(self.target_party, Party, "attack.target_party"))
         pool = self.basis_pool
         if pool is not None:
             if not isinstance(pool, (list, tuple)):
-                raise ValueError(f"basis_pool: expected a list, got {type(pool).__name__}")
+                raise ValueError(f"attack.basis_pool: expected a list, got {type(pool).__name__}")
             if not pool:
-                raise ValueError("basis_pool must be non-empty")
-            pool = tuple(map(Basis, pool))
-        object.__setattr__(self, "target_party", Party(self.target_party))
-        object.__setattr__(self, "basis_pool", pool)
+                raise ValueError("attack.basis_pool must be non-empty")
+            object.__setattr__(self, "basis_pool", tuple(
+                _enum(basis, Basis, f"attack.basis_pool[{i}]") for i, basis in enumerate(pool)))
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class CheatingCenterMeasureAll:
     basis: Basis = Basis.X
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", Basis(self.basis))
+        object.__setattr__(self, "basis", _enum(self.basis, Basis, "attack.basis"))
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class AncillaEntangle:
     def __post_init__(self):
         object.__setattr__(self, "coupling", _number(self.coupling, "attack.coupling"))
         if not 0.0 <= self.coupling <= 1.0:
-            raise ValueError("coupling must be in [0, 1]")
+            raise ValueError("attack.coupling must be in [0, 1]")
 
 
 AttackModel = NoAttack | InterceptResend | CheatingCenterMeasureAll | AncillaEntangle

@@ -176,14 +176,12 @@ def cmd_run(args, attack=NoAttack()) -> int:
     transcript = run_session(_session_config(args, attack))
     if args.out:
         Path(args.out).write_text(transcript_to_json(transcript), encoding="utf-8")
-    cr = transcript.check_report
+    s = transcript.summary
     print(
-        f"protocol={transcript.config.protocol.value} "
-        f"kept_fraction={transcript.kept_fraction:.4f} "
-        f"qber={cr.qber:.4f} aborted={cr.aborted} "
-        f"final_key_bits={len(transcript.alice_final_key)} "
-        f"efficiency={transcript.efficiency_measured:.4f} "
-        f"bound={transcript.efficiency_bound} baseline={TIME_RESERVED_EPR_BASELINE}"
+        f"protocol={s['protocol']} kept_fraction={s['kept_fraction']:.4f} "
+        f"qber={s['qber']:.4f} aborted={s['aborted']} final_key_bits={s['key_bits']} "
+        f"efficiency={s['efficiency_measured']:.4f} "
+        f"bound={s['efficiency_bound']} baseline={TIME_RESERVED_EPR_BASELINE}"
     )
     adv = transcript.adversary
     if adv is not None:
@@ -193,7 +191,7 @@ def cmd_run(args, attack=NoAttack()) -> int:
             f"predicted_accuracy={adv['predicted_accuracy']} "
             f"observed_accuracy={adv['observed_accuracy']}"
         )
-    return 2 if cr.aborted else 0
+    return 2 if s["aborted"] else 0
 
 
 def cmd_attack(args) -> int:
@@ -213,15 +211,10 @@ def cmd_bench(args) -> int:
     lines = [SUMMARY_CSV_HEADER + ",baseline_time_reserved"]
     for name in protocols:
         for loss in losses:
-            cfg = SessionConfig(
-                protocol=ProtocolId(name),
-                num_states=int(args.num_states),
-                check_fraction=float(args.check_fraction),
-                loss_probability=loss,
-                rng_seed=int(args.seed),
-            )
-            transcript = run_session(cfg)
-            lines.append(summary_csv_row(transcript) + f",{TIME_RESERVED_EPR_BASELINE!r}")
+            transcript = run_session(SessionConfig(
+                name, args.num_states, args.check_fraction, loss_probability=loss,
+                rng_seed=args.seed))
+            lines.append(f"{summary_csv_row(transcript)},{TIME_RESERVED_EPR_BASELINE!r}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 

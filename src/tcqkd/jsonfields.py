@@ -25,6 +25,16 @@ def _integer(value, path: str) -> int:
     return int(value)
 
 
+def _enum(value, kind, path: str):
+    """The member of enum kind that value is or names, for an enum field
+    at path."""
+    try:
+        return kind(value)
+    except ValueError:
+        expected = "/".join(member.value for member in kind)
+        raise ValueError(f"{path}: expected {expected}, got {value!r}") from None
+
+
 def _of_type(value, kind, path: str):
     """value, if it has the JSON type kind; true and false are not numbers."""
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:

@@ -85,11 +85,14 @@ def _session_config(scenario: NetworkScenario, index: int) -> SessionConfig:
     """The config session index runs with.  The requester plays Alice
     and the responder Bob, and loss_probability is (requester's channel
     loss, responder's); a user without a channel has a lossless one.
-    Loss is set per user, so a config with its own loss is refused.
+    Loss is set per user and the seed by the scenario, so a config with
+    its own loss or seed is refused.
     """
     spec = scenario.sessions[index]
     if spec.config.legs != (0.0, 0.0):
         raise ValueError("loss_probability: set per user under channels, not in a session config")
+    if spec.config.rng_seed:
+        raise ValueError("rng_seed: set by the scenario seed, not in a session config")
     if spec.requester == spec.responder:
         raise ValueError("a user cannot open a session with itself")
     for uid in (spec.requester, spec.responder):
@@ -119,6 +122,12 @@ def run_network_scenario(scenario: NetworkScenario) -> ScenarioResult:
     return ScenarioResult(transcripts, errors, report)
 
 
+# The summary fields a report row copies; it states the protocol itself,
+# and a session's losses are its users' channels.
+_REPORT_FIELDS = ("num_states", "kept_fraction", "qber", "aborted", "key_bits",
+                  "efficiency_measured", "efficiency_bound")
+
+
 def _aggregate_report(scenario, transcripts, errors) -> dict:
     rows = []
     per_protocol: dict[str, dict] = {}
@@ -136,27 +145,13 @@ def _aggregate_report(scenario, transcripts, errors) -> dict:
             "error": error,
         }
         if transcript is not None:
-            row.update(
-                {
-                    "num_states": transcript.config.num_states,
-                    "kept_fraction": transcript.kept_fraction,
-                    "qber": transcript.check_report.qber,
-                    "aborted": transcript.check_report.aborted,
-                    "key_bits": len(transcript.alice_final_key),
-                    "efficiency_measured": transcript.efficiency_measured,
-                    "efficiency_bound": transcript.efficiency_bound,
-                }
-            )
-            agg = per_protocol.setdefault(
-                transcript.config.protocol.value,
-                {"sessions": 0, "aborted": 0, "key_bits": 0, "qber_sum": 0.0,
-                 "efficiency_sum": 0.0},
-            )
-            agg["sessions"] += 1
-            agg["aborted"] += int(transcript.check_report.aborted)
-            agg["key_bits"] += len(transcript.alice_final_key)
-            agg["qber_sum"] += transcript.check_report.qber
-            agg["efficiency_sum"] += transcript.efficiency_measured
+            summary = transcript.summary
+            row.update((key, summary[key]) for key in _REPORT_FIELDS)
+            totals = {"sessions": 1, "aborted": summary["aborted"], "key_bits": summary["key_bits"],
+                      "qber_sum": summary["qber"], "efficiency_sum": summary["efficiency_measured"]}
+            agg = per_protocol.setdefault(summary["protocol"], dict.fromkeys(totals, 0))
+            for key, value in totals.items():
+                agg[key] += value
         rows.append(row)
     for agg in per_protocol.values():
         n = agg["sessions"]
@@ -173,11 +168,8 @@ def _aggregate_report(scenario, transcripts, errors) -> dict:
 
 def report_csv(result: ScenarioResult) -> str:
     """One summary row per completed session."""
-    lines = [SUMMARY_CSV_HEADER]
-    for t in result.transcripts:
-        if t is not None:
-            lines.append(summary_csv_row(t))
-    return "\n".join(lines) + "\n"
+    rows = [summary_csv_row(t) for t in result.transcripts if t is not None]
+    return "\n".join([SUMMARY_CSV_HEADER, *rows]) + "\n"
 
 
 # --- scenario files ------------------------------------------------------

@@ -149,7 +149,7 @@ from .adversary import (
     infer_bob_outcome,
     probe_vectors,
 )
-from .jsonfields import _integer, _known_keys, _number, _of_type
+from .jsonfields import _enum, _integer, _known_keys, _number, _of_type
 from .qstate import (
     GHZ,
     Basis,
@@ -283,7 +283,7 @@ class SessionConfig:
         # config holds only what its document can carry: the protocol by
         # value, Python numbers, and a loss pair as a tuple.  The attack
         # models read their own fields.
-        object.__setattr__(self, "protocol", ProtocolId(self.protocol))
+        object.__setattr__(self, "protocol", _enum(self.protocol, ProtocolId, "protocol"))
         for name, read in (("num_states", _integer), ("check_fraction", _number),
                            ("qber_abort_threshold", _number), ("rng_seed", _integer)):
             object.__setattr__(self, name, read(getattr(self, name), name))
@@ -472,6 +472,12 @@ class PostprocSummary:
     final_length: int
 
 
+# A session's summary row, in column order; a loss is one leg's.
+_SUMMARY_FIELDS = ("protocol", "num_states", "loss_alice", "loss_bob", "attack", "kept_fraction",
+                   "qber", "aborted", "key_bits", "efficiency_measured", "efficiency_bound")
+SUMMARY_CSV_HEADER = ",".join(_SUMMARY_FIELDS)
+
+
 @dataclass(frozen=True)
 class SessionTranscript:
     """What a session decided: the config, the position columns, the
@@ -548,6 +554,17 @@ class SessionTranscript:
     @property
     def efficiency_bound(self) -> float:
         return efficiency_bound(self.config.protocol)
+
+    @property
+    def summary(self) -> dict:
+        """What the session reports in one row, in the column order of
+        `SUMMARY_CSV_HEADER`: the CSV row, the network report and
+        `tcqkd run` read it from here."""
+        c, report = self.config, self.check_report
+        return dict(zip(_SUMMARY_FIELDS, (
+            c.protocol.value, c.num_states, *c.legs, c.attack.kind, self.kept_fraction,
+            report.qber, report.aborted, len(self.alice_final_key), self.efficiency_measured,
+            self.efficiency_bound)))
 
 
 def _observed_accuracy(positions: _Positions, records: _AdversaryRecords) -> float | None:
@@ -1144,23 +1161,8 @@ def _is_bits(text: str) -> bool:
     return text.isascii() and not text.encode("ascii").translate(None, b"01")
 
 
-SUMMARY_CSV_HEADER = ("protocol,num_states,loss_alice,loss_bob,attack,kept_fraction,qber,"
-                      "aborted,key_bits,efficiency_measured,efficiency_bound")
-
-
 def summary_csv_row(transcript: SessionTranscript) -> str:
-    c = transcript.config
-    return ",".join(
-        [
-            c.protocol.value,
-            str(c.num_states),
-            *(repr(leg) for leg in c.legs),
-            c.attack.kind,
-            repr(transcript.kept_fraction),
-            repr(transcript.check_report.qber),
-            str(transcript.check_report.aborted).lower(),
-            str(len(transcript.alice_final_key)),
-            repr(transcript.efficiency_measured),
-            repr(transcript.efficiency_bound),
-        ]
-    )
+    """The summary as a `SUMMARY_CSV_HEADER` row: a boolean in lower
+    case, anything else by str, which for a float is its repr."""
+    return ",".join(str(value).lower() if isinstance(value, bool) else str(value)
+                    for value in transcript.summary.values())

@@ -81,6 +81,13 @@ class TestAttack:
     def test_unsupported_combo_usage_error(self, capsys):
         assert main(["attack", "BELL4", "ancilla", "--num-states", "500"]) == 1
 
+    def test_unknown_pool_basis_names_the_field(self, capsys):
+        # The line a config document with this pool gets.
+        assert main(["attack", "GHZ1", "intercept-resend", "--pool", "x,w"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: attack.basis_pool[1]: expected X/Y/Z, got 'W'\n"
+        assert captured.out == ""
+
 
 class TestBench:
     def test_grid_rows(self, tmp_path):
@@ -110,6 +117,20 @@ class TestBench:
               "--num-states", "4000", "--seed", "5", "--out", str(out)])
         effs = [float(r.split(",")[9]) for r in out.read_text().strip().split("\n")[1:]]
         assert effs[0] > effs[1] > effs[2]
+
+    def test_unknown_protocol_names_the_field(self, capsys):
+        assert main(["bench", "--protocols", "GHZ1,GHZ9", "--num-states", "500"]) == 1
+        assert capsys.readouterr().err == (
+            "error: protocol: expected GHZ1/GHZ2/GHZ3/BELL4/BELL5, got 'GHZ9'\n")
+
+    def test_header_begins_with_the_network_csv_header(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--protocols", "GHZ1", "--num-states", "500",
+                     "--out", str(out)]) == 0
+        csv = tmp_path / "sessions.csv"
+        main(["network", str(TestNetwork()._scenario_file(tmp_path)), "--csv", str(csv)])
+        network_header = csv.read_text().split("\n")[0]
+        assert out.read_text().split("\n")[0] == network_header + ",baseline_time_reserved"
 
     def test_empty_protocol_set(self, capsys):
         assert main(["bench", "--protocols", "", "--loss-grid", "0.0"]) == 0
@@ -173,6 +194,23 @@ class TestNetwork:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 2
         assert out[1] == "[1] u1->u3 GHZ3: error: user id 'u3' is not registered"
+
+    def test_session_seed_in_config_exit_1(self, tmp_path, capsys):
+        """A session config that states its own seed is that session's
+        error, after the other rows are printed and the report written."""
+        sessions = (SessionSpec("u1", "u2", SessionConfig(ProtocolId.GHZ3, 500)),
+                    SessionSpec("u2", "u1", SessionConfig(ProtocolId.GHZ3, 500, rng_seed=5)))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_to_json_dict(
+            NetworkScenario(users=("u1", "u2"), sessions=sessions, seed=4))), encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["network", str(path), "--report", str(report)]) == 1
+        rows = json.loads(report.read_text())["sessions"]
+        assert [row["error"] for row in rows] == [
+            None, "rng_seed: set by the scenario seed, not in a session config"]
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == ("[1] u2->u1 GHZ3: error: "
+                          "rng_seed: set by the scenario seed, not in a session config")
 
     def test_missing_file_usage_error(self, capsys):
         assert main(["network", "/nonexistent/scenario.json"]) == 1

@@ -81,7 +81,26 @@ MALFORMED_SCENARIOS = {
          "sessions": [{"requester": "a", "responder": "b",
                        "config": {"protocol": "GHZ1", "num_states": 2000,
                                   "attack": {"kind": "intercept_resend", "basis_pool": "XZ"}}}]},
-        "sessions[0].config: basis_pool: expected a list, got str"),
+        "sessions[0].config: attack.basis_pool: expected a list, got str"),
+    "basis_pool_unknown_basis": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": 2000,
+                                  "attack": {"kind": "intercept_resend",
+                                             "basis_pool": ["X", "W"]}}}]},
+        "sessions[0].config: attack.basis_pool[1]: expected X/Y/Z, got 'W'"),
+    "target_party_unknown": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": 2000,
+                                  "attack": {"kind": "intercept_resend",
+                                             "target_party": "carol"}}}]},
+        "sessions[0].config: attack.target_party: expected alice/bob, got 'carol'"),
+    "protocol_unknown": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ9", "num_states": 2000}}]},
+        "sessions[0].config: protocol: expected GHZ1/GHZ2/GHZ3/BELL4/BELL5, got 'GHZ9'"),
     "attack_text": (
         {"users": ["a", "b"],
          "sessions": [{"requester": "a", "responder": "b",
@@ -270,6 +289,21 @@ class TestScenarios:
             "loss_probability: set per user under channels, not in a session config"]
         assert report_csv(result).strip().count("\n") == 0
 
+    def test_config_seed_recorded_as_session_error(self):
+        # The scenario seed sets every session's; a config's own seed
+        # would otherwise be replaced without a word.
+        scenario = NetworkScenario(
+            users=("a", "b"),
+            sessions=(SessionSpec("a", "b", make_config(n=400, rng_seed=5)),
+                      SessionSpec("a", "b", make_config(n=400))),
+            seed=9,
+        )
+        result = run_network_scenario(scenario)
+        assert result.transcripts[0] is None
+        assert result.errors == ["rng_seed: set by the scenario seed, not in a session config", None]
+        assert result.transcripts[1].config.rng_seed == session_seed(9, 1)
+        assert report_csv(result).strip().count("\n") == 1
+
     def test_channels_leaving_no_unchecked_positions_recorded_as_session_error(self):
         # 0.9 * 10 * 0.5 = 4.5 unchecked positions expected without loss,
         # 4.5 * 0.3 * 0.3 = 0.405 on these channels.
@@ -360,6 +394,64 @@ class TestScenarioFiles:
         csv = hashlib.sha256(report_csv(result).encode()).hexdigest()
         assert report == "cd4bfe9cbadc126811fabf53a214b98ef3d9d3ac884efc1ac082dc0b0165ba2f"
         assert csv == "b7d6c5d18718addaf672266ade3588fa46e20aeaa49f6ed3f41e9a8dcc3da2f6"
+
+    def test_report_and_csv_read_the_summary(self):
+        """Each report row carries its session's summary fields, the CSV
+        row reads back to the summary, and the per-protocol totals sum
+        the summaries: an attack-free, an aborted, a reconciled and an
+        errored session, two of them GHZ3."""
+        def session(requester, responder, protocol, **config):
+            return {"requester": requester, "responder": responder,
+                    "config": {"protocol": protocol, "num_states": 2000, **config}}
+
+        doc = {
+            "seed": 11, "users": ["a", "b", "c"],
+            "channels": {"a": {"loss_probability": 0.1}, "c": {"loss_probability": 0.2}},
+            "sessions": [
+                session("a", "b", "GHZ1"),
+                session("b", "c", "GHZ2", attack={"kind": "intercept_resend"}),
+                session("c", "a", "GHZ3", qber_abort_threshold=0.3,
+                        attack={"kind": "ancilla", "coupling": 0.2}),
+                session("a", "zed", "BELL5"),
+                session("b", "a", "GHZ3"),
+            ],
+        }
+        result = run_network_scenario(scenario_from_json_dict(doc))
+        attack_free, aborted, reconciled, errored, _ = result.transcripts
+        assert aborted.check_report.aborted and errored is None
+        assert reconciled.reconcile_leaked > 0 and reconciled.alice_final_key
+        lines = report_csv(result).splitlines()
+        assert lines[0].split(",") == list(attack_free.summary)
+        done = [t for t in result.transcripts if t is not None]
+        assert len(lines) == 1 + len(done)
+        for row, transcript in zip(result.report["sessions"], result.transcripts):
+            if transcript is None:
+                assert row["error"] == "user id 'zed' is not registered"
+                assert not set(row) & {"num_states", "qber", "key_bits"}
+                continue
+            summary = transcript.summary
+            shared = {key: row[key] for key in row if key in summary}
+            assert list(shared) == ["protocol", "num_states", "kept_fraction", "qber", "aborted",
+                                    "key_bits", "efficiency_measured", "efficiency_bound"]
+            assert json.dumps(shared) == json.dumps({key: summary[key] for key in shared})
+        for line, transcript in zip(lines[1:], done):
+            summary = transcript.summary
+            cells = line.split(",")
+            assert all(cell in ("true", "false") for cell, value in zip(cells, summary.values())
+                       if isinstance(value, bool))
+            back = {key: cell == "true" if isinstance(value, bool) else type(value)(cell)
+                    for (key, value), cell in zip(summary.items(), cells)}
+            assert json.dumps(back) == json.dumps(summary)
+        for protocol, totals in result.report["per_protocol"].items():
+            mine = [t.summary for t in done if t.summary["protocol"] == protocol]
+            assert totals == {
+                "sessions": len(mine),
+                "aborted": sum(s["aborted"] for s in mine),
+                "key_bits": sum(s["key_bits"] for s in mine),
+                "mean_qber": sum(s["qber"] for s in mine) / len(mine),
+                "mean_efficiency": sum(s["efficiency_measured"] for s in mine) / len(mine),
+            }
+        assert result.report["per_protocol"]["GHZ3"]["sessions"] == 2
 
     def test_latency_bookkeeping(self):
         scenario = NetworkScenario(

@@ -197,12 +197,17 @@ class TestConfigValidation:
         ("loss_probability", "0.1", "loss_probability: expected a number, got '0.1'"),
         ("loss_probability", [0.1, "0.2"], "loss_probability[1]: expected a number, got '0.2'"),
         ("check_fraction", None, "check_fraction: expected a number, got None"),
-        ("protocol", "GHZ9", "'GHZ9' is not a valid ProtocolId"),
+        ("protocol", "GHZ9", "protocol: expected GHZ1/GHZ2/GHZ3/BELL4/BELL5, got 'GHZ9'"),
         ("AncillaEntangle.coupling", True, "attack.coupling: expected a number, got True"),
-        ("InterceptResend.basis_pool", "XY", "basis_pool: expected a list, got str"),
-        ("InterceptResend.basis_pool", ["X", "W"], "'W' is not a valid Basis"),
-        ("InterceptResend.target_party", "carol", "'carol' is not a valid Party"),
-        ("CheatingCenterMeasureAll.basis", "W", "'W' is not a valid Basis"),
+        ("InterceptResend.basis_pool", "XY", "attack.basis_pool: expected a list, got str"),
+        ("InterceptResend.basis_pool", ["X", "W"], "attack.basis_pool[1]: expected X/Y/Z, got 'W'"),
+        ("InterceptResend.target_party", "carol",
+         "attack.target_party: expected alice/bob, got 'carol'"),
+        ("CheatingCenterMeasureAll.basis", "W", "attack.basis: expected X/Y/Z, got 'W'"),
+        ("protocol", ["GHZ1"], "protocol: expected GHZ1/GHZ2/GHZ3/BELL4/BELL5, got ['GHZ1']"),
+        ("InterceptResend.basis_pool", [], "attack.basis_pool must be non-empty"),
+        ("InterceptResend.target_party", 0, "attack.target_party: expected alice/bob, got 0"),
+        ("AncillaEntangle.coupling", 1.5, "attack.coupling must be in [0, 1]"),
     ])
     def test_a_value_no_document_carries_is_refused(self, field, value, message):
         with pytest.raises(ValueError) as info:
@@ -526,6 +531,7 @@ class TestDeterminismAndSerialization:
         row = summary_csv_row(tr)
         fields = row.split(",")
         assert len(fields) == len(SUMMARY_CSV_HEADER.split(","))
+        assert SUMMARY_CSV_HEADER.split(",") == list(tr.summary)
         assert fields[0] == "GHZ1"
         assert fields[4] == "none"
 

@@ -204,7 +204,7 @@ MALFORMED = {
     "column_not_a_string": (edit(["positions", "kept"], [1, 0]),
                             "positions.kept: expected a string, got list"),
     "config": (edit(["config", "protocol"], "GHZ9"),
-               "config: 'GHZ9' is not a valid ProtocolId"),
+               "config: protocol: expected GHZ1/GHZ2/GHZ3/BELL4/BELL5, got 'GHZ9'"),
     "loss_one_leg": (edit(["config", "loss_probability"], [0.1]),
                      "config: loss_probability: expected one number or two, got 1"),
     "loss_leg_not_a_number": (edit(["config", "loss_probability"], [0.1, "x"]),
