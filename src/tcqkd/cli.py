@@ -158,22 +158,12 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _session_config(args, attack) -> SessionConfig:
-    default_threshold = 0.05 if not isinstance(attack, NoAttack) else 0.0
-    threshold = default_threshold if args.threshold is None else float(args.threshold)
-    return SessionConfig(
-        protocol=ProtocolId(args.protocol),
-        num_states=int(args.num_states),
-        check_fraction=float(args.check_fraction),
-        qber_abort_threshold=threshold,
-        loss_probability=float(args.loss),
-        rng_seed=int(args.seed),
-        attack=attack,
-    )
-
-
 def cmd_run(args, attack=NoAttack()) -> int:
-    transcript = run_session(_session_config(args, attack))
+    threshold = args.threshold
+    if threshold is None:
+        threshold = 0.0 if isinstance(attack, NoAttack) else 0.05
+    transcript = run_session(SessionConfig(args.protocol, args.num_states, args.check_fraction,
+                                           threshold, args.loss, args.seed, attack))
     if args.out:
         Path(args.out).write_text(transcript_to_json(transcript), encoding="utf-8")
     s = transcript.summary
@@ -205,16 +195,20 @@ def cmd_attack(args) -> int:
     return cmd_run(args, attack)
 
 
+def _loss(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"--loss-grid: expected a number, got {text!r}") from None
+
+
 def cmd_bench(args) -> int:
-    protocols = [p for p in args.protocols.split(",") if p]
-    losses = [float(x) for x in args.loss_grid.split(",") if x != ""]
+    losses = [_loss(x) for x in args.loss_grid.split(",") if x != ""]
+    # The whole grid is built, and so refused, before its first session runs.
+    configs = [SessionConfig(name, args.num_states, args.check_fraction, 0.0, loss, args.seed)
+               for name in args.protocols.split(",") if name for loss in losses]
     lines = [SUMMARY_CSV_HEADER + ",baseline_time_reserved"]
-    for name in protocols:
-        for loss in losses:
-            transcript = run_session(SessionConfig(
-                name, args.num_states, args.check_fraction, loss_probability=loss,
-                rng_seed=args.seed))
-            lines.append(f"{summary_csv_row(transcript)},{TIME_RESERVED_EPR_BASELINE!r}")
+    lines += (f"{summary_csv_row(run_session(c))},{TIME_RESERVED_EPR_BASELINE!r}" for c in configs)
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 

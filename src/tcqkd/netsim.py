@@ -24,7 +24,6 @@ from .jsonfields import _integer, _known_keys, _number, _of_type
 from .protocols import (
     SessionConfig,
     _config_at,
-    _field,
     _member,
     run_session,
     summary_csv_row,
@@ -38,6 +37,8 @@ class ChannelModel:
     latency_ticks: int = 0
 
     def __post_init__(self):
+        for name, read in (("loss_probability", _number), ("latency_ticks", _integer)):
+            object.__setattr__(self, name, read(getattr(self, name), name))
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ValueError("loss_probability must be in [0, 1]")
         if self.latency_ticks < 0:
@@ -50,6 +51,12 @@ class SessionSpec:
     responder: str
     config: SessionConfig
 
+    def __post_init__(self):
+        for name in ("requester", "responder"):
+            _of_type(getattr(self, name), str, name)
+        if not isinstance(self.config, SessionConfig):
+            raise ValueError(f"config: expected a SessionConfig, got {type(self.config).__name__}")
+
 
 @dataclass(frozen=True)
 class NetworkScenario:
@@ -59,13 +66,24 @@ class NetworkScenario:
     seed: int = 0
 
     def __post_init__(self):
+        users = self.users if isinstance(self.users, tuple) else _of_type(self.users, list, "users")
+        object.__setattr__(self, "users", tuple(
+            _of_type(uid, str, f"users[{i}]") for i, uid in enumerate(users)))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        if self.seed < 0:
+            raise ValueError(f"seed: expected an integer >= 0, got {self.seed}")
         first = {}
         for i, uid in enumerate(self.users):
             if first.setdefault(uid, i) != i:
                 raise ValueError(f"users[{i}]: {uid!r} repeats users[{first[uid]}]")
-        for uid in self.channels:
+        for uid, c in self.channels.items():
             if uid not in first:
                 raise ValueError(f"channels.{uid}: not one of users")
+            if not isinstance(c, ChannelModel):
+                raise ValueError(f"channels.{uid}: expected a ChannelModel, got {type(c).__name__}")
+        for i, s in enumerate(self.sessions):
+            if not isinstance(s, SessionSpec):
+                raise ValueError(f"sessions[{i}]: expected a SessionSpec, got {type(s).__name__}")
 
 
 def session_seed(scenario_seed: int, session_index: int) -> int:
@@ -176,41 +194,34 @@ def report_csv(result: ScenarioResult) -> str:
 
 
 def scenario_from_json_dict(doc: dict) -> NetworkScenario:
-    """Parse a scenario document.  A malformed document raises a
-    ValueError naming where it is malformed, e.g.
+    """Parse a scenario document; each object reads its own fields.  A
+    malformed document raises a ValueError naming where it is malformed, e.g.
     ``sessions[0]: missing 'responder'``."""
     doc = _of_type(doc, dict, "scenario")
     _known_keys(doc, ("schema_version", "seed", "users", "channels", "sessions"), "scenario: ")
     version = _integer(doc.get("schema_version", 1), "schema_version")
     if version != 1:
         raise ValueError(f"schema_version: expected 1, got {version}")
-    users = tuple(_of_type(uid, str, f"users[{i}]") for i, uid
-                  in enumerate(_of_type(_member(doc, "users", "scenario"), list, "users")))
+    users = _member(doc, "users", "scenario")
     channels = {}
     for uid, ch in _of_type(doc.get("channels", {}), dict, "channels").items():
         path = f"channels.{uid}"
-        ch = _of_type(ch, dict, path)
-        _known_keys(ch, ("loss_probability", "latency_ticks"), f"{path}: ")
-        loss = _number(ch.get("loss_probability", 0.0), f"{path}.loss_probability")
-        latency = _integer(ch.get("latency_ticks", 0), f"{path}.latency_ticks")
+        _known_keys(_of_type(ch, dict, path), ("loss_probability", "latency_ticks"), f"{path}: ")
         try:
-            channels[uid] = ChannelModel(loss_probability=loss, latency_ticks=latency)
+            channels[uid] = ChannelModel(**ch)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     sessions = []
     for i, s in enumerate(_of_type(doc.get("sessions", []), list, "sessions")):
         path = f"sessions[{i}]"
-        s = _of_type(s, dict, path)
-        _known_keys(s, ("requester", "responder", "config"), f"{path}: ")
-        sessions.append(SessionSpec(
-            requester=_field(s, "requester", str, path),
-            responder=_field(s, "responder", str, path),
-            config=_config_at(_member(s, "config", path), f"{path}.config"),
-        ))
-    seed = _integer(doc.get("seed", 0), "seed")
-    if seed < 0:
-        raise ValueError(f"seed: expected an integer >= 0, got {seed}")
-    return NetworkScenario(users=users, channels=channels, sessions=tuple(sessions), seed=seed)
+        _known_keys(_of_type(s, dict, path), ("requester", "responder", "config"), f"{path}: ")
+        ids = [_member(s, key, path) for key in ("requester", "responder")]
+        config = _config_at(_member(s, "config", path), f"{path}.config")
+        try:
+            sessions.append(SessionSpec(*ids, config))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return NetworkScenario(users, channels, tuple(sessions), doc.get("seed", 0))
 
 
 def load_scenario(path) -> NetworkScenario:

@@ -942,8 +942,6 @@ def run_session(config: SessionConfig) -> SessionTranscript:
 
 
 def _announcement_json(ann):
-    if ann is None:
-        return None
     if isinstance(ann, TwoQubitLabel):
         return {"label": ann.value}
     return {"basis": ann[0].value, "outcome": ann[1].value}
@@ -954,10 +952,11 @@ def attack_from_json(doc) -> AttackModel:
     refused, and a field it leaves out is the attack's default."""
     if not isinstance(doc, dict):
         raise ValueError(f"attack: expected an object, got {type(doc).__name__}")
-    kind = doc.get("kind", NoAttack.kind)
-    cls = next((cls for cls in get_args(AttackModel) if cls.kind == kind), None)
+    kind, models = doc.get("kind", NoAttack.kind), get_args(AttackModel)
+    cls = next((cls for cls in models if cls.kind == kind), None)
     if cls is None:
-        raise ValueError(f"unknown attack kind {kind!r}")
+        expected = "/".join(cls.kind for cls in models)
+        raise ValueError(f"attack.kind: expected {expected}, got {kind!r}")
     _known_keys(doc, ["kind", *(f.name for f in fields(cls))], "attack: ")
     return cls(**{key: value for key, value in doc.items() if key != "kind"})
 

@@ -118,10 +118,21 @@ class TestBench:
         effs = [float(r.split(",")[9]) for r in out.read_text().strip().split("\n")[1:]]
         assert effs[0] > effs[1] > effs[2]
 
-    def test_unknown_protocol_names_the_field(self, capsys):
-        assert main(["bench", "--protocols", "GHZ1,GHZ9", "--num-states", "500"]) == 1
-        assert capsys.readouterr().err == (
-            "error: protocol: expected GHZ1/GHZ2/GHZ3/BELL4/BELL5, got 'GHZ9'\n")
+    @pytest.mark.parametrize("flags,message", [
+        (["--protocols", "GHZ1,GHZ9"], "protocol: expected GHZ1/GHZ2/GHZ3/BELL4/BELL5, got 'GHZ9'"),
+        (["--loss-grid", "0.1,2"], "loss_probability must be in [0, 1]"),
+        (["--loss-grid", "0.1,x"], "--loss-grid: expected a number, got 'x'"),
+    ], ids=["protocol", "loss_range", "loss_text"])
+    def test_bad_grid_refused_before_its_first_session(self, flags, message, tmp_path, capsys,
+                                                       monkeypatch):
+        """A bad value late in the grid is refused, naming its field,
+        before any session runs or any file is written."""
+        runs = []
+        monkeypatch.setattr(cli, "run_session", lambda config: runs.append(config))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--num-states", "500", "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert runs == [] and not out.exists()
 
     def test_header_begins_with_the_network_csv_header(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -404,16 +415,18 @@ class TestVerify:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda events: events[3].update(event="announce"),
+        (lambda doc: doc["events"][3].update(event="announce"),
          "events[3].event: 'announce' in the file, 'announce_results' in the re-run"),
-        (lambda events: events.pop(), "events: 9 items in the file, 10 in the re-run"),
-    ], ids=["item", "length"])
-    def test_differing_list_item_is_named(self, edit, message, tmp_path, capsys):
+        (lambda doc: doc["events"].pop(), "events: 9 items in the file, 10 in the re-run"),
+        (lambda doc: doc.update(note="extra"), "note: not in the re-run's transcript"),
+        (lambda doc: doc.pop("kept_count"), "kept_count: missing from the file"),
+    ], ids=["item", "length", "extra_key", "derived_key_removed"])
+    def test_first_difference_is_named(self, edit, message, tmp_path, capsys):
         out = tmp_path / "ghz1-intercept.json"
         assert main(["attack", "GHZ1", "intercept-resend", "--num-states", "2000",
                      "--seed", "1", "--out", str(out)]) == 2
         doc = json.loads(out.read_text())
-        edit(doc["events"])
+        edit(doc)
         out.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert main(["verify", str(out)]) == 1
@@ -471,6 +484,25 @@ class TestConfigFile:
                      "--num-states", "200"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {cfg}: unknown key 'num_state'\n"
+        assert captured.out == ""
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "commented.cfg"
+        cfg.write_text("# a GHZ1 run\n\nnum-states=400\n   \n  # seed below\nseed=5\n",
+                       encoding="utf-8")
+        assert main(["--config", str(cfg), "run", "--protocol", "GHZ1"]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["run", "--protocol", "GHZ1", "--num-states", "400", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == from_file
+
+    def test_file_value_read_as_its_flag_is(self, tmp_path, capsys):
+        # The config reads the protocol and names it, whether it came
+        # from a flag or from the file.
+        cfg = tmp_path / "ghz9.cfg"
+        cfg.write_text("protocol=GHZ9\nnum-states=400\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "run"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: protocol: expected GHZ1/GHZ2/GHZ3/BELL4/BELL5, got 'GHZ9'\n"
         assert captured.out == ""
 
     def test_config_without_path_one_line_exit_1(self, capsys):

@@ -89,6 +89,11 @@ class TestReferenceComparison:
         assert (e.bob_basis, e.bob_outcome) == expected_bob
         assert e.matches_paper
 
+    def test_lookup_miss_raises_key_error(self):
+        table = derive_correlation_table(TableScenario.BELL_TABLE_I)
+        with pytest.raises(KeyError):
+            table.lookup(TwoQubitLabel.COMB_PSI_PLUS, X, P)  # a BELL5 label
+
     def test_ghz_spot_checks(self):
         table = derive_correlation_table(TableScenario.GHZ_TABLE_III)
         e = table.lookup((X, M), Y, P)

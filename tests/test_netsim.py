@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from tcqkd.adversary import InterceptResend
@@ -47,7 +48,7 @@ MALFORMED_SCENARIOS = {
                      "channels.a: expected an object, got list"),
     "seed_list": ({"users": ["a"], "seed": [1]}, "seed: expected a number, got [1]"),
     "loss_null": ({"users": ["a"], "channels": {"a": {"loss_probability": None}}},
-                  "channels.a.loss_probability: expected a number, got None"),
+                  "channels.a: loss_probability: expected a number, got None"),
     "loss_range": ({"users": ["a"], "channels": {"a": {"loss_probability": 2}}},
                    "channels.a: loss_probability must be in [0, 1]"),
     "user_list": ({"users": [["a"], "b"]}, "users[0]: expected a string, got list"),
@@ -55,7 +56,7 @@ MALFORMED_SCENARIOS = {
         {"users": ["a", "b"],
          "sessions": [{"requester": ["a"], "responder": "b",
                        "config": {"protocol": "GHZ1", "num_states": 100}}]},
-        "sessions[0].requester: expected a string, got list"),
+        "sessions[0]: requester: expected a string, got list"),
     "num_states_text": (
         {"users": ["a", "b"],
          "sessions": [{"requester": "a", "responder": "b",
@@ -152,7 +153,7 @@ MALFORMED_SCENARIOS = {
                                   "attack": {"kind": "ancilla", "coupling": "0.5"}}}]},
         "sessions[0].config: attack.coupling: expected a number, got '0.5'"),
     "loss_true": ({"users": ["a"], "channels": {"a": {"loss_probability": True}}},
-                  "channels.a.loss_probability: expected a number, got True"),
+                  "channels.a: loss_probability: expected a number, got True"),
     "channel_not_a_user": (
         {"users": ["alice", "bob"], "channels": {"alice": {"loss_probability": 0.1},
                                                  "bbo": {"loss_probability": 0.25}}},
@@ -160,6 +161,17 @@ MALFORMED_SCENARIOS = {
     "seed_negative": ({"users": ["a"], "seed": -3}, "seed: expected an integer >= 0, got -3"),
     "user_repeated": ({"users": ["a", "a"]}, "users[1]: 'a' repeats users[0]"),
     "user_repeated_later": ({"users": ["a", "b", "a"]}, "users[2]: 'a' repeats users[0]"),
+    "attack_kind_unknown": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": 2000,
+                                  "attack": {"kind": "eve"}}}]},
+        "sessions[0].config: attack.kind: "
+        "expected none/intercept_resend/cheating_center/ancilla, got 'eve'"),
+    "config_no_protocol": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b", "config": {"num_states": 2000}}]},
+        "sessions[0].config: missing 'protocol'"),
 }
 
 
@@ -168,13 +180,56 @@ def make_config(protocol=ProtocolId.GHZ1, n=1000, **kw):
 
 
 class TestScenarioValidation:
-    @pytest.mark.parametrize("name", ["user_repeated", "user_repeated_later", "channel_not_a_user"])
+    @pytest.mark.parametrize("name", [
+        "user_list", "user_repeated", "user_repeated_later", "seed_list", "seed_fraction",
+        "seed_infinite", "seed_negative", "loss_null", "loss_true", "loss_range",
+        "channel_not_a_user"])
     def test_built_scenario_refused_like_a_loaded_one(self, name):
+        """Built in Python from the document's values, the scenario is
+        refused with the loaded document's message: the path of the
+        object that refuses, then its own message."""
         doc, message = MALFORMED_SCENARIOS[name]
-        channels = {uid: ChannelModel(**ch) for uid, ch in doc.get("channels", {}).items()}
         with pytest.raises(ValueError) as exc:
-            NetworkScenario(users=tuple(doc["users"]), channels=channels)
+            channels = {}
+            for uid, ch in doc.get("channels", {}).items():
+                path = f"channels.{uid}: "
+                channels[uid] = ChannelModel(**ch)
+            path = ""
+            NetworkScenario(doc["users"], channels, seed=doc.get("seed", 0))
+        assert path + str(exc.value) == message
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: NetworkScenario(("a",), seed=1.5), "seed: expected an integer, got 1.5"),
+        (lambda: NetworkScenario(("a",), seed=-1), "seed: expected an integer >= 0, got -1"),
+        (lambda: NetworkScenario(("a",), seed=True), "seed: expected a number, got True"),
+        (lambda: NetworkScenario("ab"), "users: expected a list, got str"),
+        (lambda: NetworkScenario(("a",), {"a": {"loss_probability": 0.1}}),
+         "channels.a: expected a ChannelModel, got dict"),
+        (lambda: NetworkScenario(("a", "b"), sessions=({"requester": "a"},)),
+         "sessions[0]: expected a SessionSpec, got dict"),
+        (lambda: SessionSpec("a", "b", {"protocol": "GHZ1", "num_states": 100}),
+         "config: expected a SessionConfig, got dict"),
+        (lambda: SessionSpec("a", 2, make_config()), "responder: expected a string, got int"),
+        (lambda: ChannelModel(loss_probability="0.1"),
+         "loss_probability: expected a number, got '0.1'"),
+        (lambda: ChannelModel(loss_probability=True), "loss_probability: expected a number, got True"),
+        (lambda: ChannelModel(latency_ticks=1.5), "latency_ticks: expected an integer, got 1.5"),
+    ], ids=["seed_fraction", "seed_negative", "seed_true", "users_text", "channel_dict",
+            "session_dict", "config_dict", "responder_int", "loss_text", "loss_true",
+            "latency_fraction"])
+    def test_a_value_no_document_carries_is_refused(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
         assert str(exc.value) == message
+
+    def test_fields_stored_as_a_document_gives_them(self):
+        scenario = NetworkScenario(["a", "b"], {"a": ChannelModel(np.float32(0.5), 2.0)},
+                                   seed=np.int64(3))
+        assert scenario.users == ("a", "b")
+        assert type(scenario.seed) is int and scenario.seed == 3
+        channel = scenario.channels["a"]
+        assert (type(channel.loss_probability), type(channel.latency_ticks)) == (float, int)
+        assert scenario == NetworkScenario(("a", "b"), {"a": ChannelModel(0.5, 2)}, seed=3)
 
     def test_channel_validation(self):
         with pytest.raises(ValueError):

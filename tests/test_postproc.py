@@ -85,11 +85,11 @@ class TestReconcile:
         with pytest.raises(ValueError, match="must contain only '0' and '1'"):
             reconcile(alice, bob, 2, 2)
 
-    @pytest.mark.parametrize("passes", [0, -3])
-    def test_passes_below_one_rejected(self, passes):
+    @pytest.mark.parametrize("name,value", [("passes", 0), ("passes", -3), ("initial_block", 0)])
+    def test_count_below_one_rejected(self, name, value):
         key = "0110" * 8
-        with pytest.raises(ValueError, match="passes must be >= 1"):
-            reconcile(key, key, passes=passes)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            reconcile(key, key, **{name: value})
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
@@ -297,6 +297,11 @@ class TestPrivacyAmplify:
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
             privacy_amplify("", 0, 0.0, 0.5, 1)
+
+    @pytest.mark.parametrize("epsilon", [0, -0.5, 1.5])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\]"):
+            final_key_length(100, 0.0, 0, epsilon)
 
     @pytest.mark.parametrize("qber", [0.0, 0.5])
     def test_non_bit_characters_rejected(self, qber):

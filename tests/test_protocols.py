@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from tcqkd import adversary, protocols
-from tcqkd.adversary import AncillaEntangle, CheatingCenterMeasureAll, InterceptResend, NoAttack, Party
+from tcqkd.adversary import (
+    AncillaEntangle,
+    CheatingCenterMeasureAll,
+    InterceptResend,
+    NoAttack,
+    Party,
+    UnsupportedAttackError,
+)
 from tcqkd.protocols import (
     ProtocolId,
     SessionConfig,
@@ -173,6 +180,10 @@ class TestConfigValidation:
             SessionConfig(ProtocolId.GHZ1, 100, loss_probability=1.5)
         with pytest.raises(ValueError):
             SessionConfig(ProtocolId.GHZ1, 100, rng_seed=-1)
+
+    def test_an_object_that_is_no_attack_is_refused(self):
+        with pytest.raises(UnsupportedAttackError, match="unknown attack <object object at"):
+            SessionConfig(ProtocolId.GHZ1, 100, attack=object())
 
     def test_expected_unchecked_guard(self):
         with pytest.raises(ValueError):

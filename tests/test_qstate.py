@@ -70,10 +70,15 @@ class TestConstructors:
         amps = vec(make_cat(4, "-"))
         assert abs(amps[0] - SQ) <= ATOL and abs(amps[15] + SQ) <= ATOL
 
-    @pytest.mark.parametrize("n", [0, 1, 5])
-    def test_cat_bad_size(self, n):
-        with pytest.raises(ValueError):
-            make_cat(n, "+")
+    @pytest.mark.parametrize("n,sign,message", [
+        (0, "+", "cat states supported for 2..4 qubits, got 0"),
+        (1, "+", "cat states supported for 2..4 qubits, got 1"),
+        (5, "+", "cat states supported for 2..4 qubits, got 5"),
+        (3, "*", "relative_sign must be '\\+' or '-', got '\\*'"),
+    ])
+    def test_cat_bad_arguments(self, n, sign, message):
+        with pytest.raises(ValueError, match=message):
+            make_cat(n, sign)
 
     @pytest.mark.parametrize(
         "label,expected",
@@ -316,6 +321,11 @@ class TestRegister:
         with pytest.raises(AssertionError, match="zero-probability branch"):
             reg.measure("a", Basis.Z, np.nextafter(1.0, 0.0))
 
+    @pytest.mark.parametrize("roles", [("c", "a"), ("c", "a", "b", "e")])
+    def test_one_role_per_qubit(self, roles):
+        with pytest.raises(ValueError, match="one role per qubit required"):
+            Register.from_state(GHZ, roles)
+
     def test_duplicate_role_rejected(self):
         reg = Register.from_state(GHZ, ("c", "a", "b"))
         with pytest.raises(ValueError):
@@ -333,6 +343,12 @@ class TestProbe:
         probed = apply_x_probe(GHZ, 1, np.array([1, 0], complex), np.array([1, 0], complex))
         expected = np.kron(oracle.GHZ3.reshape(8, 1), np.array([[1], [0]])).reshape(-1)
         assert close(vec(probed), expected)
+
+    @pytest.mark.parametrize("qubit", [3, -1])
+    def test_qubit_out_of_range(self, qubit):
+        u = np.array([1, 0], complex)
+        with pytest.raises(IndexError, match=f"qubit {qubit} out of range for 3-qubit state"):
+            apply_x_probe(GHZ, qubit, u, u)
 
     def test_full_coupling_records_x_value(self):
         u = np.array([1, 1], complex) / math.sqrt(2)

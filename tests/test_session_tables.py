@@ -422,3 +422,31 @@ def test_compile_projects_each_node_and_basis_once(monkeypatch):
     entries = sum(int(np.count_nonzero(~np.isnan(protocols._compile(p, a).p_plus)))
                   for p, a in PAIRINGS)
     assert len(calls) == entries
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolId))
+def test_kept_weight_of_the_tree_is_the_efficiency_bound(protocol):
+    """The paper's efficiency, read off the compiled tree alone: walked
+    forward from a uniform start (one node per prepared label, else the
+    triplet), each choice weighted 1/k and each outcome by p_plus, every
+    level's weights sum to 1 and the kept leaves weigh the bound."""
+    table = protocols._compile(protocol, NoAttack())
+    starts = 1 if protocol in GHZ_PROTOCOLS else len(table.announcements)
+    level = {node: 1 / starts for node in range(starts)}
+    for _, k in table.steps:
+        children = {}
+        for node, weight in level.items():
+            for choice in range(k):
+                p_plus = table.p_plus[node, choice]
+                for bit, p in ((0, p_plus), (1, 1.0 - p_plus)):
+                    child = int(table.next[node, choice, bit])
+                    if child < 0:
+                        assert p <= ATOL
+                        continue
+                    children[child] = children.get(child, 0.0) + weight * p / k
+        assert sum(children.values()) == pytest.approx(1.0, abs=1e-12)
+        level = children
+    inner = len(table.p_plus)
+    assert len(level) == table.leaves.shape[1] - 1  # every leaf but the lost column
+    kept = sum(weight for node, weight in level.items() if table.leaves[5, node - inner])
+    assert kept == pytest.approx(protocols.efficiency_bound(protocol), abs=1e-12)

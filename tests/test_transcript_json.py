@@ -217,6 +217,9 @@ MALFORMED = {
                            "config: unknown key 'check_fracton'"),
     "attack_unknown_key": (edit(["config", "attack", "coupling"], 0.5),
                            "config: attack: unknown key 'coupling'"),
+    "attack_kind_unknown": (edit(["config", "attack", "kind"], "eve"),
+                            "config: attack.kind: "
+                            "expected none/intercept_resend/cheating_center/ancilla, got 'eve'"),
     "count_not_an_integer": (edit(["check_report", "error_count"], "12"),
                              "check_report.error_count: expected an integer, got str"),
     "count_a_boolean": (edit(["postproc", "reconcile_leaked"], True),
