@@ -9,6 +9,7 @@ accuracy oracles are recomputed as weighted sums over the same walk's
 leaves and pinned bit for bit.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -384,6 +385,66 @@ def test_tables_are_read_only_and_shared():
     assert a is protocols._compile(ProtocolId.GHZ2, AncillaEntangle(0.5))
     for arr in (a.p_plus, a.next, a.leaves):
         assert not arr.flags.writeable
+
+
+# sha256 of each pairing's compiled table, in PAIRINGS order: its steps'
+# repr, then per array of p_plus, next and leaves its dtype, shape and
+# bytes.  A change to how registers are built or projected that moves
+# any float or link of any table moves one of these.
+PINNED_TABLE_SHA256 = [
+    "0aad7ae9db86f2f16b6dd75bcce0bff277c697e270a9721599dbae00166c1809",
+    "735b7276fd91d1b22befba48d87dce65819d03192cc59c311a2c7f6c39452d23",
+    "876a3d6a26ca11b5cc15b512a156b2a3845f39c79976b0883da1a56bd6003e8c",
+    "7430085cdaaaef5e010058b9875fe8fd0cb8d9c50dbce7f8f29316082281ad37",
+    "5e2e54c35bd52048f4cc0d5baae75cbd954279f34fe0c2ca5f2338bcaacc5d64",
+    "92126278119900ee8558632cd465824f068d6a9cb4e3016de8531ece2c1a159d",
+    "2bcd4d026b8b7d3b9b8e425bcccad180723c5668ed70dac6cc8570eefc357f9c",
+    "de364299f0e708efd72231eb8c5006e765dbe66ded43926ac4538a62fe019fee",
+    "6012a32d47727fd7bfaa14f669e84882aa1a02300b172703bf75d96dcd3a28a1",
+    "c47949c7ffb472448d402b6890ed70b8e96cabb3c5feec7d171cafe5bd38b68b",
+    "c3d6d260a43f9dd02c88a5531daa50c16815f22e9ac1df658e894a25ce086d6a",
+    "141cb5fd9c3152cb7424ee76b677fedf055e395cdc2d99d94fa0a38969a1b818",
+    "c0b1177cd00396b4ca3cb0c27cc31546e9dc7f11258958584fc7ae5186fba398",
+    "c6d7db850299e41d1a0a7c0a3201d24345960d470bf0c27623c8f0a298bcc76d",
+    "80b11f36b357253399171afed5d142179c263bf12a3b14343aacca4825d9b1f7",
+    "a41caa83d9d6fda51fe69f2c8877153cd1fa6fa7f9dc000b700ea3f0f6641005",
+    "4a99f38dc32a038bf45e818e420ffd0055bab73cba8a1b3b069370309f518c08",
+    "6012a32d47727fd7bfaa14f669e84882aa1a02300b172703bf75d96dcd3a28a1",
+    "249e484c779e5ea2e194806b33ae69a58c1be9a0a60215008d0c930af57220e7",
+    "e43a5870042c2c2a9bb1615051164c8c37a167ea4400b779b24855070c4d49fd",
+    "04f78238f8278c1699b8b075bc5ffdaea75be46d0eb3e9ea88546fa3e859f85a",
+    "e44f1ca186dac7939017a154f7dfff9178eaaf51bd3dec85ad698313728380a3",
+    "430dfce1f0a890390e4e05f877e521d49952a6f9eb80c0a04d5594760c24cd31",
+    "d729ba4ff9c2c0421b3252828771f43a9bb60496d60a1d71e2f4eb3e5ea6d6f3",
+    "3a06b780b624d931f2a9ed652dc54f51c5e0318868d0cd531e6efd63a68c9a11",
+    "205a75927c474aaf53c04ecde0264b99411ff8c0a4d8900f959d010e8da894a4",
+    "03d799646f0b1127bece9fe1338ba1c86d4dd1d0a42b24fa66df85e75e23ffad",
+    "f9f8ada89b285ceba0144050ee25d91a4738ade1861877c5cb256f7b873cb5d2",
+    "446327ca1704948df01312b0d2aad35f5a6c4c10b9852c8d96a7f401fb606709",
+    "274dcb623f8db787ede8418c958c7be1ae723efe211393037ad0bb43d04b6f56",
+    "e9c6f9716f2a35cb979cf474683ce32850ee3df08036ec038cc78686eb9c7dc0",
+    "abb02a98884dfe0c6ee0d49ed9c3b65e337398b54e5ae60afc14fbbfbad1347e",
+    "926b3407196b1abee89eff3ec1f42dca40dea7f0299326416523cae4218e117e",
+    "8a33405e61149ff427426e4329869730b1173609b77db35100833c157a62d2d3",
+    "d4b42ac7c18c06111b88fbba973ea1bcf21aa49dfe580b534bd12aa09dc467e7",
+    "ceb5082d1395f2b07631276c37ec22a76685a304d9bcbf7d817dc2a350f475b1",
+    "b97b09e0fce1435db4c56f0e36f29493981ad96f724338b7c66ba056ebadfe0a",
+]
+
+
+def table_digest(table) -> str:
+    h = hashlib.sha256(repr(table.steps).encode())
+    for arr in (table.p_plus, table.next, table.leaves):
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("protocol,attack,pinned", [
+    (p, a, pinned) for (p, a), pinned in zip(PAIRINGS, PINNED_TABLE_SHA256, strict=True)
+], ids=IDS)
+def test_compiled_table_is_pinned(protocol, attack, pinned):
+    assert table_digest(protocols._compile(protocol, attack)) == pinned
 
 
 @pytest.mark.parametrize("level", ["first", "last"])
