@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .jsonfields import _enum, _number
+from .jsonfields import _enum, _number, _of_type
 from .qstate import (
     Basis,
     GHZ,
@@ -73,9 +73,7 @@ class InterceptResend:
                            _enum(self.target_party, Party, "attack.target_party"))
         pool = self.basis_pool
         if pool is not None:
-            if not isinstance(pool, (list, tuple)):
-                raise ValueError(f"attack.basis_pool: expected a list, got {type(pool).__name__}")
-            if not pool:
+            if not _of_type(pool, (list, tuple), "attack.basis_pool"):
                 raise ValueError("attack.basis_pool must be non-empty")
             object.__setattr__(self, "basis_pool", tuple(
                 _enum(basis, Basis, f"attack.basis_pool[{i}]") for i, basis in enumerate(pool)))
@@ -134,7 +132,7 @@ def ancilla_guess_probability(coupling: float) -> float:
     for role in ("a", "b"):
         _, _, reg = reg.branches(role, Basis.Z)[0]
     (p, _, plus), (q, _, minus) = reg.branches("c", Basis.X)
-    plus_probe, minus_probe = (r.factors[r.where["eve"][0]] for r in (plus, minus))
+    plus_probe, minus_probe = (state for r in (plus, minus) for state, roles in r.factors if "eve" in roles)
     ov = min(1.0, abs(inner_product(plus_probe, minus_probe)))
     # (p-q)^2 + 4pq(1-ov^2) equals 1 - 4pq*ov^2 but stays exact at the
     # degenerate point (balanced priors, identical states).

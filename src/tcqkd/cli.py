@@ -150,6 +150,16 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> 
     return rest
 
 
+def _check_choices(parser: argparse.ArgumentParser, args):
+    """Refuse a value outside its option's choices in the command that runs:
+    argparse checks the command line's, not those a --config file supplied."""
+    subparser = parser._subparsers._group_actions[0].choices[args.verb]  # noqa: SLF001
+    for action in subparser._actions:  # noqa: SLF001
+        value = getattr(args, action.dest, None)
+        if value is not None and action.choices is not None and value not in action.choices:
+            raise ValueError(f"{action.dest}: expected {'/'.join(action.choices)}, got {value!r}")
+
+
 def cmd_tables(args) -> int:
     names = list(_TABLE_SELECTORS) if args.scenario == "all" else [args.scenario]
     render = table_to_csv if args.format == "csv" else table_to_text
@@ -312,6 +322,7 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        _check_choices(parser, args)
         return handlers[args.verb](args)
     except (UnsupportedAttackError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,8 +38,8 @@ def _enum(value, kind, path: str):
 def _of_type(value, kind, path: str):
     """value, if it has the JSON type kind; true and false are not numbers."""
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        expected = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
-                    int: "an integer", _NUMBER: "a number"}[kind]
+        expected = {dict: "an object", list: "a list", (list, tuple): "a list", str: "a string",
+                    bool: "true or false", int: "an integer", _NUMBER: "a number"}[kind]
         raise ValueError(f"{path}: expected {expected}, got {type(value).__name__}")
     return value
 

@@ -66,15 +66,15 @@ class NetworkScenario:
     seed: int = 0
 
     def __post_init__(self):
-        users = self.users if isinstance(self.users, tuple) else _of_type(self.users, list, "users")
-        object.__setattr__(self, "users", tuple(
-            _of_type(uid, str, f"users[{i}]") for i, uid in enumerate(users)))
+        for name in ("users", "sessions"):
+            object.__setattr__(self, name, tuple(_of_type(getattr(self, name), (list, tuple), name)))
+        _of_type(self.channels, dict, "channels")
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError(f"seed: expected an integer >= 0, got {self.seed}")
         first = {}
         for i, uid in enumerate(self.users):
-            if first.setdefault(uid, i) != i:
+            if first.setdefault(_of_type(uid, str, f"users[{i}]"), i) != i:
                 raise ValueError(f"users[{i}]: {uid!r} repeats users[{first[uid]}]")
         for uid, c in self.channels.items():
             if uid not in first:
@@ -221,7 +221,7 @@ def scenario_from_json_dict(doc: dict) -> NetworkScenario:
             sessions.append(SessionSpec(*ids, config))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    return NetworkScenario(users, channels, tuple(sessions), doc.get("seed", 0))
+    return NetworkScenario(users, channels, sessions, doc.get("seed", 0))
 
 
 def load_scenario(path) -> NetworkScenario:

@@ -16,6 +16,9 @@ both eigenvectors of a basis at once and returns both outcomes'
 probability and collapsed state, and `collapse`, `Register.branches`
 and the per-announcement peer tables all read it.
 
+A Register names particles by role: its factors are (state, roles)
+pairs, and measuring a role drops it with its qubit.
+
 The correlation tables for the two-particle states, the mixed
 x/z-correlated combination states and the GHZ triplet are *derived*
 from projection arithmetic, never hand-entered; a hand-transcribed
@@ -233,41 +236,30 @@ def apply_x_probe(state: StateVector, qubit_index: int, u, v) -> StateVector:
 
 
 class Register:
-    """Named particles spread over one or more product factors.
+    """Named particles as a tuple of (state, roles) product factors, a
+    factor's roles naming its qubits in order.  Measuring a role takes
+    its qubit out of its factor, and a measured single-qubit factor goes
+    whole.  All operations return a new Register, never mutating one."""
 
-    Measurement removes the measured qubit from its factor, so the
-    bookkeeping of which role sits at which index is kept here.  All
-    operations return a new Register; instances are never mutated.
-    """
+    __slots__ = ("factors",)
 
-    __slots__ = ("factors", "where")
-
-    def __init__(self, factors, where):
+    def __init__(self, factors):
         self.factors = tuple(factors)
-        self.where = dict(where)
 
     @classmethod
     def from_state(cls, state: StateVector, roles) -> "Register":
-        roles = list(roles)
+        roles = tuple(roles)
         if len(roles) != state.num_qubits:
             raise ValueError("one role per qubit required")
-        return cls((state,), {r: (0, q) for q, r in enumerate(roles)})
+        return cls(((state, roles),))
 
-    def _after_collapse(self, role, collapsed):
-        fi, qi = self.where[role]
-        factors = list(self.factors)
-        where = {r: loc for r, loc in self.where.items() if r != role}
-        if collapsed is None:
-            del factors[fi]
-            for r, (f, q) in list(where.items()):
-                if f > fi:
-                    where[r] = (f - 1, q)
-        else:
-            factors[fi] = collapsed
-            for r, (f, q) in list(where.items()):
-                if f == fi and q > qi:
-                    where[r] = (f, q - 1)
-        return Register(factors, where)
+    def _split(self, role):
+        """The factors before the role's, its state and roles, and the
+        factors after it."""
+        for fi, (state, roles) in enumerate(self.factors):
+            if role in roles:
+                return self.factors[:fi], state, roles, self.factors[fi + 1:]
+        raise KeyError(role)
 
     # Sessions draw from compiled tables and never call this;
     # perfbench/tracing.py patches it by name, so it stays until the
@@ -284,27 +276,24 @@ class Register:
     def branches(self, role, basis: Basis):
         """Both Born-rule branches [(prob, outcome, register), ...], +
         first; the register is None for a branch of probability ~ 0."""
-        fi, qi = self.where[role]
-        return [(prob, outcome, self._after_collapse(role, collapsed) if prob > ATOL else None)
-                for outcome, (prob, collapsed)
-                in zip((Outcome.PLUS, Outcome.MINUS), project(self.factors[fi], qi, basis))]
+        before, state, roles, after = self._split(role)
+        qi = roles.index(role)
+        rest = roles[:qi] + roles[qi + 1:]
+        out = []
+        for outcome, (prob, collapsed) in zip(Outcome, project(state, qi, basis)):
+            kept = () if collapsed is None else ((collapsed, rest),)
+            out.append((prob, outcome, Register(before + kept + after) if prob > ATOL else None))
+        return out
 
     def add_eigenstate(self, role, basis: Basis, sign: Outcome) -> "Register":
-        if role in self.where:
+        if any(role in roles for _, roles in self.factors):
             raise ValueError(f"role {role!r} already present")
-        factors = self.factors + (make_eigenstate(basis, sign),)
-        where = dict(self.where)
-        where[role] = (len(factors) - 1, 0)
-        return Register(factors, where)
+        return Register(self.factors + ((make_eigenstate(basis, sign), (role,)),))
 
     def attach_probe(self, role, probe_role, u, v) -> "Register":
-        fi, qi = self.where[role]
-        probed = apply_x_probe(self.factors[fi], qi, u, v)
-        factors = list(self.factors)
-        factors[fi] = probed
-        where = dict(self.where)
-        where[probe_role] = (fi, probed.num_qubits - 1)
-        return Register(factors, where)
+        before, state, roles, after = self._split(role)
+        probed = apply_x_probe(state, roles.index(role), u, v)
+        return Register(before + ((probed, roles + (probe_role,)),) + after)
 
 
 # --- correlation tables -------------------------------------------------

@@ -505,6 +505,37 @@ class TestConfigFile:
         assert captured.err == "error: protocol: expected GHZ1/GHZ2/GHZ3/BELL4/BELL5, got 'GHZ9'\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("line,argv,message", [
+        ("kind=eve", ["attack", "GHZ1", "--num-states", "500"],
+         "kind: expected intercept-resend/cheating-center/ancilla, got 'eve'"),
+        ("scenario=foo", ["tables"], "scenario: expected bell/mixed/ghz/all, got 'foo'"),
+        ("format=xml", ["tables", "all"], "format: expected text/csv, got 'xml'"),
+        # Refused as the flag is, though intercept-resend reads no basis.
+        ("basis=W", ["attack", "GHZ1", "intercept-resend", "--num-states", "500"],
+         "basis: expected X/Y/Z, got 'W'"),
+    ], ids=["kind", "scenario", "format", "basis"])
+    def test_file_value_outside_choices_one_line_exit_1(self, tmp_path, capsys, line, argv, message):
+        # argparse checks choices only on the command line; the command
+        # that runs checks the file's values against its own.
+        cfg = tmp_path / "choice.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main(["--config", str(cfg), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_file_value_checked_by_the_command_that_runs(self, tmp_path, capsys):
+        # tables' scenario has choices; network's is a path and has none.
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"users": ["a"]}), encoding="utf-8")
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"scenario={scenario}\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "network"]) == 0
+        assert capsys.readouterr().err == ""
+        cfg.write_text("scenario=bell\nformat=csv\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "tables"]) == 0
+        assert capsys.readouterr().out.startswith("scenario,center,")
+
     def test_config_without_path_one_line_exit_1(self, capsys):
         assert main(["--config"]) == 1
         assert capsys.readouterr().err == "error: argument --config: expected one argument\n"

@@ -214,9 +214,13 @@ class TestScenarioValidation:
          "loss_probability: expected a number, got '0.1'"),
         (lambda: ChannelModel(loss_probability=True), "loss_probability: expected a number, got True"),
         (lambda: ChannelModel(latency_ticks=1.5), "latency_ticks: expected an integer, got 1.5"),
+        (lambda: NetworkScenario(("a",), [("a", ChannelModel())]),
+         "channels: expected an object, got list"),
+        (lambda: NetworkScenario(("a",), None), "channels: expected an object, got NoneType"),
+        (lambda: NetworkScenario(("a",), sessions=None), "sessions: expected a list, got NoneType"),
     ], ids=["seed_fraction", "seed_negative", "seed_true", "users_text", "channel_dict",
             "session_dict", "config_dict", "responder_int", "loss_text", "loss_true",
-            "latency_fraction"])
+            "latency_fraction", "channels_list", "channels_none", "sessions_none"])
     def test_a_value_no_document_carries_is_refused(self, build, message):
         with pytest.raises(ValueError) as exc:
             build()
@@ -226,6 +230,8 @@ class TestScenarioValidation:
         scenario = NetworkScenario(["a", "b"], {"a": ChannelModel(np.float32(0.5), 2.0)},
                                    seed=np.int64(3))
         assert scenario.users == ("a", "b")
+        spec = SessionSpec("a", "b", make_config())
+        assert NetworkScenario(["a", "b"], sessions=[spec]).sessions == (spec,)
         assert type(scenario.seed) is int and scenario.seed == 3
         channel = scenario.channels["a"]
         assert (type(channel.loss_probability), type(channel.latency_ticks)) == (float, int)

@@ -298,14 +298,17 @@ class TestRegister:
         reg = reg.add_eigenstate("a", Basis.Y, Outcome.MINUS)
         out, reg = reg.measure("a", Basis.Y, 0.99)
         assert out is Outcome.MINUS
-        assert "a" not in reg.where
+        assert all("a" not in roles for _, roles in reg.factors)
 
     def test_measure_deterministic_in_draw(self):
         reg = Register.from_state(GHZ, ("c", "a", "b"))
         a = reg.measure("a", Basis.Y, 0.42)
         b = reg.measure("a", Basis.Y, 0.42)
         assert a[0] is b[0]
-        assert np.array_equal(vec(a[1].factors[0]), vec(b[1].factors[0]))
+        (state_a, roles_a), = a[1].factors
+        (state_b, roles_b), = b[1].factors
+        assert roles_a == roles_b == ("c", "b")
+        assert np.array_equal(vec(state_a), vec(state_b))
 
     def test_draw_equal_to_p_plus_gives_minus(self):
         # The sampler's comparison: MINUS iff draw >= p_plus.

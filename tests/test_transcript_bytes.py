@@ -235,7 +235,7 @@ def test_pinned_cases_reach_the_hash():
 
 
 def _snapshot(reg):
-    return [f.amplitudes.tobytes() for f in reg.factors], dict(reg.where)
+    return [(state.amplitudes.tobytes(), roles) for state, roles in reg.factors]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
