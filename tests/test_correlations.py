@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+
+from tcqkd.cli import main
 
 from tcqkd.qstate import (
     Basis,
@@ -131,6 +135,15 @@ class TestExports:
     def test_text_marks_ghz_discrepancy(self):
         text = table_to_text(derive_correlation_table(TableScenario.GHZ_TABLE_III))
         assert "x+*" in text
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("text", "4986bffaa1c7f048c05beccf54ba4da2908003a485289d69654c8fa4876df834"),
+        ("csv", "3dd4b322562d4503fdd2563511090fa8b51291c4963c8d1691fa00bc7311952d"),
+    ])
+    def test_cli_tables_output_pinned(self, fmt, digest, capsys):
+        # What `tcqkd tables all` prints, byte for byte, in each format.
+        assert main(["tables", "all", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_announcement_str(self):
         assert announcement_str((Y, M)) == "y-"
