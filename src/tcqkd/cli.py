@@ -28,7 +28,7 @@ from .adversary import (
     CheatingCenterMeasureAll,
     InterceptResend,
     NoAttack,
-    UnsupportedAttackError,
+    Party,
 )
 from .protocols import (
     ProtocolId,
@@ -40,7 +40,7 @@ from .protocols import (
     transcript_to_json,
     TIME_RESERVED_EPR_BASELINE,
 )
-from .qstate import TableScenario, derive_correlation_table, table_to_csv, table_to_text
+from .qstate import Basis, TableScenario, derive_correlation_table, table_to_csv, table_to_text
 
 _TABLE_SELECTORS = {
     "bell": TableScenario.BELL_TABLE_I,
@@ -100,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack = sub.add_parser("attack", help="run an adversary experiment")
     p_attack.add_argument("protocol", choices=[p.value for p in ProtocolId])
     p_attack.add_argument("kind", choices=["intercept-resend", "cheating-center", "ancilla"])
-    p_attack.add_argument("--target", choices=["alice", "bob"], default="alice")
+    p_attack.add_argument("--target", choices=[p.value for p in Party], default=Party.ALICE.value)
     p_attack.add_argument("--pool", help="comma-separated Eve bases, e.g. X,Y")
-    p_attack.add_argument("--basis", choices=["X", "Y", "Z"], default="X")
+    p_attack.add_argument("--basis", choices=[b.value for b in Basis], default=Basis.X.value)
     p_attack.add_argument("--coupling", type=float, default=1.0)
     _add_session_flags(p_attack)
     p_attack.add_argument("--out", help="transcript JSON path")
@@ -324,7 +324,7 @@ def main(argv=None) -> int:
     try:
         _check_choices(parser, args)
         return handlers[args.verb](args)
-    except (UnsupportedAttackError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -346,8 +346,8 @@ class _Columns(Sequence):
 
     names: tuple = ()
 
-    def __init__(self, lookup, first, *columns):
-        self._lookup = lookup  # what `_item` decodes column values with
+    def __init__(self, decoding, first, *columns):
+        self._decoding = decoding  # what `_item` decodes column values with
         self._first = first
         self._columns = columns
 
@@ -367,7 +367,7 @@ class _Columns(Sequence):
                                                  *(c.tolist() for c in self._columns)))
 
     def __eq__(self, other) -> bool:
-        return (type(other) is type(self) and self._lookup == other._lookup
+        return (type(other) is type(self) and self._decoding == other._decoding
                 and all(np.array_equal(a, b) for a, b in
                         zip((self._first, *self._columns), (other._first, *other._columns))))
 
@@ -413,7 +413,7 @@ class _Positions(_Columns):
              "bob_outcome", "kept", "used_for_check")
 
     def _item(self, index, lost, announcement, a_basis, b_basis, a_out, b_out, kept, checked):
-        return PositionRecord(index, lost, self._lookup[announcement],
+        return PositionRecord(index, lost, self._decoding[announcement],
                               _BASES_OR_NONE[a_basis], _BASES_OR_NONE[b_basis],
                               _OUTCOMES_OR_NONE[a_out], _OUTCOMES_OR_NONE[b_out], kept, checked)
 
@@ -438,7 +438,7 @@ class _AdversaryRecords(_Columns):
     names = ("basis_used", "outcome", "inferred_bit")
 
     def _item(self, position, basis, outcome, bit):
-        return {"position": position, "basis_used": self._lookup + _BASES_OR_NONE[basis].value,
+        return {"position": position, "basis_used": self._decoding + _BASES_OR_NONE[basis].value,
                 "outcome": _OUTCOMES_OR_NONE[outcome].value, "inferred_bit": bit}
 
 
@@ -1038,7 +1038,7 @@ def transcript_to_json(transcript: SessionTranscript) -> str:
     else:
         records = adversary.pop("records")
         out += (_JSON.encode(adversary)[:-1], ',"records":{"basis_prefix":',
-                _JSON.encode(records._lookup), *records.json_members(), "}}")
+                _JSON.encode(records._decoding), *records.json_members(), "}}")
     out += (",", _JSON.encode({
         "kept_count": transcript.kept_count,
         "kept_fraction": transcript.kept_fraction,

@@ -17,7 +17,7 @@ probability and collapsed state, and `collapse`, `Register.branches`
 and the per-announcement peer tables all read it.
 
 A Register names particles by role: its factors are (state, roles)
-pairs, and measuring a role drops it with its qubit.
+pairs, no role twice, and measuring a role drops it with its qubit.
 
 The correlation tables for the two-particle states, the mixed
 x/z-correlated combination states and the GHZ triplet are *derived*
@@ -25,7 +25,8 @@ from projection arithmetic, never hand-entered; a hand-transcribed
 reference copy of each table ships alongside so every derived entry can
 be checked against it (`matches_paper` in the export schema).  One GHZ
 entry is known to disagree with the reference and is flagged rather
-than patched.
+than patched.  A table is its entries: the CSV writes one row per entry,
+and the text layout reads each cell from one map over them.
 """
 
 from __future__ import annotations
@@ -237,14 +238,19 @@ def apply_x_probe(state: StateVector, qubit_index: int, u, v) -> StateVector:
 
 class Register:
     """Named particles as a tuple of (state, roles) product factors, a
-    factor's roles naming its qubits in order.  Measuring a role takes
-    its qubit out of its factor, and a measured single-qubit factor goes
-    whole.  All operations return a new Register, never mutating one."""
+    factor's roles naming its qubits in order, no role twice.  Measuring
+    a role takes its qubit out of its factor, and a measured single-qubit
+    factor goes whole.  All operations return a new Register, never
+    mutating one."""
 
     __slots__ = ("factors",)
 
     def __init__(self, factors):
         self.factors = tuple(factors)
+        roles = [role for _, factor_roles in self.factors for role in factor_roles]
+        for i, role in enumerate(roles):
+            if role in roles[:i]:
+                raise ValueError(f"role {role!r} already present")
 
     @classmethod
     def from_state(cls, state: StateVector, roles) -> "Register":
@@ -286,8 +292,6 @@ class Register:
         return out
 
     def add_eigenstate(self, role, basis: Basis, sign: Outcome) -> "Register":
-        if any(role in roles for _, roles in self.factors):
-            raise ValueError(f"role {role!r} already present")
         return Register(self.factors + ((make_eigenstate(basis, sign), (role,)),))
 
     def attach_probe(self, role, probe_role, u, v) -> "Register":
@@ -320,16 +324,6 @@ class TableEntry:
 class CorrelationTable:
     scenario: TableScenario
     entries: tuple[TableEntry, ...]
-
-    def lookup(self, announcement, alice_basis, alice_outcome) -> TableEntry:
-        for e in self.entries:
-            if (
-                e.announcement == announcement
-                and e.alice_basis is alice_basis
-                and e.alice_outcome is alice_outcome
-            ):
-                return e
-        raise KeyError((announcement, alice_basis, alice_outcome))
 
     def discrepancies(self) -> tuple[TableEntry, ...]:
         return tuple(e for e in self.entries if not e.matches_paper)
@@ -479,28 +473,20 @@ def table_to_text(table: CorrelationTable) -> str:
     """Aligned four-column layout: one column per announcement, row
     pairs of Alice's state and Bob's derived state.  Entries that
     disagree with the reference transcription carry a '*'."""
-    announcements = dict.fromkeys(e.announcement for e in table.entries)
-    rows = dict.fromkeys((e.alice_basis, e.alice_outcome) for e in table.entries)
+    cells = {(e.announcement, e.alice_basis, e.alice_outcome): e for e in table.entries}
+    announcements = dict.fromkeys(announcement for announcement, _, _ in cells)
+    rows = dict.fromkeys((basis, outcome) for _, basis, outcome in cells)
     width = 10
-    header = f"{table.scenario.value}\n"
-    header += "Center".ljust(width) + "".join(_column_header(a).ljust(width) for a in announcements)
-    lines = [header, "-" * (width * (len(announcements) + 1))]
-    for alice_basis, alice_outcome in rows:
-        alice_cell = f"{alice_basis.value.lower()}{alice_outcome.value}"
-        alice_line = "Alice".ljust(width) + "".join(alice_cell.ljust(width) for _ in announcements)
+    header = "Center".ljust(width) + "".join(_column_header(a).ljust(width) for a in announcements)
+    lines = [f"{table.scenario.value}\n{header}", "-" * (width * (len(announcements) + 1))]
+    for row in rows:
         bob_cells = []
-        for ann in announcements:
-            e = table.lookup(ann, alice_basis, alice_outcome)
-            if e.deterministic:
-                cell = f"{e.bob_basis.value.lower()}{e.bob_outcome.value}"
-            else:
-                cell = "?"
-            if not e.matches_paper:
-                cell += "*"
-            bob_cells.append(cell)
-        bob_line = "Bob".ljust(width) + "".join(c.ljust(width) for c in bob_cells)
-        lines.append(alice_line)
-        lines.append(bob_line)
+        for announcement in announcements:
+            e = cells[(announcement, *row)]
+            cell = announcement_str((e.bob_basis, e.bob_outcome)) if e.deterministic else "?"
+            bob_cells.append(cell if e.matches_paper else cell + "*")
+        lines.append("Alice".ljust(width) + announcement_str(row).ljust(width) * len(announcements))
+        lines.append("Bob".ljust(width) + "".join(c.ljust(width) for c in bob_cells))
     flagged = table.discrepancies()
     if flagged:
         lines.append(f"* {len(flagged)} entr{'y' if len(flagged) == 1 else 'ies'} disagree(s) with the reference table")

@@ -80,6 +80,16 @@ class TestAttack:
 
     def test_unsupported_combo_usage_error(self, capsys):
         assert main(["attack", "BELL4", "ancilla", "--num-states", "500"]) == 1
+        assert capsys.readouterr().err == "error: the ancilla attack targets the triplet protocols\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--target", "carol"], "argument --target: invalid choice: 'carol' (choose from 'alice', 'bob')"),
+        (["--basis", "W"], "argument --basis: invalid choice: 'W' (choose from 'X', 'Y', 'Z')"),
+    ], ids=["target", "basis"])
+    def test_flag_outside_choices_usage_error(self, flags, message, capsys):
+        # The choices are the Party and Basis values, in their order.
+        assert main(["attack", "GHZ1", "intercept-resend", *flags]) == 1
+        assert capsys.readouterr().err.endswith(f"tcqkd attack: error: {message}\n")
 
     def test_unknown_pool_basis_names_the_field(self, capsys):
         # The line a config document with this pool gets.
@@ -513,7 +523,9 @@ class TestConfigFile:
         # Refused as the flag is, though intercept-resend reads no basis.
         ("basis=W", ["attack", "GHZ1", "intercept-resend", "--num-states", "500"],
          "basis: expected X/Y/Z, got 'W'"),
-    ], ids=["kind", "scenario", "format", "basis"])
+        ("target=carol", ["attack", "GHZ1", "intercept-resend", "--num-states", "500"],
+         "target: expected alice/bob, got 'carol'"),
+    ], ids=["kind", "scenario", "format", "basis", "target"])
     def test_file_value_outside_choices_one_line_exit_1(self, tmp_path, capsys, line, argv, message):
         # argparse checks choices only on the command line; the command
         # that runs checks the file's values against its own.

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -20,6 +21,11 @@ import oracle
 
 P, M = Outcome.PLUS, Outcome.MINUS
 X, Y, Z = Basis.X, Basis.Y, Basis.Z
+
+def cells(table):
+    """{(announcement, alice_basis, alice_outcome): entry} over a table's entries."""
+    return {(e.announcement, e.alice_basis, e.alice_outcome): e for e in table.entries}
+
 
 def oracle_pair(announcement):
     """(Alice, Bob) pair via the independent projection route."""
@@ -89,20 +95,19 @@ class TestReferenceComparison:
             if announcement in (TwoQubitLabel.PSI_PLUS, TwoQubitLabel.PHI_MINUS)
             else TableScenario.MIXED_TABLE_II
         )
-        e = derive_correlation_table(scenario).lookup(announcement, *alice)
+        e = cells(derive_correlation_table(scenario))[(announcement, *alice)]
         assert (e.bob_basis, e.bob_outcome) == expected_bob
         assert e.matches_paper
 
-    def test_lookup_miss_raises_key_error(self):
+    def test_bell_table_holds_no_bell5_label(self):
         table = derive_correlation_table(TableScenario.BELL_TABLE_I)
-        with pytest.raises(KeyError):
-            table.lookup(TwoQubitLabel.COMB_PSI_PLUS, X, P)  # a BELL5 label
+        assert all(e.announcement is not TwoQubitLabel.COMB_PSI_PLUS for e in table.entries)
 
     def test_ghz_spot_checks(self):
-        table = derive_correlation_table(TableScenario.GHZ_TABLE_III)
-        e = table.lookup((X, M), Y, P)
+        table = cells(derive_correlation_table(TableScenario.GHZ_TABLE_III))
+        e = table[((X, M), Y, P)]
         assert (e.bob_basis, e.bob_outcome) == (Y, P)
-        e = table.lookup((Y, P), Y, P)
+        e = table[((Y, P), Y, P)]
         assert (e.bob_basis, e.bob_outcome) == (X, M)
 
 
@@ -135,6 +140,15 @@ class TestExports:
     def test_text_marks_ghz_discrepancy(self):
         text = table_to_text(derive_correlation_table(TableScenario.GHZ_TABLE_III))
         assert "x+*" in text
+
+    def test_text_writes_an_undetermined_entry_as_question_mark(self):
+        table = derive_correlation_table(TableScenario.BELL_TABLE_I)
+        first = dataclasses.replace(table.entries[0], bob_basis=None, bob_outcome=None,
+                                    deterministic=False, matches_paper=False)
+        text = table_to_text(dataclasses.replace(table, entries=(first, *table.entries[1:])))
+        bob_lines = [l for l in text.split("\n") if l.startswith("Bob")]
+        assert bob_lines[0].split() == ["Bob", "?*", "x-", "x+", "x-"]
+        assert text.endswith("* 1 entry disagree(s) with the reference table\n")
 
     @pytest.mark.parametrize("fmt,digest", [
         ("text", "4986bffaa1c7f048c05beccf54ba4da2908003a485289d69654c8fa4876df834"),

@@ -331,8 +331,13 @@ class TestRegister:
 
     def test_duplicate_role_rejected(self):
         reg = Register.from_state(GHZ, ("c", "a", "b"))
-        with pytest.raises(ValueError):
+        u, v = np.array([1, 0], complex), np.array([0, 1], complex)
+        with pytest.raises(ValueError, match="^role 'a' already present$"):
             reg.add_eigenstate("a", Basis.X, Outcome.PLUS)
+        with pytest.raises(ValueError, match="^role 'a' already present$"):
+            Register.from_state(GHZ, ("c", "a", "a"))
+        with pytest.raises(ValueError, match="^role 'b' already present$"):
+            reg.attach_probe("a", "b", u, v)
 
     def test_branches_weights(self):
         reg = Register.from_state(GHZ, ("c", "a", "b"))
