@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -93,6 +94,19 @@ class TestConstructors:
     )
     def test_two_qubit_against_oracle(self, label, expected):
         assert close(vec(make_two_qubit(label)), expected)
+
+    # sha256 of each pair state's amplitude bytes: a change to how the
+    # states are built must leave every amplitude bit for bit as it is.
+    @pytest.mark.parametrize("label,digest", [
+        (TwoQubitLabel.PSI_PLUS, "37fe4d07afc183c37066a83fb1e1ccff488c19a4bd0fe73a2ea8233dfe0ae1a0"),
+        (TwoQubitLabel.PSI_MINUS, "4d466c04d2819594f45f6589ba9e62573f123496eb36ae5cc4f1b61f153de6d7"),
+        (TwoQubitLabel.PHI_PLUS, "1620cdb16cd4ce854e914462dc1a6c975164ee8fb8c93a94043886b18d700c18"),
+        (TwoQubitLabel.PHI_MINUS, "8b07e6791ec242c2409bad4f74c51d113be113bc29284badc0cb53cb2732bf74"),
+        (TwoQubitLabel.COMB_PSI_PLUS, "4fbcdd8fc223299c8007dac3398347a42e288d15255b254557a8b27bf34eb33f"),
+        (TwoQubitLabel.COMB_PHI_MINUS, "ef9c21fe1ae4b9c3f62a80f641b11bf775da11d0c4b55254ebbf358a8c0c9f8f"),
+    ])
+    def test_two_qubit_amplitudes_are_pinned(self, label, digest):
+        assert hashlib.sha256(make_two_qubit(label).amplitudes.tobytes()).hexdigest() == digest
 
     def test_norms(self):
         for label in TwoQubitLabel:
