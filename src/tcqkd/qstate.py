@@ -19,8 +19,8 @@ and the per-announcement peer tables all read it.
 A Register names particles by role: its factors are (state, roles)
 pairs, no role twice, and measuring a role drops it with its qubit.
 
-The correlation tables for the two-particle states, the mixed
-x/z-correlated combination states and the GHZ triplet are *derived*
+The pair states are one table of (state, Table I/II column header)
+rows.  Their correlation tables and the GHZ triplet's are *derived*
 from projection arithmetic, never hand-entered; a hand-transcribed
 reference copy of each table ships alongside so every derived entry can
 be checked against it (`matches_paper` in the export schema).  One GHZ
@@ -133,7 +133,18 @@ def make_cat(n: int, relative_sign: str) -> StateVector:
     return StateVector(amps)
 
 
-@lru_cache(maxsize=None)
+_PSI_MINUS = np.array([_SQRT2_INV, 0, 0, -_SQRT2_INV], dtype=complex)
+_PHI_PLUS = np.array([0, _SQRT2_INV, _SQRT2_INV, 0], dtype=complex)
+_PAIRS = {
+    TwoQubitLabel.PSI_PLUS: (StateVector([_SQRT2_INV, 0, 0, _SQRT2_INV]), "Psi+"),
+    TwoQubitLabel.PSI_MINUS: (StateVector(_PSI_MINUS), "Psi-"),
+    TwoQubitLabel.PHI_PLUS: (StateVector(_PHI_PLUS), "Phi+"),
+    TwoQubitLabel.PHI_MINUS: (StateVector([0, _SQRT2_INV, -_SQRT2_INV, 0]), "Phi-"),
+    TwoQubitLabel.COMB_PSI_PLUS: (StateVector((_PSI_MINUS + _PHI_PLUS) * _SQRT2_INV), "psi+"),
+    TwoQubitLabel.COMB_PHI_MINUS: (StateVector((_PSI_MINUS - _PHI_PLUS) * _SQRT2_INV), "phi-"),
+}
+
+
 def make_two_qubit(label: TwoQubitLabel) -> StateVector:
     """Pair states by label.
 
@@ -142,21 +153,9 @@ def make_two_qubit(label: TwoQubitLabel) -> StateVector:
     The combination states are (PsiMinus +/- PhiPlus)/sqrt(2); they
     correlate one party's x outcomes with the other's z outcomes.
     """
-    if label is TwoQubitLabel.PSI_PLUS:
-        return make_cat(2, "+")
-    if label is TwoQubitLabel.PSI_MINUS:
-        return make_cat(2, "-")
-    if label is TwoQubitLabel.PHI_PLUS:
-        return StateVector(np.array([0, _SQRT2_INV, _SQRT2_INV, 0], dtype=complex))
-    if label is TwoQubitLabel.PHI_MINUS:
-        return StateVector(np.array([0, _SQRT2_INV, -_SQRT2_INV, 0], dtype=complex))
-    psi_minus = make_two_qubit(TwoQubitLabel.PSI_MINUS).amplitudes
-    phi_plus = make_two_qubit(TwoQubitLabel.PHI_PLUS).amplitudes
-    if label is TwoQubitLabel.COMB_PSI_PLUS:
-        return StateVector((psi_minus + phi_plus) * _SQRT2_INV)
-    if label is TwoQubitLabel.COMB_PHI_MINUS:
-        return StateVector((psi_minus - phi_plus) * _SQRT2_INV)
-    raise ValueError(f"unknown label {label}")
+    if label not in _PAIRS:
+        raise ValueError(f"unknown label {label}")
+    return _PAIRS[label][0]
 
 
 GHZ = make_cat(3, "+")
@@ -438,14 +437,7 @@ def announcement_str(announcement) -> str:
 
 def _column_header(announcement) -> str:
     if isinstance(announcement, TwoQubitLabel):
-        return {
-            TwoQubitLabel.PSI_PLUS: "Psi+",
-            TwoQubitLabel.PSI_MINUS: "Psi-",
-            TwoQubitLabel.PHI_PLUS: "Phi+",
-            TwoQubitLabel.PHI_MINUS: "Phi-",
-            TwoQubitLabel.COMB_PSI_PLUS: "psi+",
-            TwoQubitLabel.COMB_PHI_MINUS: "phi-",
-        }[announcement]
+        return _PAIRS[announcement][1]
     return announcement_str(announcement)
 
 

@@ -186,6 +186,14 @@ class TestSimulationMatchesOracle:
         assert abs(observed - predicted) <= binomial_3sigma(predicted, tr.check_report.checked_count)
         assert tr.check_report.aborted
 
+    def test_no_key_position_leaves_accuracy_unobserved(self):
+        """Bob's leg at loss 1 loses every position, so no position is
+        key material and her accuracy has nothing to count."""
+        tr = run_session(SessionConfig(ProtocolId.GHZ1, 40, loss_probability=(0.0, 1.0),
+                                       attack=InterceptResend()))
+        assert tr.kept_count == 0
+        assert tr.adversary["observed_accuracy"] is None
+
     def test_intercept_bell5_accuracy(self):
         # Her hits on the key positions, pooled over ten fixed seeds.
         hits = total = 0

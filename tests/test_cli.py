@@ -37,6 +37,14 @@ class TestTables:
         assert main(["tables", "bogus"]) == 1
 
 
+def test_main_without_arguments_reads_sys_argv(monkeypatch, capsys):
+    assert main(["tables", "bell", "--format", "csv"]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr("sys.argv", ["tcqkd", "tables", "bell", "--format", "csv"])
+    assert main() == 0
+    assert capsys.readouterr().out == expected
+
+
 class TestRun:
     def test_run_writes_transcript_and_summary(self, tmp_path, capsys):
         out = tmp_path / "t.json"
@@ -48,6 +56,11 @@ class TestRun:
         assert doc["kept_fraction"] == 1.0
         summary = capsys.readouterr().out
         assert "protocol=GHZ3" in summary and "bound=1.0" in summary
+
+    def test_run_defaults_to_10000_states(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main(["run", "--protocol", "GHZ1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["num_states"] == 10000
 
     def test_run_rejects_zero_states(self, capsys):
         assert main(["run", "--protocol", "GHZ1", "--num-states", "0"]) == 1
@@ -152,6 +165,12 @@ class TestBench:
         main(["network", str(TestNetwork()._scenario_file(tmp_path)), "--csv", str(csv)])
         network_header = csv.read_text().split("\n")[0]
         assert out.read_text().split("\n")[0] == network_header + ",baseline_time_reserved"
+
+    def test_defaults_to_10000_states(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--protocols", "GHZ1", "--out", str(out)]) == 0
+        header, row = out.read_text().strip().split("\n")
+        assert dict(zip(header.split(","), row.split(",")))["num_states"] == "10000"
 
     def test_empty_protocol_set(self, capsys):
         assert main(["bench", "--protocols", "", "--loss-grid", "0.0"]) == 0

@@ -237,6 +237,9 @@ class TestScenarioValidation:
         assert (type(channel.loss_probability), type(channel.latency_ticks)) == (float, int)
         assert scenario == NetworkScenario(("a", "b"), {"a": ChannelModel(0.5, 2)}, seed=3)
 
+    def test_channel_at_loss_one_is_accepted(self):
+        assert ChannelModel(loss_probability=1.0).loss_probability == 1.0
+
     def test_channel_validation(self):
         with pytest.raises(ValueError):
             ChannelModel(loss_probability=-0.1)
@@ -407,6 +410,16 @@ class TestScenarioFiles:
         assert loaded.channels["a"].loss_probability == 0.2
         assert loaded.channels["a"].latency_ticks == 3
         assert loaded.sessions[0].config.protocol is ProtocolId.BELL5
+
+    def test_seed_defaults_to_zero(self):
+        """A document without a seed runs as with "seed": 0."""
+        doc = scenario_to_json_dict(three_user_scenario(n=400))
+        del doc["seed"]
+
+        def report(**seed):
+            return json.dumps(run_network_scenario(scenario_from_json_dict({**doc, **seed})).report)
+
+        assert report() == report(seed=0) != report(seed=1)
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_SCENARIOS))
     def test_malformed_document_names_the_place(self, name):

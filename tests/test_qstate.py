@@ -108,6 +108,10 @@ class TestConstructors:
     def test_two_qubit_amplitudes_are_pinned(self, label, digest):
         assert hashlib.sha256(make_two_qubit(label).amplitudes.tobytes()).hexdigest() == digest
 
+    def test_two_qubit_refuses_a_non_label(self):
+        with pytest.raises(ValueError, match="^unknown label bogus$"):
+            make_two_qubit("bogus")
+
     def test_norms(self):
         for label in TwoQubitLabel:
             s = make_two_qubit(label)
@@ -122,6 +126,9 @@ class TestConstructors:
             StateVector([np.nan, 0.0])
         with pytest.raises(ValueError):
             StateVector(np.zeros(32))  # five qubits
+
+    def test_statevector_repr(self):
+        assert repr(make_eigenstate(Basis.Z, Outcome.MINUS)) == "StateVector(1 qubits, [0j, (1+0j)])"
 
     def test_statevector_immutable(self):
         s = make_eigenstate(Basis.Z, Outcome.PLUS)
@@ -352,6 +359,14 @@ class TestRegister:
             Register.from_state(GHZ, ("c", "a", "a"))
         with pytest.raises(ValueError, match="^role 'b' already present$"):
             reg.attach_probe("a", "b", u, v)
+
+    def test_role_no_factor_holds_raises_key_error(self):
+        reg = Register.from_state(GHZ, ("c", "a", "b"))
+        with pytest.raises(KeyError, match="^'eve'$"):
+            reg.branches("eve", Basis.X)
+        _, _, measured = reg.branches("a", Basis.Z)[0]
+        with pytest.raises(KeyError, match="^'a'$"):
+            measured.branches("a", Basis.X)
 
     def test_branches_weights(self):
         reg = Register.from_state(GHZ, ("c", "a", "b"))
