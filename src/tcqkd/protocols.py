@@ -45,8 +45,12 @@ variant exists only as the separate GHZ2 rule set.
 Sessions are deterministic: every random choice comes from a named
 per-actor stream (center, alice, bob, eve, channel, postproc) derived
 from the session seed, so identical configs produce byte-identical
-transcripts.  Parties interact only through explicit announcement and
-basis messages.
+transcripts.  A stream is numpy's `default_rng(SeedSequence(seed,
+spawn_key=(key,)))`, and the post-processing seeds are two words of the
+postproc key's sequence.  Spawned sequences of one seed differ only in
+the last step of numpy's mixing, so `_session_streams` mixes the seed
+once per session and finishes that step per key in Python integers.
+Parties interact only through explicit announcement and basis messages.
 
 One function, `_timeline`, states who acts when, once per (protocol,
 attack) pairing: the session's events in order, each with the
@@ -136,6 +140,7 @@ from functools import cached_property, lru_cache
 from typing import get_args
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import postproc
 from .adversary import (
@@ -164,6 +169,9 @@ from .qstate import (
 
 TIME_RESERVED_EPR_BASELINE = 0.125
 DEFAULT_EPSILON = 2.0**-32
+# A session holds at least a byte per position, and a 64-bit machine
+# addresses 2**48 bytes: a larger session could never run.
+MAX_NUM_STATES = 2**48
 
 
 class ProtocolId(Enum):
@@ -291,8 +299,8 @@ class SessionConfig:
         object.__setattr__(self, "loss_probability", tuple(
             _number(leg, f"loss_probability[{i}]") for i, leg in enumerate(loss))
             if isinstance(loss, (list, tuple)) else _number(loss, "loss_probability"))
-        if self.num_states < 1:
-            raise ValueError("num_states must be >= 1")
+        if not 1 <= self.num_states <= MAX_NUM_STATES:
+            raise ValueError(f"num_states must be in [1, 2**{MAX_NUM_STATES.bit_length() - 1}]")
         if not 0.0 < self.check_fraction < 1.0:
             raise ValueError("check_fraction must be in (0, 1)")
         if not 0.0 <= self.qber_abort_threshold < 1.0:
@@ -581,11 +589,75 @@ def _observed_accuracy(positions: _Positions, records: _AdversaryRecords) -> flo
     return int(np.count_nonzero(records.column("inferred_bit").compress(hers) == bob)) / total
 
 
-def _stream(seed: int, key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
-
-
 _STREAM_CENTER, _STREAM_ALICE, _STREAM_BOB, _STREAM_EVE, _STREAM_CHANNEL, _STREAM_POSTPROC = range(6)
+
+# numpy's SeedSequence (O'Neill's seed_seq) hashes each entropy word with
+# the next constant of a series, the i-th being INIT * MULT**i mod 2**32:
+# calls 0-15 build the 4-word pool from the seed's words padded with
+# zeros, calls 16-19 hash a one-word spawn key, once into each pool word.
+# `generate_state` hashes the pool words in turn with a second series.
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_STATE_HASH = [0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _MASK32 for i in range(9)]  # up to 8 words
+
+
+def _key_terms(key: int) -> list[int]:
+    """What spawn key `key` subtracts from each pool word in numpy's `mix`:
+    MIX_R times the key's `hashmix` at calls 16-19."""
+    hashes = [0x43B0D7E5 * pow(0x931E8875, i, 2**32) & _MASK32 for i in range(16, 21)]
+    terms = []
+    for xor, mult in zip(hashes, hashes[1:]):
+        h = (key ^ xor) * mult & _MASK32
+        terms.append(_MIX_R * (h ^ h >> 16))
+    return terms
+
+
+_KEY_TERMS = [_key_terms(key) for key in range(_STREAM_POSTPROC + 1)]
+
+
+def _spawned_state(pool: list[int], key: int, count: int) -> list[int]:
+    """`SeedSequence(seed, spawn_key=(key,)).generate_state(count,
+    np.uint64)` as Python ints, from `SeedSequence(seed).pool`: the key's
+    pass of `mix_entropy`, then `generate_state`."""
+    mixed = []
+    for word, term in zip(pool, _KEY_TERMS[key]):
+        v = (_MIX_L * word - term) & _MASK32
+        mixed.append(v ^ v >> 16)
+    out = []
+    for j in range(0, 2 * count, 2):
+        lo = (mixed[j & 3] ^ _STATE_HASH[j]) * _STATE_HASH[j + 1] & _MASK32
+        hi = (mixed[j + 1 & 3] ^ _STATE_HASH[j + 1]) * _STATE_HASH[j + 2] & _MASK32
+        out.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
+    return out
+
+
+class _Words(ISeedSequence):
+    """A seed sequence whose state is given.  PCG64 asks it once, for four
+    uint64 words, and gets its words whatever it asks; the tests hold the
+    generator's state to numpy's own."""
+
+    def __init__(self, words: list[int]):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self.words, dtype=np.uint64)
+
+
+def _session_streams(seed: int, keys) -> tuple[dict[int, np.random.Generator], int, int]:
+    """Each key's generator, `np.random.default_rng(np.random.SeedSequence(
+    seed, spawn_key=(key,)))`, and the post-processing seeds, the two words
+    of `SeedSequence(seed, spawn_key=(_STREAM_POSTPROC,)).generate_state(2,
+    np.uint64)`, bit for bit, from one mixing of the seed.
+
+    Needs 0 <= seed < 2**128 (`SessionConfig` keeps it below 2**64): such
+    a seed fills at most the 4-word pool, which numpy pads with zeros
+    before it appends a spawn key, so `SeedSequence(seed).pool` is what
+    every spawned sequence holds before it mixes in its key."""
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    rngs = {key: np.random.Generator(np.random.PCG64(_Words(_spawned_state(pool, key, 4))))
+            for key in keys}
+    pa_seed, rec_seed = _spawned_state(pool, _STREAM_POSTPROC, 2)
+    return rngs, pa_seed, rec_seed
 
 
 def eavesdrop_check(mismatch: np.ndarray, check_fraction: float, rng: np.random.Generator,
@@ -844,10 +916,8 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     table = _compile(protocol, attack)
     # Only the streams something draws from: no adversary's stream
     # without an intercept or a probe.
-    rngs = {key: _stream(config.rng_seed, key) for key in
-            {_STREAM_CENTER, _STREAM_BOB, _STREAM_CHANNEL, *(stream for stream, _ in table.steps)}}
-    pp_seed_seq = np.random.SeedSequence(config.rng_seed, spawn_key=(_STREAM_POSTPROC,))
-    pa_seed, rec_seed = (int(x) for x in pp_seed_seq.generate_state(2, dtype=np.uint64))
+    rngs, pa_seed, rec_seed = _session_streams(config.rng_seed, {
+        _STREAM_CENTER, _STREAM_BOB, _STREAM_CHANNEL, *(stream for stream, _ in table.steps)})
 
     # -- prepare, then transmit (loss) ----------------------------------------
     scheme = _SCHEMES[protocol]

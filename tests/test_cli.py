@@ -65,6 +65,23 @@ class TestRun:
     def test_run_rejects_zero_states(self, capsys):
         assert main(["run", "--protocol", "GHZ1", "--num-states", "0"]) == 1
 
+    def test_run_rejects_states_no_machine_holds(self, capsys):
+        assert main(["run", "--protocol", "GHZ1", "--num-states", str(2**48 + 1)]) == 1
+        assert capsys.readouterr().err == "error: num_states must be in [1, 2**48]\n"
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 9.09 TiB for an array with shape (10000000000000,) "
+                     "and data type bool"),
+         "Unable to allocate 9.09 TiB for an array with shape (10000000000000,) and data type bool"),
+        (MemoryError(), "out of memory")], ids=["numpy", "bare"])
+    def test_run_out_of_memory_one_line(self, exc, message, monkeypatch, capsys):
+        def run_session(config):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_session", run_session)
+        assert main(["run", "--protocol", "GHZ1", "--num-states", "10000000000000"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_run_rejects_unknown_protocol(self, capsys):
         assert main(["run", "--protocol", "GHZ9"]) == 1
 

@@ -62,6 +62,11 @@ MALFORMED_SCENARIOS = {
          "sessions": [{"requester": "a", "responder": "b",
                        "config": {"protocol": "GHZ1", "num_states": "x"}}]},
         "sessions[0].config: num_states: expected a number, got 'x'"),
+    "num_states_huge": (
+        {"users": ["a", "b"],
+         "sessions": [{"requester": "a", "responder": "b",
+                       "config": {"protocol": "GHZ1", "num_states": 10**40}}]},
+        "sessions[0].config: num_states must be in [1, 2**48]"),
     "num_states_fraction": (
         {"users": ["a", "b"],
          "sessions": [{"requester": "a", "responder": "b",

@@ -158,6 +158,11 @@ class TestConsistencyMap:
             consistency_map(ProtocolId.GHZ1, (X, P), X, P, Y)
 
 
+def numpy_stream(seed, key) -> np.random.Generator:
+    """A session stream as numpy spawns it from the seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
+
+
 def config_with(field, value) -> SessionConfig:
     """A GHZ1 config of 2000 states whose field is value; a field named
     Class.name is that field of an attack of the named class."""
@@ -180,6 +185,14 @@ class TestConfigValidation:
             SessionConfig(ProtocolId.GHZ1, 100, loss_probability=1.5)
         with pytest.raises(ValueError):
             SessionConfig(ProtocolId.GHZ1, 100, rng_seed=-1)
+
+    def test_num_states_ceiling(self):
+        """A config is made up to `MAX_NUM_STATES` (2**48); above it no
+        machine could hold the session, and the field refuses it."""
+        assert SessionConfig(ProtocolId.GHZ1, protocols.MAX_NUM_STATES).num_states == 2**48
+        for n in (2**48 + 1, 10**40):
+            with pytest.raises(ValueError, match=r"^num_states must be in \[1, 2\*\*48\]$"):
+                SessionConfig(ProtocolId.GHZ1, n)
 
     def test_an_object_that_is_no_attack_is_refused(self):
         with pytest.raises(UnsupportedAttackError, match="unknown attack <object object at"):
@@ -376,12 +389,18 @@ class TestSessions:
         ids=["no-attack", "cheating-center", "intercept-resend", "ancilla"])
     @pytest.mark.parametrize("protocol", [ProtocolId.GHZ1, ProtocolId.GHZ2])
     def test_adversary_stream_built_only_when_drawn(self, monkeypatch, protocol, attack, eve):
-        keys = []
-        real = protocols._stream
-        monkeypatch.setattr(protocols, "_stream", lambda seed, key: keys.append(key) or real(seed, key))
+        built = []
+        real = protocols._session_streams
+
+        def streams(seed, keys):
+            rngs, pa_seed, rec_seed = real(seed, keys)
+            built.extend(rngs)
+            return rngs, pa_seed, rec_seed
+
+        monkeypatch.setattr(protocols, "_session_streams", streams)
         run_session(SessionConfig(protocol, 200, qber_abort_threshold=0.99, rng_seed=3, attack=attack))
-        assert (protocols._STREAM_EVE in keys) == eve
-        assert len(keys) == len(set(keys)) == 4 + eve
+        assert (protocols._STREAM_EVE in built) == eve
+        assert len(built) == len(set(built)) == 4 + eve
 
 
 class TestEventOrdering:
@@ -416,7 +435,7 @@ class TestChannelLosses:
         falls under its loss.  A config whose legs leave less than one
         unchecked position in expectation is refused, at the small n."""
         for seed, n in enumerate([2, 3, 4, 17, 1000, 4001]):
-            channel = protocols._stream(seed, protocols._STREAM_CHANNEL)
+            channel = numpy_stream(seed, protocols._STREAM_CHANNEL)
             alice, bob = channel.random(n), channel.random(n)
             kwargs = dict(check_fraction=0.01, loss_probability=(loss_a, loss_b), rng_seed=seed)
             if 0 < (1 - 0.01) * n * ((1 - loss_a) * (1 - loss_b)) < 1:
@@ -435,7 +454,7 @@ class TestChannelLosses:
         leg draws: his leg reads doubles n..2n-1 of the channel stream
         either way.  The lost column is the two-draw one in every case."""
         calls = []
-        real = protocols._stream
+        real = protocols._session_streams
 
         class Counting:
             def __init__(self, rng):
@@ -445,14 +464,15 @@ class TestChannelLosses:
                 calls.append(size)
                 return self.rng.random(size)
 
-        def stream(seed, key):
-            rng = real(seed, key)
-            return Counting(rng) if key == protocols._STREAM_CHANNEL else rng
+        def streams(seed, keys):
+            rngs, pa_seed, rec_seed = real(seed, keys)
+            rngs[protocols._STREAM_CHANNEL] = Counting(rngs[protocols._STREAM_CHANNEL])
+            return rngs, pa_seed, rec_seed
 
         n, seed = 1000, 3
-        channel = real(seed, protocols._STREAM_CHANNEL)
+        channel = numpy_stream(seed, protocols._STREAM_CHANNEL)
         alice, bob = channel.random(n), channel.random(n)
-        monkeypatch.setattr(protocols, "_stream", stream)
+        monkeypatch.setattr(protocols, "_session_streams", streams)
         config = SessionConfig(ProtocolId.GHZ3, n, check_fraction=0.01,
                                loss_probability=(loss_a, loss_b), rng_seed=seed)
         lost = run_session(config).positions.column("lost")
@@ -500,6 +520,28 @@ class TestPositions:
         assert [r["position"] for r in records] == arrived
         assert records[-1] == list(records)[-1]
         assert set(records[0]) == {"position", "basis_used", "outcome", "inferred_bit"}
+
+
+class TestSessionStreams:
+    # Seeds of one and two 32-bit words at their edges, and a seeded
+    # sample cut to every even bit length.
+    SAMPLE = np.random.default_rng(20261022).integers(2**64, size=32, dtype=np.uint64)
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1,
+             *(int(x) >> shift for x, shift in zip(SAMPLE, range(0, 64, 2)))]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_streams_are_numpys_spawned_streams(self, seed):
+        """`_session_streams` mixes the seed once and finishes numpy's
+        SeedSequence per key in Python: every generator's state and the
+        post-processing words equal those of numpy's own spawned
+        sequences."""
+        keys = range(protocols._STREAM_POSTPROC)
+        rngs, pa_seed, rec_seed = protocols._session_streams(seed, keys)
+        assert list(rngs) == list(keys)
+        for key in keys:
+            assert rngs[key].bit_generator.state == numpy_stream(seed, key).bit_generator.state
+        postproc = np.random.SeedSequence(seed, spawn_key=(protocols._STREAM_POSTPROC,))
+        assert [pa_seed, rec_seed] == postproc.generate_state(2, np.uint64).tolist()
 
 
 class TestDeterminismAndSerialization:
